@@ -8,16 +8,6 @@ helpers, reproducible RNG), ``datasets``, ``sampling``, ``risk``,
 ``model``, ``trainer``, ``metrics``, ``harness`` and ``cli``.
 """
 
-from .datasets import (
-    LabeledDataset,
-    PUDataset,
-    SplitSpec,
-    gaussian_mixture,
-    load_csv,
-    load_pu_csv,
-    save_csv,
-    train_test_split,
-)
 from .errors import (
     DataError,
     FormatError,
@@ -26,100 +16,14 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .harness import (
-    DatasetSource,
-    ExperimentResult,
-    GridSpec,
-    emit_report,
-    run_grid,
-)
-from .metrics import ConfusionCounts, confusion, delta, scores
-from .model import MLPModel, backward, forward, grad_check, init, load_model, save_model
-from .numerics import Rng, as_matrix, matmul
-from .risk import (
-    LOGISTIC,
-    SIGMOID,
-    LossSpec,
-    RiskComponents,
-    cross_scenario_bias_gap,
-    empirical_risk_ss_regrouped,
-    loss_logistic,
-    loss_sigmoid,
-    nnpu_risk,
-    risk_components,
-    risk_decomposition_cc,
-    risk_decomposition_ss,
-    true_risk,
-    upu_risk,
-)
-from .sampling import (
-    CaseControlConfig,
-    ScarConfig,
-    case_control_sample,
-    scar_label,
-    ss_unlabeled_mixture_weights,
-    unlabeled_positive_fraction_ss,
-)
-from .trainer import EpochTrace, TrainerConfig, classify_scores, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseControlConfig",
-    "ConfusionCounts",
     "DataError",
-    "DatasetSource",
-    "EpochTrace",
-    "ExperimentResult",
     "FormatError",
-    "GridSpec",
-    "LabeledDataset",
-    "LOGISTIC",
-    "LossSpec",
-    "MLPModel",
-    "PUDataset",
     "ParameterError",
     "PuermError",
-    "RiskComponents",
-    "Rng",
-    "SIGMOID",
-    "ScarConfig",
     "ShapeError",
-    "SplitSpec",
-    "TrainerConfig",
     "TrainingError",
-    "as_matrix",
-    "backward",
-    "case_control_sample",
-    "classify_scores",
-    "confusion",
-    "cross_scenario_bias_gap",
-    "delta",
-    "emit_report",
-    "empirical_risk_ss_regrouped",
-    "forward",
-    "gaussian_mixture",
-    "grad_check",
-    "init",
-    "load_csv",
-    "load_model",
-    "load_pu_csv",
-    "loss_logistic",
-    "loss_sigmoid",
-    "matmul",
-    "nnpu_risk",
-    "risk_components",
-    "risk_decomposition_cc",
-    "risk_decomposition_ss",
-    "run_grid",
-    "save_csv",
-    "save_model",
-    "scar_label",
-    "scores",
-    "ss_unlabeled_mixture_weights",
-    "train",
-    "train_test_split",
-    "true_risk",
-    "unlabeled_positive_fraction_ss",
-    "upu_risk",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .datasets import (
     SCENARIO_CC,
@@ -160,10 +161,10 @@ def _cmd_sample(args) -> int:
     budget = args.n if args.n is not None else source.n
     rng = Rng(args.seed)
     if args.scenario == "ss":
-        pu = scar_label(source, ScarConfig(c=args.c, n=budget, seed=args.seed), rng)
+        pu = scar_label(source, ScarConfig(c=args.c, n=budget), rng)
     else:
         pi = args.pi if args.pi is not None else source.empirical_prior()
-        cfg = CaseControlConfig(c=args.c, pi=pi, n=budget, seed=args.seed)
+        cfg = CaseControlConfig(c=args.c, pi=pi, n=budget)
         pu = case_control_sample(source, cfg, rng)
     save_csv(pu, args.out)
     print(
@@ -215,29 +216,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    if args.config:
-        spec = load_grid_config(args.config)
-    else:
-        spec = default_grid_spec()
-    if args.out is not None:
-        spec.out = args.out
-    if args.trace_dir is not None:
-        spec.trace_dir = args.trace_dir
-    if args.seeds is not None:
-        spec.seeds = args.seeds
-    if args.c_values is not None:
-        spec.c_values = args.c_values
-    if args.methods is not None:
-        spec.methods = args.methods
-    if args.scenarios is not None:
-        spec.scenarios = args.scenarios
+    spec = load_grid_config(args.config) if args.config else default_grid_spec()
+    overrides = {
+        "out": args.out,
+        "trace_dir": args.trace_dir,
+        "seeds": args.seeds,
+        "c_values": args.c_values,
+        "methods": args.methods,
+        "scenarios": args.scenarios,
+        "n": args.n,
+    }
     if args.epochs is not None:
-        spec.trainer.epochs = args.epochs
-    if args.n is not None:
-        spec.n = args.n
-    # re-validate after overrides
-    spec.__post_init__()
-    spec.trainer.__post_init__()
+        overrides["trainer"] = replace(spec.trainer, epochs=args.epochs)
+    # replace() builds new objects, so __post_init__ validates the overrides
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     log = None if args.quiet else sys.stderr
     results = run_grid(spec, log=log)
     print(f"{len(results)} new results appended to {spec.out}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,19 +105,6 @@ class PUDataset:
     @property
     def n_labeled(self) -> int:
         return int(np.sum(self.s == 1))
-
-    def take(self, indices) -> "PUDataset":
-        """Row subset (used for resampling experiments)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return PUDataset(
-            x=self.x[idx],
-            s=self.s[idx],
-            y_true=None if self.y_true is None else self.y_true[idx],
-            pi=self.pi,
-            scenario=self.scenario,
-            c=self.c,
-            pi_is_empirical=self.pi_is_empirical,
-        )
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .datasets import (
     train_test_split,
 )
 from .errors import FormatError, ParameterError, PuermError
-from .metrics import confusion, delta, scores
+from .metrics import confusion, scores
 from .model import forward, grad_check, init
 from .numerics import Rng
 from .sampling import (
@@ -200,9 +200,9 @@ def run_cell(
     pi = pool.pi if pool.pi is not None else pool.empirical_prior()
     if scenario == "ss":
         budget = min(spec.n, pool.n)
-        pu = scar_label(pool, ScarConfig(c=c, n=budget, seed=seed), corrupt_rng)
+        pu = scar_label(pool, ScarConfig(c=c, n=budget), corrupt_rng)
     else:
-        cc_cfg = CaseControlConfig(c=c, pi=pi, n=spec.n, seed=seed)
+        cc_cfg = CaseControlConfig(c=c, pi=pi, n=spec.n)
         pu = case_control_sample(pool, cc_cfg, corrupt_rng)
     model = init([pool.dim] + list(spec.hidden_dims) + [1], spec.activation, root.child(2))
     cfg = replace(spec.trainer, method=method, seed=base)
@@ -229,17 +229,28 @@ def run_cell(
     )
 
 
+def iter_cells(spec: GridSpec):
+    """Every cell of the grid as (source, scenario, method, c, seed), in the
+    order the results file lists them: seed varies fastest, dataset slowest."""
+    for source in spec.datasets:
+        for scenario in spec.scenarios:
+            for method in spec.methods:
+                for c in spec.c_values:
+                    for seed in spec.seeds:
+                        yield source, scenario, method, c, seed
+
+
 def _result_key(dataset: str, scenario: str, method: str, c: float, seed: int):
     return (dataset, scenario, method, repr(float(c)), str(int(seed)))
 
 
-def _result_to_row(r: ExperimentResult) -> list[str]:
+def _result_row(key: tuple, r: ExperimentResult | None, error: str = "") -> list[str]:
+    """One results-file row. An error row (``r`` is None) has empty metric
+    fields and the message in the trace_path column."""
+    if r is None:
+        return [*key, "", "", "", "", f"error: {error}"]
     return [
-        r.dataset,
-        r.scenario,
-        r.method,
-        repr(float(r.c)),
-        str(int(r.seed)),
+        *key,
         repr(float(r.accuracy)),
         repr(float(r.precision)),
         repr(float(r.recall)),
@@ -311,49 +322,28 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
             fh.write(",".join(RESULTS_COLUMNS) + "\n")
             fh.flush()
         writer = csv.writer(fh, lineterminator="\n")
-        for source in spec.datasets:
-            for scenario in spec.scenarios:
-                for method in spec.methods:
-                    for c in spec.c_values:
-                        if scenario == "cc" and c == 1.0:
-                            continue
-                        for seed in spec.seeds:
-                            key = _result_key(source.name, scenario, method, c, seed)
-                            if key in done:
-                                continue
-                            try:
-                                result = run_cell(source, scenario, method, c, seed, spec)
-                            except PuermError as exc:
-                                writer.writerow(
-                                    [
-                                        source.name,
-                                        scenario,
-                                        method,
-                                        repr(float(c)),
-                                        str(int(seed)),
-                                        "",
-                                        "",
-                                        "",
-                                        "",
-                                        f"error: {exc}",
-                                    ]
-                                )
-                                fh.flush()
-                                if log:
-                                    print(
-                                        f"cell {key} failed: {exc}", file=log, flush=True
-                                    )
-                                continue
-                            results.append(result)
-                            writer.writerow(_result_to_row(result))
-                            fh.flush()
-                            if log:
-                                print(
-                                    f"done {source.name}/{scenario}/{method}"
-                                    f"/c={c}/seed={seed}: acc={result.accuracy:.2f}",
-                                    file=log,
-                                    flush=True,
-                                )
+        for source, scenario, method, c, seed in iter_cells(spec):
+            key = _result_key(source.name, scenario, method, c, seed)
+            if key in done:
+                continue
+            try:
+                r = run_cell(source, scenario, method, c, seed, spec)
+            except PuermError as exc:
+                writer.writerow(_result_row(key, None, str(exc)))
+                fh.flush()
+                if log:
+                    print(f"cell {key} failed: {exc}", file=log, flush=True)
+                continue
+            results.append(r)
+            writer.writerow(_result_row(key, r))
+            fh.flush()
+            if log:
+                print(
+                    f"done {source.name}/{scenario}/{method}"
+                    f"/c={c}/seed={seed}: acc={r.accuracy:.2f}",
+                    file=log,
+                    flush=True,
+                )
     return results
 
 
@@ -414,7 +404,7 @@ def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
                 deltas = []
                 for i in range(len(datasets)):
                     a, b = table[correct][i], table[other][i]
-                    deltas.append(None if a is None or b is None else delta(a, b))
+                    deltas.append(None if a is None or b is None else a - b)
                 table[f"delta_{family}"] = deltas
         for name, values in table.items():
             cells = []
@@ -514,7 +504,8 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
         gl = r.normal(n_l, sd=3.0)
         gu = r.normal(n_u, sd=3.0)
         pi = 0.05 + 0.9 * r.uniform(1)[0]
-        comp = risk.risk_components(gl, gu, pi, n_l + n_u, risk.MODE_SS)
+        labeled = np.arange(n_l + n_u) < n_l
+        comp = risk.risk_components(np.concatenate([gl, gu]), labeled, pi, risk.MODE_SS)
         a = risk.upu_risk(comp)
         b = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))

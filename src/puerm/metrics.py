@@ -1,4 +1,4 @@
-"""Confusion counts, percentage scores, and the paired-method difference.
+"""Confusion counts and percentage scores.
 
 All scores are percentages in [0, 100] with the +1 class treated as
 positive. Degenerate denominators (no predicted positives, no actual
@@ -63,12 +63,3 @@ def scores(c: ConfusionCounts) -> tuple[float, float, float, float]:
     recall = _ratio(c.tp, c.tp + c.fn)
     f1 = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn)
     return 100.0 * accuracy, 100.0 * precision, 100.0 * recall, 100.0 * f1
-
-
-def delta(correct_method_score: float, ill_specified_score: float) -> float:
-    """Scenario-appropriate score minus the cross-applied method's score.
-
-    Positive values mean matching the estimator to the sampling scheme
-    helped; tables report it to two decimals.
-    """
-    return correct_method_score - ill_specified_score

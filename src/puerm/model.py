@@ -68,12 +68,6 @@ class GradientBundle:
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
 
-    def scaled(self, alpha: float) -> "GradientBundle":
-        return GradientBundle(
-            weights=[alpha * w for w in self.weights],
-            biases=[alpha * b for b in self.biases],
-        )
-
 
 def zero_gradients(model: MLPModel) -> GradientBundle:
     return GradientBundle(
@@ -201,14 +195,24 @@ def load_model(path) -> MLPModel:
         raise FormatError(
             f"{path}: expected format {CHECKPOINT_FORMAT!r}, got {doc.get('format')!r}"
         )
+    missing = [k for k in ("layer_dims", "activation", "weights", "biases") if k not in doc]
+    if missing:
+        raise FormatError(f"{path}: checkpoint is missing {missing}")
     dims = [int(d) for d in doc["layer_dims"]]
     if doc["activation"] not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {doc['activation']!r}")
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    if not len(weights) == len(biases) == len(dims) - 1:
+        raise FormatError(
+            f"{path}: {len(dims)} layer sizes need {len(dims) - 1} weight matrices "
+            f"and bias vectors, got {len(weights)} and {len(biases)}"
+        )
     for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         if weights[k].shape != (fan_out, fan_in) or biases[k].shape != (fan_out,):
             raise FormatError(f"{path}: parameter shapes do not match layer_dims")
+    if not all(np.all(np.isfinite(p)) for p in weights + biases):
+        raise FormatError(f"{path}: parameters must be finite")
     return MLPModel(
         layer_dims=dims, weights=weights, biases=biases, activation=doc["activation"]
     )

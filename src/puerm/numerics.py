@@ -42,22 +42,6 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check.
-
-    ``a`` is (m, k) and ``b`` is (k, n); the result is (m, n).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions do not match: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
 class Rng:
     """Deterministic random stream seeded by a 64-bit integer.
 

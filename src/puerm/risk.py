@@ -1,19 +1,25 @@
 """Margin losses and the positive-unlabeled risk estimators.
 
-All estimators are built from three per-batch components. With a score
-function g, a loss ``l`` on margins, class prior ``pi``, a labeled part L
-and an unlabeled part U:
+Every estimator is a fixed combination of three per-batch components.
+With a score function g, a loss ``l`` on margins, class prior ``pi``, and
+a batch of n rows split into a labeled part L and an unlabeled part U:
 
 * ``r_label``  = pi * mean over L of l(g(x))
 * ``r_corr``   = pi * mean over L of l(-g(x))
 * ``r_dist``   = the general-distribution term. In case-control mode it is
   the mean of l(-g(x)) over U alone (U follows the full marginal). In
   single-sample mode L and U together form one draw from the marginal, so
-  it is the pooled sum of l(-g(x)) over L and U divided by the total count.
+  it is the sum of l(-g(x)) over the whole batch divided by n.
 
-The unbiased estimator is ``r_label + r_dist - r_corr`` and may go
-negative on finite samples; the non-negative variant truncates
-``r_dist - r_corr`` at zero.
+``risk_components`` returns the three values together with their per-row
+gradients d(component)/d(g(x_i)); it is the only place that evaluates the
+loss or its derivative during training. The unbiased estimator (uPU) is
+``r_label + (r_dist - r_corr)`` and may go negative on finite samples. The
+non-negative estimator (nnPU) truncates ``r_dist - r_corr`` at zero; when
+that signed part falls too low, training descends the surrogate
+``r_corr - r_dist`` instead (Kiryo et al., NeurIPS 2017, Algorithm 1).
+``RiskComponents.unbiased`` and ``RiskComponents.surrogate`` give those two
+combinations as (value, per-row gradient).
 """
 
 from __future__ import annotations
@@ -93,13 +99,30 @@ def get_loss(kind: str) -> LossSpec:
 
 @dataclass
 class RiskComponents:
-    """Per-batch risk pieces; each is nonnegative by construction."""
+    """Per-batch risk pieces and their gradients with respect to the scores.
+
+    Each value is nonnegative by construction. Each ``d_*`` array has one
+    entry per batch row, in row order, and is zero on the rows its
+    component does not read.
+    """
 
     r_label: float
     r_dist: float
     r_corr: float
-    n_labeled: int
-    n_unlabeled: int
+    d_label: np.ndarray
+    d_dist: np.ndarray
+    d_corr: np.ndarray
+
+    def unbiased(self) -> tuple[float, np.ndarray]:
+        """The uPU objective r_label + (r_dist - r_corr) and its gradient."""
+        return (
+            self.r_label + (self.r_dist - self.r_corr),
+            self.d_label + (self.d_dist - self.d_corr),
+        )
+
+    def surrogate(self) -> tuple[float, np.ndarray]:
+        """The nnPU surrogate r_corr - r_dist and its gradient."""
+        return self.r_corr - self.r_dist, self.d_corr - self.d_dist
 
 
 def _as_scores(values, name: str) -> np.ndarray:
@@ -116,55 +139,53 @@ def _check_pi(pi: float) -> float:
 
 
 def risk_components(
-    g_labeled,
-    g_unlabeled,
-    pi: float,
-    n_total_train: int | None,
-    mode: str,
-    loss: LossSpec = LOGISTIC,
+    g, labeled, pi: float, mode: str, loss: LossSpec = LOGISTIC
 ) -> RiskComponents:
-    """Compute (r_label, r_dist, r_corr) for one batch of scores.
+    """The three components of one batch and their per-row gradients.
 
-    ``n_total_train`` is the denominator of the pooled single-sample
-    r_dist term; pass the number of rows the scores were computed from
-    (or None to use len(g_labeled) + len(g_unlabeled)). It is ignored in
-    case-control mode. An empty labeled part yields r_label = r_corr = 0
-    so a degenerate batch still contributes its distribution term.
+    ``g`` holds the batch's scores in row order and ``labeled`` is a
+    boolean mask of the same length marking the rows of L. An empty
+    labeled part yields r_label = r_corr = 0 so a degenerate batch still
+    contributes its distribution term.
     """
     pi = _check_pi(pi)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    gl = _as_scores(g_labeled, "g_labeled")
-    gu = _as_scores(g_unlabeled, "g_unlabeled")
+    g = _as_scores(g, "g")
+    lab = np.asarray(labeled, dtype=bool)
+    if lab.shape != g.shape:
+        raise ShapeError(
+            f"labeled mask shape {lab.shape} does not match scores {g.shape}"
+        )
+    unl = ~lab
+    gl, gu = g[lab], g[unl]
     n_l, n_u = gl.size, gu.size
-    if n_total_train is None:
-        n_total_train = n_l + n_u
+    neg_l = loss.value(-gl)  # shared by r_corr and the pooled r_dist
+    neg_u = loss.value(-gu)
+    dneg = loss.derivative(-g)  # l'(-g_i); d l(-g_i) / d g_i = -l'(-g_i)
+    r_label = r_corr = 0.0
+    d_label = np.zeros_like(g)
+    d_corr = np.zeros_like(g)
     if n_l > 0:
+        w = pi / n_l
         r_label = pi * float(np.mean(loss.value(gl)))
-        r_corr = pi * float(np.mean(loss.value(-gl)))
-    else:
-        r_label = 0.0
-        r_corr = 0.0
+        r_corr = pi * float(np.mean(neg_l))
+        d_label[lab] = w * loss.derivative(gl)
+        d_corr[lab] = -(w * dneg[lab])
     if mode == MODE_CC:
-        r_dist = float(np.mean(loss.value(-gu))) if n_u > 0 else 0.0
+        r_dist = float(np.mean(neg_u)) if n_u > 0 else 0.0
+        d_dist = np.zeros_like(g)
+        d_dist[unl] = -dneg[unl] / n_u
     else:
-        if n_total_train < 1:
-            if n_l + n_u > 0:
-                raise ParameterError(
-                    f"n_total_train must be >= 1, got {n_total_train}"
-                )
-            r_dist = 0.0
-        else:
-            pooled = float(np.sum(loss.value(-gl))) + float(np.sum(loss.value(-gu)))
-            r_dist = pooled / float(n_total_train)
-    return RiskComponents(
-        r_label=r_label, r_dist=r_dist, r_corr=r_corr, n_labeled=n_l, n_unlabeled=n_u
-    )
+        n = n_l + n_u
+        r_dist = (float(np.sum(neg_l)) + float(np.sum(neg_u))) / n if n > 0 else 0.0
+        d_dist = -dneg / n
+    return RiskComponents(r_label, r_dist, r_corr, d_label, d_dist, d_corr)
 
 
 def upu_risk(comp: RiskComponents) -> float:
     """Unbiased estimate r_label + r_dist - r_corr; may be negative."""
-    return comp.r_label + (comp.r_dist - comp.r_corr)
+    return comp.unbiased()[0]
 
 
 def nnpu_risk(comp: RiskComponents, beta: float = 0.0) -> tuple[float, bool]:

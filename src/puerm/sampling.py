@@ -33,13 +33,11 @@ class ScarConfig:
 
     ``c`` is the probability that a positive row receives a label,
     independent of its features; ``n`` is the number of rows drawn from
-    the source; ``seed`` feeds the generator when the caller does not
-    pass one explicitly.
+    the source.
     """
 
     c: float
     n: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
@@ -61,7 +59,6 @@ class CaseControlConfig:
     c: float
     pi: float
     n: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.c < 1.0:
@@ -75,25 +72,19 @@ class CaseControlConfig:
             raise ParameterError(f"n must be >= 1, got {self.n}")
 
 
-def scar_label(
-    source: LabeledDataset, cfg: ScarConfig, rng: Rng, replace: bool = False
-) -> PUDataset:
+def scar_label(source: LabeledDataset, cfg: ScarConfig, rng: Rng) -> PUDataset:
     """Draw ``cfg.n`` rows from ``source`` and label them at random.
 
-    Rows are sampled without replacement by default (``replace=True``
-    allows resampling from small synthetic pools). Each drawn row with
-    y=+1 receives s=+1 independently with probability ``cfg.c``; all other
+    Rows are sampled without replacement. Each drawn row with y=+1
+    receives s=+1 independently with probability ``cfg.c``; all other
     rows get s=-1. Ground-truth labels are retained for evaluation.
     """
-    if not replace and cfg.n > source.n:
+    if cfg.n > source.n:
         raise ParameterError(
             f"requested {cfg.n} rows without replacement but the source has "
             f"only {source.n}"
         )
-    if replace:
-        idx = rng.integers(cfg.n, source.n)
-    else:
-        idx = rng.sample_without_replacement(source.n, cfg.n)
+    idx = rng.sample_without_replacement(source.n, cfg.n)
     y = source.y[idx]
     flips = rng.bernoulli(cfg.c, cfg.n)
     s = np.where((y == 1) & flips, 1, -1).astype(np.int64)

@@ -1,15 +1,17 @@
 """Minibatched PU training with the non-negative truncation branch.
 
-Each epoch shuffles the training rows and walks minibatches. For every
-batch the three risk components are computed in the mode named by the
-method (``*_ss`` pools labeled and unlabeled rows into the distribution
-term, ``*_cc`` uses unlabeled rows only). The uPU methods always descend
-the unbiased objective r_label + r_dist - r_corr with step eta. The nnPU
-methods watch the signed part: while r_dist - r_corr > -beta they descend
-the unbiased objective; once it falls to -beta or below they instead
-descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
-which pushes the overfitted negative part back up. Defaults are beta=0
-and gamma=1.
+Each epoch shuffles the training rows and walks minibatches. Every batch
+takes the same four steps: score the rows (``forward``), compute the three
+risk components and their per-row gradients in the mode named by the
+method (``risk.risk_components``; ``*_ss`` pools labeled and unlabeled
+rows into the distribution term, ``*_cc`` uses unlabeled rows only), pick
+a combination of them, and backpropagate its gradient (``backward``). The
+uPU methods always descend the unbiased combination
+r_label + (r_dist - r_corr) with step eta. The nnPU methods watch the
+signed part: while r_dist - r_corr > -beta they descend the unbiased
+combination; once it falls to -beta or below they instead descend the
+surrogate r_corr - r_dist with the discounted step gamma*eta, which pushes
+the overfitted negative part back up. Defaults are beta=0 and gamma=1.
 
 Per-epoch traces record the mean components, the mean objective (the
 truncated value for nnPU methods), the fraction of batches that triggered
@@ -29,7 +31,7 @@ from .datasets import LabeledDataset, PUDataset
 from .errors import FormatError, ParameterError, TrainingError
 from .model import MLPModel, backward, forward, zero_gradients
 from .numerics import Rng
-from .risk import MODE_CC, MODE_SS, get_loss, nnpu_risk, risk_components, upu_risk
+from .risk import MODE_CC, MODE_SS, get_loss, nnpu_risk, risk_components
 
 METHODS = ("nnpu_ss", "nnpu_cc", "upu_ss", "upu_cc")
 OPTIMIZERS = ("sgd", "adam-style")
@@ -131,28 +133,6 @@ def _sgd_step(model: MLPModel, grads, lr: float) -> None:
         p -= lr * g
 
 
-def _upstream(g, lab_mask, pi, mode, loss, surrogate: bool) -> np.ndarray:
-    """d(objective)/d(score) per row for the chosen branch."""
-    n_b = g.size
-    n_l = int(np.sum(lab_mask))
-    n_u = n_b - n_l
-    dneg = loss.derivative(-g)  # l'(-g_i)
-    u = np.zeros(n_b, dtype=np.float64)
-    if mode == MODE_SS:
-        u -= dneg / n_b  # d r_dist / d g_i over all rows
-    elif n_u > 0:
-        u[~lab_mask] -= dneg[~lab_mask] / n_u
-    if n_l > 0:
-        # d(-r_corr)/dg on labeled rows: +pi/n_l * l'(-g)
-        u[lab_mask] += (pi / n_l) * dneg[lab_mask]
-    if surrogate:
-        # surrogate = r_corr - r_dist = -(r_dist - r_corr): flip, drop r_label
-        return -u
-    if n_l > 0:
-        u[lab_mask] += (pi / n_l) * loss.derivative(g[lab_mask])
-    return u
-
-
 def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     """Objective factory for one batch and one branch of the update rule.
 
@@ -167,12 +147,9 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
 
     def objective(model: MLPModel):
         g = forward(model, x)
-        comp = risk_components(
-            g[lab_mask], g[~lab_mask], pi, x.shape[0], mode, loss
-        )
-        value = (comp.r_corr - comp.r_dist) if surrogate else upu_risk(comp)
-        grads = backward(model, x, _upstream(g, lab_mask, pi, mode, loss, surrogate))
-        return value, grads
+        comp = risk_components(g, lab_mask, pi, mode, loss)
+        value, upstream = comp.surrogate() if surrogate else comp.unbiased()
+        return value, backward(model, x, upstream)
 
     return objective
 
@@ -210,18 +187,11 @@ def train(
             xb = dataset.x[idx]
             lab_mask = dataset.s[idx] == 1
             g = forward(model, xb)
-            comp = risk_components(
-                g[lab_mask], g[~lab_mask], pi, idx.size, mode, loss
-            )
+            comp = risk_components(g, lab_mask, pi, mode, loss)
             nn_value, truncated = nnpu_risk(comp, cfg.beta)
-            if cfg.is_nnpu:
-                objective = nn_value
-                surrogate = truncated
-                step = cfg.gamma * cfg.eta if surrogate else cfg.eta
-            else:
-                objective = upu_risk(comp)
-                surrogate = False
-                step = cfg.eta
+            surrogate = cfg.is_nnpu and truncated
+            value, upstream = comp.surrogate() if surrogate else comp.unbiased()
+            objective = nn_value if cfg.is_nnpu else value
             if not np.isfinite(objective):
                 raise TrainingError(
                     f"non-finite objective at epoch {epoch}, batch {b} "
@@ -229,9 +199,8 @@ def train(
                 )
             truncated_batches += truncated
             sums += (comp.r_label, comp.r_dist, comp.r_corr, objective)
-            grads = backward(
-                model, xb, _upstream(g, lab_mask, pi, mode, loss, surrogate)
-            )
+            grads = backward(model, xb, upstream)
+            step = cfg.gamma * cfg.eta if surrogate else cfg.eta
             if opt is None:
                 _sgd_step(model, grads, step)
             else:

@@ -44,7 +44,10 @@ def test_criterion_1_estimator_regrouping_identity():
         gl = r.normal(n_l, sd=4.0)
         gu = r.normal(n - n_l, sd=4.0)
         pi = 0.05 + 0.9 * r.uniform(1)[0]
-        pooled = risk.upu_risk(risk.risk_components(gl, gu, pi, n, risk.MODE_SS))
+        labeled = np.arange(n) < n_l
+        pooled = risk.upu_risk(
+            risk.risk_components(np.concatenate([gl, gu]), labeled, pi, risk.MODE_SS)
+        )
         regrouped = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(pooled - regrouped) / max(abs(pooled), abs(regrouped), 1e-300))
     ok = worst < 1e-12
@@ -113,7 +116,7 @@ def test_criterion_3_gradients_both_branches(activation, tol):
         for (bx, bs), surrogate in ((batch_a, False), (batch_b, True)):
             bg = forward(model, bx)
             lab = bs == 1
-            comp = risk.risk_components(bg[lab], bg[~lab], 0.5, bx.shape[0], mode)
+            comp = risk.risk_components(bg, lab, 0.5, mode)
             assert risk.nnpu_risk(comp)[1] is surrogate  # the batch forces its branch
             err = grad_check(
                 model, batch_objective(bx, bs, 0.5, mode, risk.LOGISTIC, surrogate)
@@ -190,7 +193,7 @@ def test_criterion_5_estimator_unbiasedness():
         g = forward(model, pu.x)
         lab = pu.s == 1
         vals.append(
-            risk.upu_risk(risk.risk_components(g[lab], g[~lab], 0.5, None, risk.MODE_CC))
+            risk.upu_risk(risk.risk_components(g, lab, 0.5, risk.MODE_CC))
         )
     vals = np.asarray(vals)
     se_cc = float(vals.std(ddof=1) / np.sqrt(vals.size))
@@ -207,7 +210,7 @@ def test_criterion_5_estimator_unbiasedness():
         g = g_pool[idx]
         lab = s == 1
         vals.append(
-            risk.upu_risk(risk.risk_components(g[lab], g[~lab], 0.5, 1000, risk.MODE_SS))
+            risk.upu_risk(risk.risk_components(g, lab, 0.5, risk.MODE_SS))
         )
     vals = np.asarray(vals)
     se_ss = float(vals.std(ddof=1) / np.sqrt(vals.size))

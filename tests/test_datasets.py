@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from puerm.datasets import (
-    SCENARIO_CC,
     SCENARIO_SS,
     LabeledDataset,
     PUDataset,
@@ -52,23 +51,6 @@ def test_pu_dataset_consistency_check():
             scenario=SCENARIO_SS,
             c=0.5,
         )
-
-
-def test_pu_dataset_take_subsets_rows():
-    ds = PUDataset(
-        x=[[0.0], [1.0], [2.0]],
-        s=[1, -1, -1],
-        y_true=[1, 1, -1],
-        pi=0.5,
-        scenario=SCENARIO_CC,
-        c=0.3,
-    )
-    sub = ds.take([2, 0])
-    assert sub.n == 2
-    assert list(sub.s) == [-1, 1]
-    assert list(sub.y_true) == [-1, 1]
-    assert sub.scenario == SCENARIO_CC
-    assert sub.c == 0.3
 
 
 def test_split_spec_validation():

@@ -16,6 +16,7 @@ from puerm.harness import (
     cell_seed,
     default_grid_spec,
     emit_report,
+    iter_cells,
     load_grid_config,
     load_results,
     parse_grid_config,
@@ -137,6 +138,21 @@ def test_run_cell_is_deterministic(tmp_path):
 
 # ---------------------------------------------------------------------------
 # run_grid
+
+
+def test_iter_cells_default_grid_order():
+    cells = [
+        (source.name, scenario, method, c, seed)
+        for source, scenario, method, c, seed in iter_cells(default_grid_spec())
+    ]
+    assert len(cells) == 200
+    assert cells[0] == ("gauss1d", "ss", "nnpu_ss", 0.1, 0)
+    assert cells[-1] == ("gauss1d", "cc", "nnpu_cc", 0.9, 9)
+    # seed is the innermost coordinate, then c, method, scenario
+    assert cells[1] == ("gauss1d", "ss", "nnpu_ss", 0.1, 1)
+    assert cells[10] == ("gauss1d", "ss", "nnpu_ss", 0.3, 0)
+    assert cells[50] == ("gauss1d", "ss", "nnpu_cc", 0.1, 0)
+    assert cells[100] == ("gauss1d", "cc", "nnpu_ss", 0.1, 0)
 
 
 def test_run_grid_covers_cross_product(tmp_path):
@@ -526,6 +542,13 @@ def test_cli_grid_rejects_invalid_combination(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_grid_validates_trainer_overrides(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--out", str(out), "--epochs", "-1", "--quiet"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_usage_errors(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from puerm.errors import DataError, ShapeError
-from puerm.metrics import ConfusionCounts, confusion, delta, scores
+from puerm.metrics import ConfusionCounts, confusion, scores
 from puerm.numerics import Rng
 
 
@@ -65,9 +65,3 @@ def test_scores_zero_denominators():
     assert vals == (100.0, 0.0, 0.0, 0.0)
     # empty input
     assert scores(ConfusionCounts(0, 0, 0, 0)) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_delta_values():
-    assert abs(delta(99.21, 75.94) - 23.27) < 1e-12
-    assert abs(delta(69.56, 47.27) - 22.29) < 1e-12
-    assert delta(50.0, 60.0) == -delta(60.0, 50.0)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from puerm.errors import ParameterError, ShapeError
-from puerm.numerics import Rng, as_matrix, matmul
+from puerm.numerics import Rng, as_matrix
 
 
 # ---------------------------------------------------------------------------
-# as_matrix / matmul
+# as_matrix
 
 
 def test_as_matrix_coerces_lists():
@@ -29,36 +29,6 @@ def test_as_matrix_shape_checks():
         as_matrix([[1.0, 2.0]], cols=3)
     with pytest.raises(ParameterError):
         as_matrix([[np.inf, 0.0]])
-
-
-def test_matmul_matches_triple_loop():
-    rng = Rng(7)
-    a = rng.normal(6 * 4).reshape(6, 4)
-    b = rng.normal(4 * 5).reshape(4, 5)
-    out = matmul(a, b)
-    expected = np.zeros((6, 5))
-    for i in range(6):
-        for j in range(5):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_matmul_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_association_is_stable():
-    rng = Rng(11)
-    a = rng.normal(8 * 8).reshape(8, 8)
-    b = rng.normal(8 * 8).reshape(8, 8)
-    c = rng.normal(8 * 8).reshape(8, 8)
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.max(np.abs(left - right)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ def test_scar_draws_distinct_rows_without_replacement(source):
 def test_scar_budget_exceeding_source_needs_replace(source):
     with pytest.raises(ParameterError):
         scar_label(source, ScarConfig(c=0.5, n=source.n + 1), Rng(6))
-    pu = scar_label(
-        source, ScarConfig(c=0.5, n=source.n + 1), Rng(6), replace=True
-    )
-    assert pu.n == source.n + 1
 
 
 def test_scar_deterministic(source):

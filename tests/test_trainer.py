@@ -148,7 +148,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
     )
 
     g0 = forward(model, x)
-    comp0 = risk_components(g0[s == 1], g0[s == -1], 0.5, None, MODE_CC)
+    comp0 = risk_components(g0, s == 1, 0.5, MODE_CC)
     neg0 = comp0.r_dist - comp0.r_corr
     assert neg0 < 0.0
 
@@ -185,7 +185,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
 
     # the surrogate step pushes the signed part back up
     g1 = forward(trained, x)
-    comp1 = risk_components(g1[s == 1], g1[s == -1], 0.5, None, MODE_CC)
+    comp1 = risk_components(g1, s == 1, 0.5, MODE_CC)
     assert comp1.r_dist - comp1.r_corr > neg0
 
 
@@ -261,7 +261,7 @@ def test_batch_objective_values_match_component_route():
     value, grads = obj(model)
     g = forward(model, data.x)
     lab = data.s == 1
-    comp = risk_components(g[lab], g[~lab], data.pi, 80, "ss")
+    comp = risk_components(g, lab, data.pi, "ss")
     assert abs(value - upu_risk(comp)) < 1e-14
     assert len(grads.weights) == 2
 
