@@ -296,25 +296,39 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
 
 
 def _existing_keys(path) -> set:
-    keys = set()
-    if not os.path.exists(path):
-        return keys
     results, _ = load_results(path)
-    for r in results:
-        keys.add(_result_key(r.dataset, r.scenario, r.method, r.c, r.seed))
-    return keys
+    return {_result_key(r.dataset, r.scenario, r.method, r.c, r.seed) for r in results}
+
+
+def _drop_torn_tail(path) -> None:
+    """Cut what a crash mid-write leaves at the end of a results file.
+
+    A final row without its newline is dropped. A file holding no more
+    than a (possibly partial) tag and header is emptied, so the run starts
+    it afresh. Any other file is left alone for ``load_results`` to judge.
+    """
+    preamble = f"{RESULTS_TAG}\n{','.join(RESULTS_COLUMNS)}\n".encode()
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if preamble.startswith(data):
+            fh.truncate(0)
+        elif data.startswith(preamble) and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     """Run every cell of the grid, appending to ``spec.out`` as cells finish.
 
     Cells whose key already appears in the results file are skipped, so a
-    rerun after an interruption picks up where it stopped. A failing cell
-    writes an error-marker row (empty metric fields, message in the
-    trace_path column) and the run continues.
+    rerun after an interruption picks up where it stopped; a row the
+    interruption tore in half is dropped first and its cell run again. A
+    failing cell writes an error-marker row (empty metric fields, message
+    in the trace_path column) and the run continues.
     """
-    done = _existing_keys(spec.out)
-    fresh = not os.path.exists(spec.out)
+    if os.path.exists(spec.out):
+        _drop_torn_tail(spec.out)
+    fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
+    done = set() if fresh else _existing_keys(spec.out)
     results: list[ExperimentResult] = []
     with open(spec.out, "a", encoding="utf-8", newline="") as fh:
         if fresh:

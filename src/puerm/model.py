@@ -2,10 +2,16 @@
 
 The network maps a feature row to a single real score through fully
 connected layers with relu or tanh hidden activations and a linear output.
-``backward`` returns the exact gradient of sum_i upstream_i * g(x_i) with
-respect to every parameter, which is all a loss needs once it supplies
-d(objective)/d(score) per row. ``grad_check`` verifies any objective's
-analytic gradient against central finite differences.
+``forward_pass`` validates a batch once and runs it through the network,
+returning a ``ForwardPass`` that holds every layer's pre-activations and
+activations; its ``scores`` are what ``forward`` returns. ``backward``
+consumes that pass instead of recomputing it and returns the exact
+gradient of sum_i upstream_i * g(x_i) with respect to every parameter,
+which is all a loss needs once it supplies d(objective)/d(score) per row.
+So a training step runs the network forward once: ``forward_pass``, the
+loss on ``fp.scores``, then ``backward(model, fp, upstream)``.
+``grad_check`` verifies any objective's analytic gradient against central
+finite differences.
 
 Checkpoints are JSON ("mlp-checkpoint-v1"): layer dims, activation name,
 and parameters as nested lists. Python's float repr is shortest-round-trip,
@@ -34,7 +40,7 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # a bool mask multiplies exactly like 1.0 / 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -101,9 +107,30 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     return MLPModel(layer_dims=dims, weights=weights, biases=biases, activation=activation)
 
 
-def _forward_cached(model: MLPModel, x: np.ndarray):
-    """Return (scores, pre-activations z per layer, activations a per layer)."""
-    a = x
+@dataclass(frozen=True)
+class ForwardPass:
+    """One forward pass over a batch, kept for ``backward``.
+
+    ``zs[k]`` is the pre-activation of layer k and ``acts[k]`` its input,
+    so ``acts[0]`` is the validated batch and ``acts[-1]`` the (n, 1)
+    output. ``len()`` is the number of rows.
+    """
+
+    zs: list[np.ndarray]
+    acts: list[np.ndarray]
+
+    @property
+    def scores(self) -> np.ndarray:
+        """Scores g(x), one float per row."""
+        return self.acts[-1][:, 0]
+
+    def __len__(self) -> int:
+        return self.acts[0].shape[0]
+
+
+def forward_pass(model: MLPModel, x) -> ForwardPass:
+    """Validate ``x`` once and run the network over it, keeping every layer."""
+    a = as_matrix(x, cols=model.input_dim)
     zs, acts = [], [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -111,34 +138,37 @@ def _forward_cached(model: MLPModel, x: np.ndarray):
         zs.append(z)
         a = z if k == last else _act(z, model.activation)
         acts.append(a)
-    return acts[-1][:, 0], zs, acts
+    return ForwardPass(zs, acts)
 
 
 def forward(model: MLPModel, x) -> np.ndarray:
     """Scores g(x), one float per row of ``x``."""
-    x = as_matrix(x, cols=model.input_dim)
-    scores, _, _ = _forward_cached(model, x)
-    return scores
+    return forward_pass(model, x).scores
 
 
-def backward(model: MLPModel, x, upstream) -> GradientBundle:
-    """Exact gradient of sum_i upstream_i * g(x_i) over all parameters."""
-    x = as_matrix(x, cols=model.input_dim)
+def backward(model: MLPModel, fp: ForwardPass, upstream) -> GradientBundle:
+    """Exact gradient of sum_i upstream_i * g(x_i) over all parameters.
+
+    ``fp`` is ``forward_pass(model, x)`` taken at the model's current
+    parameters; the batch is not run through the network again.
+    """
     u = np.asarray(upstream, dtype=np.float64)
-    if u.shape != (x.shape[0],):
+    if u.shape != (len(fp),):
         raise ShapeError(
-            f"upstream must have one entry per row: expected {(x.shape[0],)}, "
+            f"upstream must have one entry per row: expected {(len(fp),)}, "
             f"got {u.shape}"
         )
-    _, zs, acts = _forward_cached(model, x)
-    grads = zero_gradients(model)
+    n_layers = len(model.weights)
+    weights = [None] * n_layers
+    biases = [None] * n_layers
     delta = u[:, None]
-    for k in range(len(model.weights) - 1, -1, -1):
-        grads.weights[k] = delta.T @ acts[k]
-        grads.biases[k] = delta.sum(axis=0)
+    for k in range(n_layers - 1, -1, -1):
+        weights[k] = delta.T @ fp.acts[k]
+        biases[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ model.weights[k]) * _act_deriv(zs[k - 1], model.activation)
-    return grads
+            act_deriv = _act_deriv(fp.zs[k - 1], model.activation)
+            delta = (delta @ model.weights[k]) * act_deriv
+    return GradientBundle(weights=weights, biases=biases)
 
 
 def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
@@ -185,12 +215,31 @@ def save_model(model: MLPModel, path) -> None:
         fh.write("\n")
 
 
+def _float_arrays(path, doc: dict, key: str) -> list[np.ndarray]:
+    """``doc[key]`` as float64 arrays; it must be a list of numeric arrays."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise FormatError(f"{path}: {key} must be a list, got {type(items).__name__}")
+    arrays = []
+    for item in items:
+        try:
+            a = np.asarray(item)
+        except ValueError:  # ragged nesting
+            raise FormatError(f"{path}: {key} holds a ragged array") from None
+        if a.dtype.kind not in "iuf":
+            raise FormatError(f"{path}: {key} must hold numbers only")
+        arrays.append(np.asarray(a, dtype=np.float64))
+    return arrays
+
+
 def load_model(path) -> MLPModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(
             f"{path}: expected format {CHECKPOINT_FORMAT!r}, got {doc.get('format')!r}"
@@ -198,11 +247,20 @@ def load_model(path) -> MLPModel:
     missing = [k for k in ("layer_dims", "activation", "weights", "biases") if k not in doc]
     if missing:
         raise FormatError(f"{path}: checkpoint is missing {missing}")
-    dims = [int(d) for d in doc["layer_dims"]]
+    dims = doc["layer_dims"]
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in dims
+    ):
+        raise FormatError(f"{path}: layer_dims must be a list of integers")
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
+        raise FormatError(
+            f"{path}: layer_dims {dims} needs at least two sizes, all >= 1, "
+            "and an output size of 1"
+        )
     if doc["activation"] not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {doc['activation']!r}")
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    weights = _float_arrays(path, doc, "weights")
+    biases = _float_arrays(path, doc, "biases")
     if not len(weights) == len(biases) == len(dims) - 1:
         raise FormatError(
             f"{path}: {len(dims)} layer sizes need {len(dims) - 1} weight matrices "

@@ -37,16 +37,16 @@ MODES = (MODE_SS, MODE_CC)
 
 
 def _sigmoid(t):
-    """Numerically stable 1 / (1 + e^-t) for scalars or arrays."""
+    """Numerically stable 1 / (1 + e^-t) for scalars or arrays.
+
+    With e = exp(-|t|), which never overflows, t >= 0 gives 1 / (1 + e)
+    and t < 0 gives e / (1 + e) = 1 / (1 + e^-t).
+    """
     t = np.asarray(t, dtype=np.float64)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    out = np.where(t >= 0, 1.0 / d, e / d)
+    return float(out) if out.ndim == 0 else out
 
 
 def loss_logistic(margin):
@@ -158,27 +158,28 @@ def risk_components(
             f"labeled mask shape {lab.shape} does not match scores {g.shape}"
         )
     unl = ~lab
-    gl, gu = g[lab], g[unl]
-    n_l, n_u = gl.size, gu.size
-    neg_l = loss.value(-gl)  # shared by r_corr and the pooled r_dist
-    neg_u = loss.value(-gu)
+    n_l = int(np.count_nonzero(lab))
+    n_u = g.size - n_l
+    neg = loss.value(-g)  # l(-g_i), read by r_corr and the pooled r_dist
     dneg = loss.derivative(-g)  # l'(-g_i); d l(-g_i) / d g_i = -l'(-g_i)
-    r_label = r_corr = 0.0
-    d_label = np.zeros_like(g)
-    d_corr = np.zeros_like(g)
+    # ndarray.sum() / n is np.mean's arithmetic without its call overhead
+    sum_neg_l = float(neg[lab].sum())
+    sum_neg_u = float(neg[unl].sum())
     if n_l > 0:
         w = pi / n_l
-        r_label = pi * float(np.mean(loss.value(gl)))
-        r_corr = pi * float(np.mean(neg_l))
-        d_label[lab] = w * loss.derivative(gl)
-        d_corr[lab] = -(w * dneg[lab])
+        r_label = pi * (float(loss.value(g[lab]).sum()) / n_l)
+        r_corr = pi * (sum_neg_l / n_l)
+        d_label = np.where(lab, w * loss.derivative(g), 0.0)
+        d_corr = np.where(lab, -(w * dneg), 0.0)
+    else:
+        r_label = r_corr = 0.0
+        d_label, d_corr = np.zeros_like(g), np.zeros_like(g)
     if mode == MODE_CC:
-        r_dist = float(np.mean(neg_u)) if n_u > 0 else 0.0
-        d_dist = np.zeros_like(g)
-        d_dist[unl] = -dneg[unl] / n_u
+        r_dist = sum_neg_u / n_u if n_u > 0 else 0.0
+        d_dist = np.where(unl, -dneg / n_u, 0.0) if n_u > 0 else np.zeros_like(g)
     else:
         n = n_l + n_u
-        r_dist = (float(np.sum(neg_l)) + float(np.sum(neg_u))) / n if n > 0 else 0.0
+        r_dist = (sum_neg_l + sum_neg_u) / n if n > 0 else 0.0
         d_dist = -dneg / n
     return RiskComponents(r_label, r_dist, r_corr, d_label, d_dist, d_corr)
 

@@ -1,17 +1,19 @@
 """Minibatched PU training with the non-negative truncation branch.
 
 Each epoch shuffles the training rows and walks minibatches. Every batch
-takes the same four steps: score the rows (``forward``), compute the three
-risk components and their per-row gradients in the mode named by the
-method (``risk.risk_components``; ``*_ss`` pools labeled and unlabeled
-rows into the distribution term, ``*_cc`` uses unlabeled rows only), pick
-a combination of them, and backpropagate its gradient (``backward``). The
-uPU methods always descend the unbiased combination
-r_label + (r_dist - r_corr) with step eta. The nnPU methods watch the
-signed part: while r_dist - r_corr > -beta they descend the unbiased
-combination; once it falls to -beta or below they instead descend the
-surrogate r_corr - r_dist with the discounted step gamma*eta, which pushes
-the overfitted negative part back up. Defaults are beta=0 and gamma=1.
+takes the same four steps: run the network over the rows once
+(``forward_pass``), compute the three risk components of its scores and
+their per-row gradients in the mode named by the method
+(``risk.risk_components``; ``*_ss`` pools labeled and unlabeled rows into
+the distribution term, ``*_cc`` uses unlabeled rows only), pick a
+combination of them, and backpropagate its gradient through that same
+pass (``backward``). The uPU methods always descend the unbiased
+combination r_label + (r_dist - r_corr) with step eta. The nnPU methods
+watch the signed part: while r_dist - r_corr > -beta they descend the
+unbiased combination; once it falls to -beta or below they instead
+descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
+which pushes the overfitted negative part back up. Defaults are beta=0
+and gamma=1.
 
 Per-epoch traces record the mean components, the mean objective (the
 truncated value for nnPU methods), the fraction of batches that triggered
@@ -29,7 +31,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, PUDataset
 from .errors import FormatError, ParameterError, TrainingError
-from .model import MLPModel, backward, forward, zero_gradients
+from .model import MLPModel, backward, forward, forward_pass, zero_gradients
 from .numerics import Rng
 from .risk import MODE_CC, MODE_SS, get_loss, nnpu_risk, risk_components
 
@@ -146,10 +148,10 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     lab_mask = np.asarray(s, dtype=np.int64) == 1
 
     def objective(model: MLPModel):
-        g = forward(model, x)
-        comp = risk_components(g, lab_mask, pi, mode, loss)
+        fp = forward_pass(model, x)
+        comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
         value, upstream = comp.surrogate() if surrogate else comp.unbiased()
-        return value, backward(model, x, upstream)
+        return value, backward(model, fp, upstream)
 
     return objective
 
@@ -186,8 +188,8 @@ def train(
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             xb = dataset.x[idx]
             lab_mask = dataset.s[idx] == 1
-            g = forward(model, xb)
-            comp = risk_components(g, lab_mask, pi, mode, loss)
+            fp = forward_pass(model, xb)
+            comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
             nn_value, truncated = nnpu_risk(comp, cfg.beta)
             surrogate = cfg.is_nnpu and truncated
             value, upstream = comp.surrogate() if surrogate else comp.unbiased()
@@ -199,7 +201,7 @@ def train(
                 )
             truncated_batches += truncated
             sums += (comp.r_label, comp.r_dist, comp.r_corr, objective)
-            grads = backward(model, xb, upstream)
+            grads = backward(model, fp, upstream)
             step = cfg.gamma * cfg.eta if surrogate else cfg.eta
             if opt is None:
                 _sgd_step(model, grads, step)

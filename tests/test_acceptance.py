@@ -14,7 +14,7 @@ import pytest
 from puerm import risk
 from puerm.datasets import gaussian_mixture
 from puerm.harness import DatasetSource, GridSpec, run_grid
-from puerm.model import _forward_cached, forward, grad_check, init
+from puerm.model import forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
 from puerm.sampling import (
     CaseControlConfig,
@@ -106,7 +106,7 @@ def test_criterion_3_gradients_both_branches(activation, tol):
     batch_b = (x[np.concatenate([order[-1:], order[:5]])], np.array([1, -1, -1, -1, -1, -1]))
 
     if activation == "relu":
-        _, zs, _ = _forward_cached(model, np.vstack([batch_a[0], batch_b[0]]))
+        zs = forward_pass(model, np.vstack([batch_a[0], batch_b[0]])).zs
         assert min(np.min(np.abs(z)) for z in zs[:-1]) > 1e-3
         for z in zs[:-1]:
             assert (z > 0).any(axis=0).all()  # no unit dead across the batches

@@ -193,6 +193,40 @@ def test_run_grid_resumes_without_duplicates(tmp_path):
     assert open(spec.out).read() == full
 
 
+def test_run_grid_resumes_after_a_torn_last_row(tmp_path):
+    spec = _tiny_spec(tmp_path)
+    run_grid(spec)
+    full = open(spec.out, "rb").read()
+    # a crash while writing the last row leaves its first half, no newline
+    last_row = full.rstrip(b"\n").rfind(b"\n") + 1
+    open(spec.out, "wb").write(full[: (last_row + len(full)) // 2])
+    with pytest.raises(FormatError):
+        load_results(spec.out)
+    new = run_grid(spec)
+    assert len(new) == 1
+    assert open(spec.out, "rb").read() == full
+
+
+@pytest.mark.parametrize("keep", [0, 5, len(RESULTS_TAG) + 1, len(RESULTS_TAG) + 8])
+def test_run_grid_restarts_a_torn_tag_or_header(tmp_path, keep):
+    small = dict(c_values=[0.3], seeds=[0])
+    spec = _tiny_spec(tmp_path, **small)
+    reference = _tiny_spec(tmp_path, **small, out=str(tmp_path / "ref.csv"))
+    run_grid(reference)
+    full = open(reference.out, "rb").read()
+    open(spec.out, "wb").write(full[:keep])
+    run_grid(spec)
+    assert open(spec.out, "rb").read() == full
+
+
+def test_run_grid_leaves_a_foreign_file_alone(tmp_path):
+    spec = _tiny_spec(tmp_path)
+    open(spec.out, "w").write("not,a,results,file")
+    with pytest.raises(FormatError):
+        run_grid(spec)
+    assert open(spec.out).read() == "not,a,results,file"
+
+
 def test_run_grid_writes_error_marker_and_continues(tmp_path):
     # at n=50 and pi=0.5 a label frequency of 0.999 rounds the labeled
     # component up to the whole budget, which the sampler rejects; the

@@ -10,6 +10,7 @@ from puerm.model import (
     MLPModel,
     backward,
     forward,
+    forward_pass,
     grad_check,
     init,
     load_model,
@@ -138,7 +139,7 @@ def test_backward_linear_hand_case():
     m = _linear_model(2.0, 1.0)
     x = np.array([[0.5], [-1.0], [2.0]])
     u = np.array([1.0, 3.0, -0.5])
-    g = backward(m, x, u)
+    g = backward(m, forward_pass(m, x), u)
     assert abs(g.weights[0][0, 0] - (0.5 - 3.0 - 1.0)) < 1e-15
     assert abs(g.biases[0][0] - 3.5) < 1e-15
 
@@ -146,7 +147,7 @@ def test_backward_linear_hand_case():
 def test_backward_upstream_shape_checked():
     m = init([2, 3, 1], "tanh", Rng(4))
     with pytest.raises(ShapeError):
-        backward(m, np.zeros((4, 2)), np.zeros(3))
+        backward(m, forward_pass(m, np.zeros((4, 2))), np.zeros(3))
 
 
 @pytest.mark.parametrize("activation,tol", [("tanh", 1e-8), ("relu", 1e-6)])
@@ -158,12 +159,10 @@ def test_backward_matches_central_differences(activation, tol):
     if activation == "relu":
         # keep pre-activations away from the kink so the finite
         # difference is a valid probe of the analytic piece
-        from puerm.model import _forward_cached
-
-        _, zs, _ = _forward_cached(m, x)
+        zs = forward_pass(m, x).zs
         assert min(np.min(np.abs(z)) for z in zs[:-1]) > 1e-3
 
-    analytic = backward(m, x, u)
+    analytic = backward(m, forward_pass(m, x), u)
     h = 1e-6
 
     def value():
@@ -192,7 +191,8 @@ def test_grad_check_accepts_exact_gradients():
     u = rng.normal(6)
 
     def objective(model):
-        return float(np.dot(u, forward(model, x))), backward(model, x, u)
+        fp = forward_pass(model, x)
+        return float(np.dot(u, fp.scores)), backward(model, fp, u)
 
     assert grad_check(m, objective) < 1e-6
 
@@ -205,7 +205,7 @@ def test_grad_check_flags_tampered_gradients():
 
     def objective(model):
         value = float(np.dot(u, forward(model, x)))
-        grads = backward(model, x, u)
+        grads = backward(model, forward_pass(model, x), u)
         grads.weights[0][0, 0] += 0.5
         return value, grads
 
@@ -283,5 +283,75 @@ def test_checkpoint_rejects_malformed_documents(tmp_path, tamper):
     doc = json.loads(path.read_text())
     tamper(doc)
     path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="model.json"):
+        load_model(path)
+
+
+def _top_level_array(doc):
+    return [doc]
+
+
+def _string_layer_size(doc):
+    doc["layer_dims"] = ["a", 1]
+    return doc
+
+
+def _null_layer_dims(doc):
+    doc["layer_dims"] = None
+    return doc
+
+
+def _float_layer_size(doc):
+    doc["layer_dims"] = [1, 4.0, 1]
+    return doc
+
+
+def _two_outputs(doc):
+    doc["layer_dims"] = [1, 4, 2]
+    doc["weights"][1].append(doc["weights"][1][0])
+    doc["biases"][1].append(0.0)
+    return doc
+
+
+def _null_weights(doc):
+    doc["weights"] = None
+    return doc
+
+
+def _string_biases(doc):
+    doc["biases"] = "0.0"
+    return doc
+
+
+def _numeric_string_weight(doc):
+    doc["weights"][0][0][0] = "0.5"
+    return doc
+
+
+def _ragged_weights(doc):
+    doc["weights"][0][0].append(1.0)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _top_level_array,
+        _string_layer_size,
+        _null_layer_dims,
+        _float_layer_size,
+        _two_outputs,
+        _null_weights,
+        _string_biases,
+        _numeric_string_weight,
+        _ragged_weights,
+    ],
+)
+def test_checkpoint_rejects_mistyped_documents(tmp_path, tamper):
+    import json
+
+    path = tmp_path / "model.json"
+    save_model(init([1, 4, 1], "tanh", Rng(12)), path)
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
     with pytest.raises(FormatError, match="model.json"):
         load_model(path)

@@ -1,15 +1,16 @@
-"""Property tests of risk_components on random batches.
+"""Property tests of risk_components on random batches, and of _sigmoid.
 
 Each batch has a random size, labeled share, class prior and score
 scale. The per-row gradients returned with the three components are
 checked against central finite differences of the components, in both
 modes and for both losses, and the single-sample uPU value is checked
-against the regrouped closed form.
+against the regrouped closed form. The mask-free ``_sigmoid`` is checked
+bit for bit against the two-branch masked form on any float input.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from puerm.risk import (
@@ -17,6 +18,7 @@ from puerm.risk import (
     MODE_SS,
     MODES,
     SIGMOID,
+    _sigmoid,
     empirical_risk_ss_regrouped,
     risk_components,
     upu_risk,
@@ -72,3 +74,47 @@ def test_single_sample_upu_equals_regrouped_form(batch, loss):
     # relative to the size of the terms, which bounds the rounding of both sums
     scale = comp.r_label + comp.r_dist + comp.r_corr
     assert abs(pooled - regrouped) <= 1e-12 * scale
+
+
+def _sigmoid_two_branch(t):
+    """1 / (1 + e^-t) on the rows with t >= 0 and e^t / (1 + e^t) on the
+    rest, each branch evaluated only on its own masked rows."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    """Identical float64 bit patterns, any nan matching any nan."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    same = a.view(np.int64) == b.view(np.int64)
+    return a.shape == b.shape and bool(np.all(same | (np.isnan(a) & np.isnan(b))))
+
+
+# signed zeros, infinities, nan, the edge of exp underflow (|t| near 745)
+# and the smallest and largest magnitudes
+SIGMOID_EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 745.2, -745.2,
+    746.0, -746.0, 800.0, -800.0, 5e-324, -5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+ANY_FLOAT = st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(ANY_FLOAT, max_size=40))
+@example(values=SIGMOID_EDGES)
+def test_sigmoid_matches_two_branch_form_bit_for_bit(values):
+    t = np.array(values, dtype=np.float64)
+    got = _sigmoid(t)
+    assert isinstance(got, np.ndarray)
+    assert _same_bits(got, _sigmoid_two_branch(t))
+    for v in values:
+        scalar = _sigmoid(v)
+        assert isinstance(scalar, float)
+        assert _same_bits(scalar, _sigmoid_two_branch(v))

@@ -1,5 +1,6 @@
 """Tests for the minibatch training loop, branch logic, and trace IO."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,14 +13,18 @@ from puerm.datasets import (
     gaussian_mixture,
 )
 from puerm.errors import FormatError, ParameterError, TrainingError
-from puerm.model import MLPModel, backward, forward, init
+from puerm.model import MLPModel, backward, forward, forward_pass, init
 from puerm.numerics import Rng
-from puerm.risk import MODE_CC, risk_components, upu_risk
+from puerm.risk import MODE_CC, get_loss, nnpu_risk, risk_components, upu_risk
 from puerm.sampling import ScarConfig, scar_label
 from puerm.trainer import (
+    METHODS,
+    OPTIMIZERS,
     TRACE_COLUMNS,
     EpochTrace,
     TrainerConfig,
+    _Adam,
+    _sgd_step,
     batch_objective,
     classify_scores,
     load_trace,
@@ -113,7 +118,7 @@ def test_single_full_batch_sgd_step_recomputed_by_hand():
     u = np.zeros(60)
     u[lab] = (pi / n_l) * (lprime(g[lab]) + lprime(-g[lab]))
     u[~lab] = -(1.0 / n_u) * lprime(-g[~lab])
-    grads = backward(reference, xb, u)
+    grads = backward(reference, forward_pass(reference, xb), u)
     for w, gw in zip(reference.weights, grads.weights):
         w -= cfg.eta * gw
     for b, gb in zip(reference.biases, grads.biases):
@@ -172,7 +177,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
     # rows +1/n_u * l'(-g), no r_label term
     u[lab] = -(0.5 / 2) * lprime(-g[lab])
     u[~lab] = (1.0 / 2) * lprime(-g[~lab])
-    grads = backward(reference, xb, u)
+    grads = backward(reference, forward_pass(reference, xb), u)
     step = cfg.gamma * cfg.eta
     for w, gw in zip(reference.weights, grads.weights):
         w -= step * gw
@@ -232,6 +237,65 @@ def test_divergence_raises_naming_epoch_and_batch():
             train(data, TrainerConfig(method="upu_cc", epochs=1, batch_size=50), broken)
     assert "epoch 0" in str(err.value)
     assert "batch 0" in str(err.value)
+
+
+def _two_pass_train(dataset, cfg, model):
+    """``train``'s update rule with each batch run forward twice: once by
+    ``forward`` for the risk, once more by ``forward_pass`` for ``backward``."""
+    loss = get_loss(cfg.loss)
+    rng = Rng(cfg.seed)
+    opt = _Adam(model) if cfg.optimizer == "adam-style" else None
+    n_batches = math.ceil(dataset.n / cfg.batch_size)
+    traces = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(dataset.n)
+        sums = np.zeros(4)
+        truncated_batches = 0
+        for b in range(n_batches):
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            xb = dataset.x[idx]
+            lab = dataset.s[idx] == 1
+            g = forward(model, xb)
+            comp = risk_components(g, lab, dataset.pi, cfg.mode, loss)
+            nn_value, truncated = nnpu_risk(comp, cfg.beta)
+            surrogate = cfg.is_nnpu and truncated
+            value, upstream = comp.surrogate() if surrogate else comp.unbiased()
+            objective = nn_value if cfg.is_nnpu else value
+            truncated_batches += truncated
+            sums += (comp.r_label, comp.r_dist, comp.r_corr, objective)
+            grads = backward(model, forward_pass(model, xb), upstream)
+            step = cfg.gamma * cfg.eta if surrogate else cfg.eta
+            if opt is None:
+                _sgd_step(model, grads, step)
+            else:
+                opt.step(model, grads, step)
+        means = sums / n_batches
+        traces.append(
+            EpochTrace(epoch, *(float(v) for v in means), truncated_batches / n_batches)
+        )
+    return model, traces
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("method", METHODS)
+def test_single_pass_training_matches_two_pass_reference(method, optimizer):
+    pool = gaussian_mixture(800, 0.5, rng=Rng(30))
+    data = scar_label(pool, ScarConfig(c=0.3, n=200), Rng(31))
+    eta = 0.1 if optimizer == "sgd" else 0.01
+    # 200 rows in batches of 30 leave a short last batch of 20
+    cfg = TrainerConfig(
+        method=method, gamma=0.5, eta=eta, epochs=3, batch_size=30,
+        optimizer=optimizer, seed=33,
+    )
+    model = init([1, 8, 8, 1], "relu", Rng(32))
+    reference, ref_traces = _two_pass_train(data, cfg, model.copy())
+    trained, traces = train(data, cfg, model)
+    if cfg.is_nnpu:
+        assert any(t.truncation_fraction > 0 for t in traces)
+    params = trained.weights + trained.biases
+    ref_params = reference.weights + reference.biases
+    assert all(np.array_equal(p, q) for p, q in zip(params, ref_params))
+    assert traces == ref_traces
 
 
 def test_adam_style_optimizer_runs_and_differs_from_sgd():
