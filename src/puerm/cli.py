@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from .datasets import (
-    SCENARIO_CC,
     SCENARIO_SS,
+    SCENARIOS,
     LabeledDataset,
     gaussian_mixture,
     load_csv,
@@ -25,29 +25,29 @@ from .datasets import (
 )
 from .errors import PuermError
 from .harness import (
+    REPORT_METRICS,
+    GridSpec,
     default_grid_spec,
     emit_report,
     load_grid_config,
     run_grid,
     run_self_checks,
 )
-from .metrics import confusion, scores
-from .model import forward, init, save_model
+from .model import ACTIVATIONS, init, save_model
 from .numerics import Rng
-from .sampling import CaseControlConfig, ScarConfig, case_control_sample, scar_label
-from .trainer import METHODS, TrainerConfig, classify_scores, save_trace, train
+from .risk import LOSSES
+from .sampling import corrupt
+from .trainer import METHODS, OPTIMIZERS, TrainerConfig, evaluate, save_trace, train
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _list_of(kind):
+    """argparse type for a comma-separated list of ``kind`` values."""
 
+    def parse(text: str) -> list:
+        return [kind(v.strip()) for v in text.split(",") if v.strip() != ""]
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip() != ""]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("sample", help="corrupt a labeled CSV into a PU CSV")
-    p.add_argument("--scenario", choices=["ss", "cc"], required=True)
+    p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--c", type=float, required=True, help="label frequency")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="inp", required=True, help="labeled CSV (needs y)")
@@ -90,8 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("train", help="one training run on a PU CSV")
+    # every TrainerConfig field is a flag of the same name and default
+    p.set_defaults(**asdict(TrainerConfig()))
     p.add_argument("--in", dest="inp", required=True, help="PU CSV (needs s)")
-    p.add_argument("--method", choices=list(METHODS), default="nnpu_ss")
+    p.add_argument("--method", choices=METHODS)
     p.add_argument(
         "--pi",
         type=float,
@@ -104,18 +106,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="label frequency the file was generated with (metadata only)",
     )
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--optimizer", choices=["sgd", "adam-style"], default="sgd")
-    p.add_argument("--loss", choices=["logistic", "sigmoid"], default="logistic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int, help="clamped to the number of rows")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--optimizer", choices=OPTIMIZERS)
+    p.add_argument("--loss", choices=sorted(LOSSES))
+    p.add_argument("--seed", type=int, help="seeds the shuffling and the initialization")
     p.add_argument(
-        "--hidden", type=_int_list, default=[32, 32, 32, 32], help="comma-separated"
+        "--hidden", type=_list_of(int), default=[32, 32, 32, 32], help="comma-separated"
     )
-    p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="relu")
     p.add_argument("--test", default=None, help="labeled CSV to evaluate on")
     p.add_argument("--trace", default=None, help="write per-epoch trace CSV here")
     p.add_argument("--model-out", default=None, help="write model checkpoint here")
@@ -124,22 +126,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON grid config file")
     p.add_argument("--out", default=None, help="results CSV (appended, resumable)")
     p.add_argument("--trace-dir", default=None)
-    p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated")
-    p.add_argument("--c-values", type=_float_list, default=None, help="comma-separated")
-    p.add_argument("--methods", type=_str_list, default=None, help="comma-separated")
-    p.add_argument("--scenarios", type=_str_list, default=None, help="comma-separated")
+    p.add_argument("--seeds", type=_list_of(int), default=None, help="comma-separated")
+    p.add_argument("--c-values", type=_list_of(float), default=None, help="comma-separated")
+    p.add_argument("--methods", type=_list_of(str), default=None, help="comma-separated")
+    p.add_argument("--scenarios", type=_list_of(str), default=None, help="comma-separated")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="training budget per cell")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     p = sub.add_parser("report", help="aggregate results into per-c tables")
     p.add_argument("--results", required=True)
-    p.add_argument(
-        "--metric",
-        choices=["accuracy", "precision", "recall", "f1"],
-        default="f1",
-    )
-    p.add_argument("--scenario", choices=["ss", "cc"], default="ss")
+    p.add_argument("--metric", choices=REPORT_METRICS, default="f1")
+    p.add_argument("--scenario", choices=SCENARIOS, default=SCENARIO_SS)
 
     sub.add_parser("check", help="run the built-in oracle suite")
     return parser
@@ -159,13 +157,7 @@ def _cmd_sample(args) -> int:
     if args.pi is not None:
         source = LabeledDataset(x=source.x, y=source.y, pi=args.pi)
     budget = args.n if args.n is not None else source.n
-    rng = Rng(args.seed)
-    if args.scenario == "ss":
-        pu = scar_label(source, ScarConfig(c=args.c, n=budget), rng)
-    else:
-        pi = args.pi if args.pi is not None else source.empirical_prior()
-        cfg = CaseControlConfig(c=args.c, pi=pi, n=budget)
-        pu = case_control_sample(source, cfg, rng)
+    pu = corrupt(source, args.scenario, args.c, budget, Rng(args.seed))
     save_csv(pu, args.out)
     print(
         f"wrote {pu.n} rows ({pu.n_labeled} labeled) to {args.out} "
@@ -175,33 +167,22 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    scenario = SCENARIO_SS if args.method.endswith("_ss") else SCENARIO_CC
-    pu = load_pu_csv(args.inp, pi=args.pi, scenario=scenario, c=args.c)
+    cfg = TrainerConfig(**{f.name: getattr(args, f.name) for f in fields(TrainerConfig)})
+    pu = load_pu_csv(args.inp, args.pi, cfg.mode, args.c)
     if pu.pi_is_empirical:
         print(f"note: using empirical prior pi={pu.pi:.6g} from the y column")
     test = load_csv(args.test) if args.test else None
-    cfg = TrainerConfig(
-        method=args.method,
-        beta=args.beta,
-        gamma=args.gamma,
-        eta=args.eta,
-        epochs=args.epochs,
-        batch_size=min(args.batch_size, pu.n),
-        optimizer=args.optimizer,
-        seed=args.seed,
-        loss=args.loss,
-    )
-    model = init([pu.x.shape[1]] + args.hidden + [1], args.activation, Rng(args.seed))
+    cfg = replace(cfg, batch_size=min(cfg.batch_size, pu.n))
+    model = init([pu.x.shape[1]] + args.hidden + [1], args.activation, Rng(cfg.seed))
     model, traces = train(pu, cfg, model, test)
     if traces:
         last = traces[-1]
         print(
-            f"epoch {last.epoch}: objective={last.mean_objective:.6f} "
+            f"epoch {last.epoch}: objective={last.objective:.6f} "
             f"truncation_fraction={last.truncation_fraction:.3f}"
         )
     if test is not None:
-        preds = classify_scores(forward(model, test.x))
-        acc, prec, rec, f1 = scores(confusion(preds, test.y))
+        acc, prec, rec, f1 = evaluate(model, test)
         print(
             f"test: accuracy={acc:.2f} precision={prec:.2f} "
             f"recall={rec:.2f} f1={f1:.2f}"
@@ -217,15 +198,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     spec = load_grid_config(args.config) if args.config else default_grid_spec()
-    overrides = {
-        "out": args.out,
-        "trace_dir": args.trace_dir,
-        "seeds": args.seeds,
-        "c_values": args.c_values,
-        "methods": args.methods,
-        "scenarios": args.scenarios,
-        "n": args.n,
-    }
+    # each grid flag but --epochs is named after the GridSpec field it overrides
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(GridSpec)}
     if args.epochs is not None:
         overrides["trainer"] = replace(spec.trainer, epochs=args.epochs)
     # replace() builds new objects, so __post_init__ validates the overrides
@@ -275,10 +249,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except PuermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PuermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

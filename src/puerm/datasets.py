@@ -18,8 +18,9 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError
 from .numerics import Rng, as_matrix
 
-SCENARIO_SS = "single_sample"
-SCENARIO_CC = "case_control"
+# The two ways a PU sample can be drawn: single-sample and case-control.
+SCENARIO_SS = "ss"
+SCENARIO_CC = "cc"
 SCENARIOS = (SCENARIO_SS, SCENARIO_CC)
 
 _FLOAT_FMT = "{:.17g}"
@@ -107,20 +108,6 @@ class PUDataset:
         return int(np.sum(self.s == 1))
 
 
-@dataclass
-class SplitSpec:
-    """Train/test split parameters: training fraction and shuffle seed."""
-
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ParameterError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
-
-
 def gaussian_mixture(
     n: int,
     pi: float,
@@ -155,18 +142,18 @@ def gaussian_mixture(
 
 
 def train_test_split(
-    dataset: LabeledDataset, spec: SplitSpec, rng: Rng | None = None
+    dataset: LabeledDataset, train_fraction: float, rng: Rng
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Disjoint exhaustive partition into (train, test).
 
     The training side gets round(n * train_fraction) rows with ties going
-    to training; the permutation is drawn from ``rng`` (or from
-    ``Rng(spec.seed)`` when no generator is passed).
+    to training; the permutation is drawn from ``rng``.
     """
+    if not 0.0 < train_fraction < 1.0:
+        raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if dataset.n < 2:
         raise ParameterError("need at least 2 rows to split")
-    rng = rng if rng is not None else Rng(spec.seed)
-    n_train = int(math.floor(dataset.n * spec.train_fraction + 0.5))
+    n_train = int(math.floor(dataset.n * train_fraction + 0.5))
     perm = rng.permutation(dataset.n)
     tr, te = perm[:n_train], perm[n_train:]
     return (

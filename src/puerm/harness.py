@@ -19,56 +19,40 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import risk
 from .datasets import (
+    SCENARIO_CC,
+    SCENARIO_SS,
+    SCENARIOS,
     LabeledDataset,
-    SplitSpec,
     gaussian_mixture,
     load_csv,
     train_test_split,
 )
 from .errors import FormatError, ParameterError, PuermError
-from .metrics import confusion, scores
-from .model import forward, grad_check, init
+from .model import grad_check, init
 from .numerics import Rng
 from .sampling import (
     CaseControlConfig,
     ScarConfig,
     case_control_sample,
+    corrupt,
     scar_label,
     unlabeled_positive_fraction_ss,
 )
-from .trainer import (
-    METHODS,
-    TrainerConfig,
-    batch_objective,
-    classify_scores,
-    save_trace,
-    train,
-)
+from .trainer import METHODS, TrainerConfig, batch_objective, evaluate, save_trace, train
 
 RESULTS_TAG = "# puerm-results-v1"
-RESULTS_COLUMNS = (
-    "dataset",
-    "scenario",
-    "method",
-    "c",
-    "seed",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "trace_path",
-)
-GRID_SCENARIOS = ("ss", "cc")
+REPORT_METRICS = ("accuracy", "precision", "recall", "f1")
 
 
 @dataclass
@@ -98,7 +82,7 @@ class GridSpec:
     """Full experiment description; mirrors the JSON config layout."""
 
     datasets: list[DatasetSource]
-    scenarios: list[str] = field(default_factory=lambda: ["ss", "cc"])
+    scenarios: list[str] = field(default_factory=lambda: list(SCENARIOS))
     methods: list[str] = field(default_factory=lambda: ["nnpu_ss", "nnpu_cc"])
     c_values: list[float] = field(default_factory=lambda: [0.1, 0.3, 0.5, 0.7, 0.9])
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
@@ -117,15 +101,15 @@ class GridSpec:
         if len(set(names)) != len(names):
             raise ParameterError(f"dataset names must be unique, got {names}")
         for sc in self.scenarios:
-            if sc not in GRID_SCENARIOS:
-                raise ParameterError(f"unknown scenario {sc!r}; use ss or cc")
+            if sc not in SCENARIOS:
+                raise ParameterError(f"unknown scenario {sc!r}; use one of {SCENARIOS}")
         for m in self.methods:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; use one of {METHODS}")
         for c in self.c_values:
             if not 0.0 < c <= 1.0:
                 raise ParameterError(f"c values must lie in (0, 1], got {c}")
-            if c == 1.0 and "cc" in self.scenarios:
+            if c == 1.0 and SCENARIO_CC in self.scenarios:
                 raise ParameterError(
                     "c=1 is not usable with the case-control scenario "
                     "(its unlabeled component would be empty)"
@@ -138,6 +122,8 @@ class GridSpec:
 
 @dataclass
 class ExperimentResult:
+    """One grid cell's scores; the fields are the results file's columns."""
+
     dataset: str
     scenario: str
     method: str
@@ -150,10 +136,13 @@ class ExperimentResult:
     trace_path: str = ""
 
     def __post_init__(self):
-        for name in ("accuracy", "precision", "recall", "f1"):
+        for name in REPORT_METRICS:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
                 raise ParameterError(f"{name} must be a percentage in [0, 100], got {v}")
+
+
+RESULTS_COLUMNS = tuple(f.name for f in fields(ExperimentResult))
 
 
 def cell_seed(seed: int, dataset: str, scenario: str, method: str, c: float) -> int:
@@ -185,8 +174,7 @@ def _build_source_data(
     data = load_csv(source.path)
     if source.pi is not None:
         data = LabeledDataset(x=data.x, y=data.y, pi=source.pi)
-    split = SplitSpec(train_fraction=1.0 - spec.test_fraction)
-    return train_test_split(data, split, rng)
+    return train_test_split(data, 1.0 - spec.test_fraction, rng)
 
 
 def run_cell(
@@ -196,19 +184,13 @@ def run_cell(
     base = cell_seed(seed, source.name, scenario, method, c)
     root = Rng(base)
     pool, test = _build_source_data(source, spec, root.child(0))
-    corrupt_rng = root.child(1)
-    pi = pool.pi if pool.pi is not None else pool.empirical_prior()
-    if scenario == "ss":
-        budget = min(spec.n, pool.n)
-        pu = scar_label(pool, ScarConfig(c=c, n=budget), corrupt_rng)
-    else:
-        cc_cfg = CaseControlConfig(c=c, pi=pi, n=spec.n)
-        pu = case_control_sample(pool, cc_cfg, corrupt_rng)
+    # a single-sample draw is without replacement, so it cannot exceed the pool
+    budget = min(spec.n, pool.n) if scenario == SCENARIO_SS else spec.n
+    pu = corrupt(pool, scenario, c, budget, root.child(1))
     model = init([pool.dim] + list(spec.hidden_dims) + [1], spec.activation, root.child(2))
     cfg = replace(spec.trainer, method=method, seed=base)
     model, traces = train(pu, cfg, model, test)
-    preds = classify_scores(forward(model, test.x))
-    acc, prec, rec, f1 = scores(confusion(preds, test.y))
+    metrics = evaluate(model, test)
     trace_path = ""
     if spec.trace_dir:
         os.makedirs(spec.trace_dir, exist_ok=True)
@@ -216,28 +198,16 @@ def run_cell(
         trace_path = os.path.join(spec.trace_dir, fname)
         save_trace(traces, trace_path)
     return ExperimentResult(
-        dataset=source.name,
-        scenario=scenario,
-        method=method,
-        c=float(c),
-        seed=int(seed),
-        accuracy=acc,
-        precision=prec,
-        recall=rec,
-        f1=f1,
-        trace_path=trace_path,
+        source.name, scenario, method, float(c), int(seed), *metrics, trace_path
     )
 
 
 def iter_cells(spec: GridSpec):
     """Every cell of the grid as (source, scenario, method, c, seed), in the
     order the results file lists them: seed varies fastest, dataset slowest."""
-    for source in spec.datasets:
-        for scenario in spec.scenarios:
-            for method in spec.methods:
-                for c in spec.c_values:
-                    for seed in spec.seeds:
-                        yield source, scenario, method, c, seed
+    return itertools.product(
+        spec.datasets, spec.scenarios, spec.methods, spec.c_values, spec.seeds
+    )
 
 
 def _result_key(dataset: str, scenario: str, method: str, c: float, seed: int):
@@ -270,28 +240,21 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
         header = fh.readline().rstrip("\n")
         if header != ",".join(RESULTS_COLUMNS):
             raise FormatError(f"{path}: unexpected results header")
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num + 2}"  # after the tag and header
             if len(row) != len(RESULTS_COLUMNS):
-                raise FormatError(f"{path}: malformed results row {row}")
+                raise FormatError(f"{where}: malformed results row {row}")
             if row[5] == "":
                 n_errors += 1
                 continue
-            results.append(
-                ExperimentResult(
-                    dataset=row[0],
-                    scenario=row[1],
-                    method=row[2],
-                    c=float(row[3]),
-                    seed=int(row[4]),
-                    accuracy=float(row[5]),
-                    precision=float(row[6]),
-                    recall=float(row[7]),
-                    f1=float(row[8]),
-                    trace_path=row[9],
-                )
-            )
+            try:
+                values = [float(row[3]), int(row[4]), *map(float, row[5:9])]
+                results.append(ExperimentResult(*row[:3], *values, row[9]))
+            except (ValueError, ParameterError) as exc:
+                raise FormatError(f"{where}: {exc}") from None
     return results, n_errors
 
 
@@ -322,8 +285,10 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     Cells whose key already appears in the results file are skipped, so a
     rerun after an interruption picks up where it stopped; a row the
     interruption tore in half is dropped first and its cell run again. A
-    failing cell writes an error-marker row (empty metric fields, message
-    in the trace_path column) and the run continues.
+    cell that raises a ``PuermError`` or an ``OSError`` (an unwritable
+    trace file, say) writes an error-marker row (empty metric fields,
+    message in the trace_path column) and the run continues; an error
+    writing the results file itself propagates.
     """
     if os.path.exists(spec.out):
         _drop_torn_tail(spec.out)
@@ -342,7 +307,7 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
                 continue
             try:
                 r = run_cell(source, scenario, method, c, seed, spec)
-            except PuermError as exc:
+            except (PuermError, OSError) as exc:
                 writer.writerow(_result_row(key, None, str(exc)))
                 fh.flush()
                 if log:
@@ -369,9 +334,9 @@ def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
     variant's mean minus the cross-applied one's. Missing cells print
     blank and emit a warning on stderr.
     """
-    if metric not in ("accuracy", "precision", "recall", "f1"):
+    if metric not in REPORT_METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
-    if scenario not in GRID_SCENARIOS:
+    if scenario not in SCENARIOS:
         raise ParameterError(f"unknown scenario {scenario!r}")
     results, n_errors = load_results(results_path)
     if n_errors:
@@ -413,7 +378,7 @@ def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
             table[m] = [mean_of(d, m, c) for d in datasets]
         for family in ("nnpu", "upu"):
             correct = f"{family}_{scenario}"
-            other = f"{family}_cc" if scenario == "ss" else f"{family}_ss"
+            other = f"{family}_{SCENARIO_CC if scenario == SCENARIO_SS else SCENARIO_SS}"
             if correct in methods and other in methods:
                 deltas = []
                 for i in range(len(datasets)):
@@ -450,44 +415,28 @@ def parse_grid_config(doc: dict, base_dir: str = ".") -> GridSpec:
 
     Relative CSV paths are resolved against ``base_dir`` (normally the
     config file's directory). Unknown keys are rejected so typos fail
-    loudly.
+    loudly, and so is a value of the wrong type.
     """
-    known = {
-        "datasets",
-        "scenarios",
-        "methods",
-        "c_values",
-        "seeds",
-        "trainer",
-        "n",
-        "test_fraction",
-        "hidden_dims",
-        "activation",
-        "out",
-        "trace_dir",
-    }
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise FormatError(f"grid config must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(GridSpec)}
     if unknown:
         raise FormatError(f"unknown grid config keys: {sorted(unknown)}")
     if "datasets" not in doc:
         raise FormatError("grid config needs a 'datasets' list")
-    sources = []
-    for entry in doc["datasets"]:
-        entry = dict(entry)
-        path = entry.get("path")
-        if path and not os.path.isabs(path):
-            entry["path"] = os.path.join(base_dir, path)
-        try:
-            sources.append(DatasetSource(**entry))
-        except TypeError as exc:
-            raise FormatError(f"bad dataset entry {entry}: {exc}") from None
-    trainer_doc = doc.get("trainer", {})
     try:
-        trainer = TrainerConfig(**trainer_doc)
-    except TypeError as exc:
-        raise FormatError(f"bad trainer config {trainer_doc}: {exc}") from None
-    kwargs = {k: v for k, v in doc.items() if k not in ("datasets", "trainer")}
-    return GridSpec(datasets=sources, trainer=trainer, **kwargs)
+        sources = []
+        for entry in doc["datasets"]:
+            entry = dict(entry)
+            path = entry.get("path")
+            if path and not os.path.isabs(path):
+                entry["path"] = os.path.join(base_dir, path)
+            sources.append(DatasetSource(**entry))
+        trainer = TrainerConfig(**doc.get("trainer", {}))
+        kwargs = {k: v for k, v in doc.items() if k not in ("datasets", "trainer")}
+        return GridSpec(datasets=sources, trainer=trainer, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad grid config: {exc}") from None
 
 
 def load_grid_config(path) -> GridSpec:
@@ -496,7 +445,10 @@ def load_grid_config(path) -> GridSpec:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    return parse_grid_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        return parse_grid_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def run_self_checks() -> list[tuple[str, bool, str]]:
@@ -519,7 +471,7 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
         gu = r.normal(n_u, sd=3.0)
         pi = 0.05 + 0.9 * r.uniform(1)[0]
         labeled = np.arange(n_l + n_u) < n_l
-        comp = risk.risk_components(np.concatenate([gl, gu]), labeled, pi, risk.MODE_SS)
+        comp = risk.risk_components(np.concatenate([gl, gu]), labeled, pi, SCENARIO_SS)
         a = risk.upu_risk(comp)
         b = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
@@ -553,7 +505,7 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
             for b in m.biases[:-1]:
                 b += 0.05  # keep pre-activations away from the kink
         worst = 0.0
-        for mode in (risk.MODE_SS, risk.MODE_CC):
+        for mode in SCENARIOS:
             for surrogate in (False, True):
                 obj = batch_objective(x, s, 0.5, mode, risk.LOGISTIC, surrogate)
                 worst = max(worst, grad_check(m, obj, h=1e-5))

@@ -82,6 +82,14 @@ def zero_gradients(model: MLPModel) -> GradientBundle:
     )
 
 
+def _check_layer_dims(dims: list[int]) -> None:
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
+        raise ParameterError(
+            f"layer_dims {dims} needs at least two sizes, all >= 1, "
+            "and an output size of 1"
+        )
+
+
 def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     """Build a model with fan-in-scaled normal weights and zero biases.
 
@@ -89,12 +97,7 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     tanh, the standard variance-preserving choices for each nonlinearity.
     """
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ParameterError("layer_dims needs at least input and output sizes")
-    if any(d < 1 for d in dims):
-        raise ParameterError(f"all layer sizes must be >= 1, got {dims}")
-    if dims[-1] != 1:
-        raise ParameterError(f"output layer must have size 1, got {dims[-1]}")
+    _check_layer_dims(dims)
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}")
     gain = 2.0 if activation == "relu" else 1.0
@@ -252,11 +255,10 @@ def load_model(path) -> MLPModel:
         isinstance(d, int) and not isinstance(d, bool) for d in dims
     ):
         raise FormatError(f"{path}: layer_dims must be a list of integers")
-    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
-        raise FormatError(
-            f"{path}: layer_dims {dims} needs at least two sizes, all >= 1, "
-            "and an output size of 1"
-        )
+    try:
+        _check_layer_dims(dims)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if doc["activation"] not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {doc['activation']!r}")
     weights = _float_arrays(path, doc, "weights")

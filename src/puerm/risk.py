@@ -29,11 +29,8 @@ from typing import Callable
 
 import numpy as np
 
+from .datasets import SCENARIO_CC, SCENARIOS
 from .errors import DataError, ParameterError, ShapeError
-
-MODE_SS = "ss"
-MODE_CC = "cc"
-MODES = (MODE_SS, MODE_CC)
 
 
 def _sigmoid(t):
@@ -149,8 +146,8 @@ def risk_components(
     contributes its distribution term.
     """
     pi = _check_pi(pi)
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in SCENARIOS:
+        raise ParameterError(f"mode must be one of {SCENARIOS}, got {mode!r}")
     g = _as_scores(g, "g")
     lab = np.asarray(labeled, dtype=bool)
     if lab.shape != g.shape:
@@ -174,7 +171,7 @@ def risk_components(
     else:
         r_label = r_corr = 0.0
         d_label, d_corr = np.zeros_like(g), np.zeros_like(g)
-    if mode == MODE_CC:
+    if mode == SCENARIO_CC:
         r_dist = sum_neg_u / n_u if n_u > 0 else 0.0
         d_dist = np.where(unl, -dneg / n_u, 0.0) if n_u > 0 else np.zeros_like(g)
     else:

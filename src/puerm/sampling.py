@@ -14,6 +14,9 @@ sizes track the expected composition of a single-sample draw with a nominal
 budget of n rows: with A = 1 / (1 - c (1 - pi)), the labeled size is
 round(A c pi n) under banker's rounding and the unlabeled size is the
 remainder n - n_labeled, so the two parts always sum to exactly n.
+
+``corrupt`` picks the sampler for a scenario name (``datasets.SCENARIOS``)
+and is the one place that does so.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
+from .datasets import SCENARIO_CC, SCENARIO_SS, SCENARIOS, LabeledDataset, PUDataset
 from .errors import DataError, ParameterError
 from .numerics import Rng
 
@@ -161,6 +164,23 @@ def case_control_sample(
         c=cfg.c,
         pi_is_empirical=False,
     )
+
+
+def corrupt(
+    source: LabeledDataset, scenario: str, c: float, n: int, rng: Rng
+) -> PUDataset:
+    """PU sample of budget ``n`` drawn from ``source`` under ``scenario``.
+
+    Single-sample runs ``scar_label``; case-control runs
+    ``case_control_sample`` at the source's prior, or at its empirical
+    prior when the source carries none.
+    """
+    if scenario == SCENARIO_SS:
+        return scar_label(source, ScarConfig(c=c, n=n), rng)
+    if scenario == SCENARIO_CC:
+        pi = source.pi if source.pi is not None else source.empirical_prior()
+        return case_control_sample(source, CaseControlConfig(c=c, pi=pi, n=n), rng)
+    raise ParameterError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
 
 def _check_pi_c(pi: float, c: float) -> None:

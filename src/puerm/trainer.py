@@ -15,37 +15,31 @@ descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
 which pushes the overfitted negative part back up. Defaults are beta=0
 and gamma=1.
 
-Per-epoch traces record the mean components, the mean objective (the
-truncated value for nnPU methods), the fraction of batches that triggered
-truncation, and test accuracy (a fraction in [0, 1]) when a held-out
-labeled set is supplied.
+Per-epoch traces (``EpochTrace``, one trace-file row each; the file's
+columns are its field names) record the mean components, the mean
+objective (the truncated value for nnPU methods), the fraction of batches
+that triggered truncation, and test accuracy (a fraction in [0, 1]) when a
+held-out labeled set is supplied. ``evaluate`` scores a trained model's
+hard predictions on a labeled set in percent.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .datasets import LabeledDataset, PUDataset
+from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
 from .errors import FormatError, ParameterError, TrainingError
+from .metrics import confusion, scores
 from .model import MLPModel, backward, forward, forward_pass, zero_gradients
 from .numerics import Rng
-from .risk import MODE_CC, MODE_SS, get_loss, nnpu_risk, risk_components
+from .risk import get_loss, nnpu_risk, risk_components
 
 METHODS = ("nnpu_ss", "nnpu_cc", "upu_ss", "upu_cc")
 OPTIMIZERS = ("sgd", "adam-style")
-TRACE_COLUMNS = (
-    "epoch",
-    "r_label",
-    "r_dist",
-    "r_corr",
-    "objective",
-    "truncation_fraction",
-    "test_accuracy",
-)
 
 
 @dataclass
@@ -81,7 +75,8 @@ class TrainerConfig:
 
     @property
     def mode(self) -> str:
-        return MODE_SS if self.method.endswith("_ss") else MODE_CC
+        """The scenario the method's estimator assumes: SCENARIO_SS or SCENARIO_CC."""
+        return SCENARIO_SS if self.method.endswith("_ss") else SCENARIO_CC
 
     @property
     def is_nnpu(self) -> bool:
@@ -90,13 +85,18 @@ class TrainerConfig:
 
 @dataclass
 class EpochTrace:
+    """One epoch's means; the fields are the trace file's columns, in order."""
+
     epoch: int
-    mean_r_label: float
-    mean_r_dist: float
-    mean_r_corr: float
-    mean_objective: float
+    r_label: float
+    r_dist: float
+    r_corr: float
+    objective: float
     truncation_fraction: float
     test_accuracy: float | None = None
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(EpochTrace))
 
 
 class _Adam:
@@ -215,10 +215,10 @@ def train(
         traces.append(
             EpochTrace(
                 epoch=epoch,
-                mean_r_label=float(means[0]),
-                mean_r_dist=float(means[1]),
-                mean_r_corr=float(means[2]),
-                mean_objective=float(means[3]),
+                r_label=float(means[0]),
+                r_dist=float(means[1]),
+                r_corr=float(means[2]),
+                objective=float(means[3]),
                 truncation_fraction=truncated_batches / n_batches,
                 test_accuracy=test_acc,
             )
@@ -234,23 +234,19 @@ def classify_scores(g_values) -> np.ndarray:
     return np.where(g >= 0, 1, -1).astype(np.int64)
 
 
+def evaluate(model: MLPModel, data: LabeledDataset) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1) in percent of the model's hard
+    predictions on a labeled set."""
+    return scores(confusion(classify_scores(forward(model, data.x)), data.y))
+
+
 def save_trace(traces, path) -> None:
     """Persist per-epoch diagnostics as CSV (empty test accuracy allowed)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
         for t in traces:
-            w.writerow(
-                [
-                    t.epoch,
-                    repr(t.mean_r_label),
-                    repr(t.mean_r_dist),
-                    repr(t.mean_r_corr),
-                    repr(t.mean_objective),
-                    repr(t.truncation_fraction),
-                    "" if t.test_accuracy is None else repr(t.test_accuracy),
-                ]
-            )
+            w.writerow(["" if v is None else v for v in astuple(t)])
 
 
 def load_trace(path) -> list[EpochTrace]:
@@ -260,18 +256,14 @@ def load_trace(path) -> list[EpochTrace]:
         if header != list(TRACE_COLUMNS):
             raise FormatError(f"{path}: unexpected trace header {header}")
         out = []
-        for r, row in enumerate(reader):
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if len(row) != len(TRACE_COLUMNS):
-                raise FormatError(f"{path}: row {r}: expected {len(TRACE_COLUMNS)} cells")
-            out.append(
-                EpochTrace(
-                    epoch=int(row[0]),
-                    mean_r_label=float(row[1]),
-                    mean_r_dist=float(row[2]),
-                    mean_r_corr=float(row[3]),
-                    mean_objective=float(row[4]),
-                    truncation_fraction=float(row[5]),
-                    test_accuracy=float(row[6]) if row[6] else None,
-                )
-            )
+                raise FormatError(f"{where}: expected {len(TRACE_COLUMNS)} cells")
+            epoch, *means, acc = row
+            try:
+                acc = float(acc) if acc else None
+                out.append(EpochTrace(int(epoch), *map(float, means), acc))
+            except ValueError as exc:
+                raise FormatError(f"{where}: {exc}") from None
         return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from puerm import risk
-from puerm.datasets import gaussian_mixture
+from puerm.datasets import SCENARIO_CC, SCENARIO_SS, gaussian_mixture
 from puerm.harness import DatasetSource, GridSpec, run_grid
 from puerm.model import forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
@@ -46,7 +46,7 @@ def test_criterion_1_estimator_regrouping_identity():
         pi = 0.05 + 0.9 * r.uniform(1)[0]
         labeled = np.arange(n) < n_l
         pooled = risk.upu_risk(
-            risk.risk_components(np.concatenate([gl, gu]), labeled, pi, risk.MODE_SS)
+            risk.risk_components(np.concatenate([gl, gu]), labeled, pi, SCENARIO_SS)
         )
         regrouped = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(pooled - regrouped) / max(abs(pooled), abs(regrouped), 1e-300))
@@ -112,7 +112,7 @@ def test_criterion_3_gradients_both_branches(activation, tol):
             assert (z > 0).any(axis=0).all()  # no unit dead across the batches
 
     worst = 0.0
-    for mode in (risk.MODE_SS, risk.MODE_CC):
+    for mode in (SCENARIO_SS, SCENARIO_CC):
         for (bx, bs), surrogate in ((batch_a, False), (batch_b, True)):
             bg = forward(model, bx)
             lab = bs == 1
@@ -193,7 +193,7 @@ def test_criterion_5_estimator_unbiasedness():
         g = forward(model, pu.x)
         lab = pu.s == 1
         vals.append(
-            risk.upu_risk(risk.risk_components(g, lab, 0.5, risk.MODE_CC))
+            risk.upu_risk(risk.risk_components(g, lab, 0.5, SCENARIO_CC))
         )
     vals = np.asarray(vals)
     se_cc = float(vals.std(ddof=1) / np.sqrt(vals.size))
@@ -210,7 +210,7 @@ def test_criterion_5_estimator_unbiasedness():
         g = g_pool[idx]
         lab = s == 1
         vals.append(
-            risk.upu_risk(risk.risk_components(g, lab, 0.5, risk.MODE_SS))
+            risk.upu_risk(risk.risk_components(g, lab, 0.5, SCENARIO_SS))
         )
     vals = np.asarray(vals)
     se_ss = float(vals.std(ddof=1) / np.sqrt(vals.size))
@@ -327,10 +327,10 @@ def test_criterion_8_trace_diagnostics(protocol_runs):
             assert len(traces) == 50
             for t in traces:
                 assert 0.0 <= t.truncation_fraction <= 1.0
-                assert np.isfinite(t.mean_objective)
-                assert np.isfinite(t.mean_r_label)
-                assert np.isfinite(t.mean_r_dist)
-                assert np.isfinite(t.mean_r_corr)
+                assert np.isfinite(t.objective)
+                assert np.isfinite(t.r_label)
+                assert np.isfinite(t.r_dist)
+                assert np.isfinite(t.r_corr)
                 assert t.test_accuracy is not None and 0.0 <= t.test_accuracy <= 1.0
             assert [t.epoch for t in traces] == list(range(50))
 

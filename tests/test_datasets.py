@@ -9,7 +9,6 @@ from puerm.datasets import (
     SCENARIO_SS,
     LabeledDataset,
     PUDataset,
-    SplitSpec,
     gaussian_mixture,
     load_csv,
     load_pu_csv,
@@ -54,10 +53,11 @@ def test_pu_dataset_consistency_check():
 
 
 def test_split_spec_validation():
+    ds = gaussian_mixture(10, 0.5, rng=Rng(0))
     with pytest.raises(ParameterError):
-        SplitSpec(train_fraction=0.0)
+        train_test_split(ds, 0.0, Rng(0))
     with pytest.raises(ParameterError):
-        SplitSpec(train_fraction=1.0)
+        train_test_split(ds, 1.0, Rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_mixture_deterministic_given_rng():
 
 def test_split_is_a_partition():
     ds = gaussian_mixture(103, 0.5, rng=Rng(7))
-    tr, te = train_test_split(ds, SplitSpec(train_fraction=0.8, seed=0))
+    tr, te = train_test_split(ds, 0.8, Rng(0))
     assert tr.n + te.n == ds.n
     # every original row appears exactly once across the two sides
     joined = np.vstack([tr.x, te.x])
@@ -134,7 +134,7 @@ def test_split_is_a_partition():
 
 def test_split_sizes_round_half_up():
     ds = gaussian_mixture(10, 0.5, rng=Rng(8))
-    tr, te = train_test_split(ds, SplitSpec(train_fraction=0.25, seed=0))
+    tr, te = train_test_split(ds, 0.25, Rng(0))
     # 10 * 0.25 = 2.5 rounds to 3 (ties go to the training side)
     assert tr.n == 3
     assert te.n == 7
@@ -142,9 +142,9 @@ def test_split_sizes_round_half_up():
 
 def test_split_deterministic_by_seed():
     ds = gaussian_mixture(50, 0.5, rng=Rng(9))
-    tr1, _ = train_test_split(ds, SplitSpec(seed=3))
-    tr2, _ = train_test_split(ds, SplitSpec(seed=3))
-    tr3, _ = train_test_split(ds, SplitSpec(seed=4))
+    tr1, _ = train_test_split(ds, 0.8, Rng(3))
+    tr2, _ = train_test_split(ds, 0.8, Rng(3))
+    tr3, _ = train_test_split(ds, 0.8, Rng(4))
     assert np.array_equal(tr1.x, tr2.x)
     assert not np.array_equal(tr1.x, tr3.x)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from puerm.harness import (
     run_grid,
     run_self_checks,
 )
-from puerm.trainer import TrainerConfig
+from puerm.trainer import TrainerConfig, load_trace
 
 
 def _tiny_spec(tmp_path, **overrides):
@@ -254,6 +255,27 @@ def test_run_grid_writes_error_marker_and_continues(tmp_path):
     assert error_rows[0][-1].startswith("error: ")
 
 
+def test_run_grid_records_an_os_error_and_continues(tmp_path):
+    traces = tmp_path / "traces"
+    spec = _tiny_spec(
+        tmp_path,
+        scenarios=["ss"],
+        methods=["nnpu_ss"],
+        c_values=[0.5],
+        seeds=[0, 1],
+        trace_dir=str(traces),
+    )
+    # a directory where seed 0's trace file should go makes writing it fail
+    (traces / "gauss1d_ss_nnpu_ss_c0.5_s0.csv").mkdir(parents=True)
+    results = run_grid(spec)
+    assert [r.seed for r in results] == [1]
+    loaded, n_errors = load_results(spec.out)
+    assert [r.seed for r in loaded] == [1]
+    assert n_errors == 1
+    rows = open(spec.out).read().splitlines()[2:]
+    assert rows[0].startswith("gauss1d,ss,nnpu_ss,0.5,0,,,,,error: ")
+
+
 # ---------------------------------------------------------------------------
 # results file parsing
 
@@ -275,6 +297,39 @@ def test_load_results_rejects_malformed_rows(tmp_path):
     )
     with pytest.raises(FormatError):
         load_results(p)
+
+
+def test_results_file_header_is_pinned(tmp_path):
+    # the columns come from ExperimentResult's field names; renaming a field
+    # must not silently change the file format
+    header = "dataset,scenario,method,c,seed,accuracy,precision,recall,f1,trace_path"
+    assert ",".join(RESULTS_COLUMNS) == header
+    spec = _tiny_spec(tmp_path, scenarios=["ss"], methods=["nnpu_ss"], seeds=[0])
+    run_grid(spec)
+    assert open(spec.out).read().splitlines()[:2] == [RESULTS_TAG, header]
+
+
+_RESULTS_PREAMBLE = RESULTS_TAG + "\n" + ",".join(RESULTS_COLUMNS) + "\n"
+_GOOD_RESULT = "g,ss,nnpu_ss,0.5,0,90.0,80.0,70.0,75.0,\n"
+_TRACE_HEADER = "epoch,r_label,r_dist,r_corr,objective,truncation_fraction,test_accuracy\n"
+
+
+@pytest.mark.parametrize(
+    "loader, text, line",
+    [
+        (load_results, _RESULTS_PREAMBLE + "g,ss,nnpu_ss,0.5,0,abc,0,0,0,\n", 3),
+        (load_results, _RESULTS_PREAMBLE + "g,ss,nnpu_ss,0.5,0,101.0,0,0,0,\n", 3),
+        (load_results, _RESULTS_PREAMBLE + _GOOD_RESULT + "g,ss,nnpu_ss,0.5,x,1,1,1,1,\n", 4),
+        (load_trace, _TRACE_HEADER + "x,0.1,0.2,0.3,0.05,0.25,\n", 2),
+        (load_trace, _TRACE_HEADER + "0,0.1,0.2,0.3,0.05,0.25,\n1,0.1,?,0.3,0.05,0.25,\n", 3),
+    ],
+    ids=["results-text", "results-range", "results-seed", "trace-epoch", "trace-float"],
+)
+def test_malformed_files_name_the_file_and_line(tmp_path, loader, text, line):
+    p = tmp_path / "file.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: line {line}:")):
+        loader(p)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +472,22 @@ def test_load_grid_config_from_file(tmp_path):
         load_grid_config(bad)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"datasets": 3},
+        {"datasets": [5]},
+        {"datasets": [{"name": "g"}], "c_values": ["a"]},
+    ],
+    ids=["datasets-int", "dataset-entry-int", "c-value-str"],
+)
+def test_load_grid_config_rejects_mistyped_values(tmp_path, doc):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(str(cfg))):
+        load_grid_config(cfg)
+
+
 # ---------------------------------------------------------------------------
 # self checks
 
@@ -499,6 +570,28 @@ def test_cli_synth_and_sample_and_train(tmp_path, capsys):
     from puerm.trainer import load_trace
 
     assert len(load_trace(trace)) == 2
+
+
+def test_cli_train_defaults_are_trainer_config_defaults():
+    from dataclasses import asdict
+
+    from puerm.cli import _build_parser
+
+    args = _build_parser().parse_args(["train", "--in", "pu.csv"])
+    assert {k: getattr(args, k) for k in asdict(TrainerConfig())} == asdict(
+        TrainerConfig()
+    )
+
+
+def test_cli_sample_prints_scenario_name(tmp_path, capsys):
+    labeled = str(tmp_path / "labeled.csv")
+    cli_dispatch(["synth", "--n", "100", "--pi", "0.5", "--out", labeled])
+    for scenario in ("ss", "cc"):
+        out = str(tmp_path / f"pu_{scenario}.csv")
+        capsys.readouterr()
+        argv = ["sample", "--scenario", scenario, "--c", "0.5", "--in", labeled]
+        assert cli_dispatch(argv + ["--out", out]) == 0
+        assert f"[scenario={scenario}, c=0.5," in capsys.readouterr().out
 
 
 def test_cli_sample_cc(tmp_path, capsys):

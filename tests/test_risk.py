@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from puerm.datasets import SCENARIO_CC, SCENARIO_SS
 from puerm.errors import DataError, ParameterError, ShapeError
 from puerm.numerics import Rng
 from puerm.risk import (
     LOGISTIC,
-    MODE_CC,
-    MODE_SS,
     SIGMOID,
     cross_scenario_bias_gap,
     empirical_risk_ss_regrouped,
@@ -90,7 +89,7 @@ def test_components_match_direct_formulas_cc():
     rng = Rng(3)
     gl = rng.normal(40)
     gu = rng.normal(60)
-    comp = risk_components(*_batch(gl, gu), pi=0.3, mode=MODE_CC)
+    comp = risk_components(*_batch(gl, gu), pi=0.3, mode=SCENARIO_CC)
     assert abs(comp.r_label - 0.3 * np.mean(np.logaddexp(0.0, -gl))) < 1e-14
     assert abs(comp.r_corr - 0.3 * np.mean(np.logaddexp(0.0, gl))) < 1e-14
     assert abs(comp.r_dist - np.mean(np.logaddexp(0.0, gu))) < 1e-14
@@ -101,7 +100,7 @@ def test_components_ss_pools_all_rows():
     rng = Rng(4)
     gl = rng.normal(25)
     gu = rng.normal(75)
-    comp = risk_components(*_batch(gl, gu), pi=0.5, mode=MODE_SS)
+    comp = risk_components(*_batch(gl, gu), pi=0.5, mode=SCENARIO_SS)
     pooled = (
         np.sum(np.logaddexp(0.0, gl)) + np.sum(np.logaddexp(0.0, gu))
     ) / 100.0
@@ -109,7 +108,7 @@ def test_components_ss_pools_all_rows():
 
 
 def test_components_empty_labeled_part():
-    comp = risk_components(*_batch([], [0.0, 1.0]), 0.5, MODE_SS)
+    comp = risk_components(*_batch([], [0.0, 1.0]), 0.5, SCENARIO_SS)
     assert comp.r_label == 0.0
     assert comp.r_corr == 0.0
     assert comp.r_dist > 0.0
@@ -119,9 +118,9 @@ def test_components_validation():
     with pytest.raises(ParameterError):
         risk_components(*_batch([0.0], [0.0]), 0.5, "both")
     with pytest.raises(ParameterError):
-        risk_components(*_batch([0.0], [0.0]), 1.5, MODE_SS)
+        risk_components(*_batch([0.0], [0.0]), 1.5, SCENARIO_SS)
     with pytest.raises(ShapeError):
-        risk_components([0.0, 1.0], [True], 0.5, MODE_SS)
+        risk_components([0.0, 1.0], [True], 0.5, SCENARIO_SS)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def test_components_validation():
 
 
 def test_upu_and_nnpu_hand_cases():
-    comp = risk_components(*_batch([10.0], [10.0]), 0.5, MODE_CC)
+    comp = risk_components(*_batch([10.0], [10.0]), 0.5, SCENARIO_CC)
     # labeled losses ~0, unlabeled l(-10) ~10: negative part is large
     # and positive, so the two estimates agree
     assert abs(upu_risk(comp) - nnpu_risk(comp)[0]) < 1e-12
@@ -155,7 +154,7 @@ def test_upu_and_nnpu_hand_cases():
 def test_nnpu_never_below_r_label():
     rng = Rng(5)
     for _ in range(20):
-        comp = risk_components(*_batch(rng.normal(30), rng.normal(50)), 0.4, MODE_CC)
+        comp = risk_components(*_batch(rng.normal(30), rng.normal(50)), 0.4, SCENARIO_CC)
         assert nnpu_risk(comp)[0] >= comp.r_label - 1e-15
         assert nnpu_risk(comp)[0] >= upu_risk(comp) - 1e-15
 
@@ -196,7 +195,7 @@ def test_ss_decomposition_matches_component_route():
     s = np.where((y == 1) & rng.bernoulli(0.6, n), 1, -1)
     direct = risk_decomposition_ss(g, s, y, pi=0.5)
     lab = s == 1
-    comp = risk_components(g, lab, 0.5, MODE_SS)
+    comp = risk_components(g, lab, 0.5, SCENARIO_SS)
     assert abs(direct - upu_risk(comp)) < 1e-12
 
 
@@ -216,7 +215,7 @@ def test_regrouped_form_equals_pooled_form():
         n_l = 1 + int(r.uniform(1)[0] * (n - 1))
         gl = r.normal(n_l) * 5.0
         gu = r.normal(n - n_l) * 5.0
-        pooled = upu_risk(risk_components(*_batch(gl, gu), 0.4, MODE_SS))
+        pooled = upu_risk(risk_components(*_batch(gl, gu), 0.4, SCENARIO_SS))
         regrouped = empirical_risk_ss_regrouped(gl, gu, 0.4)
         assert abs(pooled - regrouped) <= 1e-12 * max(1.0, abs(pooled))
 
@@ -274,7 +273,7 @@ def test_downward_bias_direction_at_high_c():
     def signed_part(pu):
         lab = pu.s == 1
         g = 2.0 * pu.x[:, 0]
-        comp = risk_components(g, lab, 0.5, MODE_CC)
+        comp = risk_components(g, lab, 0.5, SCENARIO_CC)
         return comp.r_dist - comp.r_corr
 
     ss_vals = []

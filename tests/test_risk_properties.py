@@ -13,10 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from puerm.datasets import SCENARIO_SS, SCENARIOS
 from puerm.risk import (
     LOGISTIC,
-    MODE_SS,
-    MODES,
     SIGMOID,
     _sigmoid,
     empirical_risk_ss_regrouped,
@@ -44,7 +43,7 @@ def _values(g, labeled, pi, mode, loss):
 
 
 @pytest.mark.parametrize("loss", [LOGISTIC, SIGMOID], ids=lambda spec: spec.kind)
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", SCENARIOS)
 @settings(max_examples=40, deadline=None)
 @given(batch=batches())
 def test_component_gradients_match_finite_differences(batch, mode, loss):
@@ -68,7 +67,7 @@ def test_component_gradients_match_finite_differences(batch, mode, loss):
 def test_single_sample_upu_equals_regrouped_form(batch, loss):
     g, labeled, pi = batch
     assume(labeled.any())
-    comp = risk_components(g, labeled, pi, MODE_SS, loss)
+    comp = risk_components(g, labeled, pi, SCENARIO_SS, loss)
     pooled = upu_risk(comp)
     regrouped = empirical_risk_ss_regrouped(g[labeled], g[~labeled], pi, loss)
     # relative to the size of the terms, which bounds the rounding of both sums

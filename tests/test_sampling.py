@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from puerm.datasets import SCENARIO_CC, SCENARIO_SS, gaussian_mixture
+from puerm.datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, gaussian_mixture
 from puerm.errors import DataError, ParameterError
 from puerm.numerics import Rng
 from puerm.sampling import (
@@ -13,6 +13,7 @@ from puerm.sampling import (
     ScarConfig,
     case_control_sample,
     case_control_sizes,
+    corrupt,
     scar_label,
     ss_unlabeled_mixture_weights,
     unlabeled_positive_fraction_ss,
@@ -182,6 +183,26 @@ def test_cc_deterministic(source):
     a = case_control_sample(source, CaseControlConfig(c=0.3, pi=0.5), Rng(14))
     b = case_control_sample(source, CaseControlConfig(c=0.3, pi=0.5), Rng(14))
     assert np.array_equal(a.x, b.x)
+
+
+# ---------------------------------------------------------------------------
+# corrupt
+
+
+def test_corrupt_dispatches_on_the_scenario_name():
+    source = gaussian_mixture(400, 0.4, rng=Rng(15))
+    ss = corrupt(source, SCENARIO_SS, 0.5, 300, Rng(16))
+    want = scar_label(source, ScarConfig(c=0.5, n=300), Rng(16))
+    assert np.array_equal(ss.x, want.x) and np.array_equal(ss.s, want.s)
+    # case-control uses the source's prior, or the empirical one without it
+    no_prior = LabeledDataset(x=source.x, y=source.y)
+    for src, prior in ((source, 0.4), (no_prior, source.empirical_prior())):
+        cc = corrupt(src, SCENARIO_CC, 0.5, 300, Rng(17))
+        want = case_control_sample(src, CaseControlConfig(c=0.5, pi=prior, n=300), Rng(17))
+        assert cc.pi == prior
+        assert np.array_equal(cc.x, want.x) and np.array_equal(cc.s, want.s)
+    with pytest.raises(ParameterError):
+        corrupt(source, "single_sample", 0.5, 300, Rng(18))
 
 
 # ---------------------------------------------------------------------------

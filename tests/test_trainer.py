@@ -15,7 +15,7 @@ from puerm.datasets import (
 from puerm.errors import FormatError, ParameterError, TrainingError
 from puerm.model import MLPModel, backward, forward, forward_pass, init
 from puerm.numerics import Rng
-from puerm.risk import MODE_CC, get_loss, nnpu_risk, risk_components, upu_risk
+from puerm.risk import get_loss, nnpu_risk, risk_components, upu_risk
 from puerm.sampling import ScarConfig, scar_label
 from puerm.trainer import (
     METHODS,
@@ -27,6 +27,7 @@ from puerm.trainer import (
     _sgd_step,
     batch_objective,
     classify_scores,
+    evaluate,
     load_trace,
     save_trace,
     train,
@@ -153,7 +154,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
     )
 
     g0 = forward(model, x)
-    comp0 = risk_components(g0, s == 1, 0.5, MODE_CC)
+    comp0 = risk_components(g0, s == 1, 0.5, SCENARIO_CC)
     neg0 = comp0.r_dist - comp0.r_corr
     assert neg0 < 0.0
 
@@ -161,7 +162,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
     trained, traces = train(data, cfg, model)
     assert traces[0].truncation_fraction == 1.0
     # reported objective is the truncated value r_label + max(neg, 0)
-    assert abs(traces[0].mean_objective - comp0.r_label) < 1e-12
+    assert abs(traces[0].objective - comp0.r_label) < 1e-12
 
     # manual surrogate step at gamma * eta
     perm = Rng(0).permutation(4)
@@ -190,7 +191,7 @@ def test_truncated_batch_takes_discounted_surrogate_step():
 
     # the surrogate step pushes the signed part back up
     g1 = forward(trained, x)
-    comp1 = risk_components(g1, s == 1, 0.5, MODE_CC)
+    comp1 = risk_components(g1, s == 1, 0.5, SCENARIO_CC)
     assert comp1.r_dist - comp1.r_corr > neg0
 
 
@@ -207,7 +208,7 @@ def test_upu_and_nnpu_agree_while_no_batch_truncates():
     for wa, wb in zip(m_upu.weights, m_nn.weights):
         assert np.array_equal(wa, wb)
     for ta, tb in zip(tr_upu, tr_nn):
-        assert ta.mean_objective == tb.mean_objective
+        assert ta.objective == tb.objective
 
 
 def test_training_is_deterministic():
@@ -308,7 +309,7 @@ def test_adam_style_optimizer_runs_and_differs_from_sgd():
         TrainerConfig(epochs=2, batch_size=25, seed=3, optimizer="adam-style", eta=0.01),
         m_adam,
     )
-    assert all(np.isfinite(t.mean_objective) for t in traces)
+    assert all(np.isfinite(t.objective) for t in traces)
     assert not np.array_equal(m_sgd.weights[0], m_adam.weights[0])
 
 
@@ -345,6 +346,17 @@ def test_classify_scores_boundary_and_validation():
         classify_scores([1.0, np.nan])
 
 
+def test_evaluate_scores_hard_predictions_in_percent():
+    from puerm.datasets import LabeledDataset
+    from puerm.metrics import confusion, scores
+
+    model = init([1, 4, 1], "tanh", Rng(22))
+    data = LabeledDataset(x=np.linspace(-2.0, 2.0, 9)[:, None], y=[1, -1] * 4 + [1])
+    want = scores(confusion(classify_scores(forward(model, data.x)), data.y))
+    assert evaluate(model, data) == want
+    assert all(0.0 <= v <= 100.0 for v in want)
+
+
 def test_integration_accuracy_on_easy_mixture():
     root = Rng(20)
     pool = gaussian_mixture(2000, 0.5, rng=root.child(0))
@@ -376,3 +388,19 @@ def test_trace_header_checked(tmp_path):
     path.write_text("epoch,loss\n0,0.5\n")
     with pytest.raises(FormatError):
         load_trace(path)
+
+
+def test_trace_file_format_is_pinned(tmp_path):
+    # the columns come from EpochTrace's field names; renaming a field must
+    # not silently change the file format
+    traces = [
+        EpochTrace(0, 0.1, 0.2, 0.3, 0.05, 0.25, 0.875),
+        EpochTrace(1, 0.09, 0.21, 0.31, 0.04, 0.0, None),
+    ]
+    path = tmp_path / "trace.csv"
+    save_trace(traces, path)
+    assert path.read_bytes() == (
+        b"epoch,r_label,r_dist,r_corr,objective,truncation_fraction,test_accuracy\n"
+        b"0,0.1,0.2,0.3,0.05,0.25,0.875\n"
+        b"1,0.09,0.21,0.31,0.04,0.0,\n"
+    )
