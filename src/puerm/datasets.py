@@ -173,23 +173,18 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     features, ``y`` when ground truth is present, and ``s``.
     """
     if isinstance(dataset, PUDataset):
-        has_y = dataset.y_true is not None
-        header = _feature_header(dataset.x.shape[1]) + (["y"] if has_y else []) + ["s"]
-        extra = []
-        if has_y:
-            extra.append(dataset.y_true)
-        extra.append(dataset.s)
+        labels = {"y": dataset.y_true, "s": dataset.s}
     elif isinstance(dataset, LabeledDataset):
-        header = _feature_header(dataset.x.shape[1]) + ["y"]
-        extra = [dataset.y]
+        labels = {"y": dataset.y}
     else:
         raise TypeError(f"cannot save object of type {type(dataset)!r}")
+    labels = {name: col for name, col in labels.items() if col is not None}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+        w.writerow(_feature_header(dataset.x.shape[1]) + list(labels))
         for i in range(dataset.x.shape[0]):
             row = [_FLOAT_FMT.format(v) for v in dataset.x[i]]
-            row.extend(str(int(col[i])) for col in extra)
+            row.extend(str(int(col[i])) for col in labels.values())
             w.writerow(row)
 
 
@@ -212,17 +207,13 @@ def _parse_columns(path, header, rows, want_y: bool, want_s: bool):
             f"got {feat_names}"
         )
     col_index = {name: i for i, name in enumerate(header)}
-    if want_y and "y" not in col_index:
-        raise FormatError(f"{path}: missing required column 'y'")
-    if want_s and "s" not in col_index:
-        raise FormatError(f"{path}: missing required column 's'")
+    for name, wanted in (("y", want_y), ("s", want_s)):
+        if wanted and name not in col_index:
+            raise FormatError(f"{path}: missing required column {name!r}")
 
     n = len(rows)
     x = np.empty((n, d), dtype=np.float64)
-    labels = {}
-    for name in ("y", "s"):
-        if name in col_index:
-            labels[name] = np.empty(n, dtype=np.int64)
+    labels = {name: np.empty(n, dtype=np.int64) for name in ("y", "s") if name in col_index}
     for r, row in enumerate(rows):
         line = r + 2  # 1-based file position; line 1 is the header
         if len(row) != len(header):

@@ -39,16 +39,9 @@ from .datasets import (
     train_test_split,
 )
 from .errors import FormatError, ParameterError, PuermError
-from .model import grad_check, init
+from .model import ACTIVATIONS, grad_check, init
 from .numerics import Rng
-from .sampling import (
-    CaseControlConfig,
-    ScarConfig,
-    case_control_sample,
-    corrupt,
-    scar_label,
-    unlabeled_positive_fraction_ss,
-)
+from .sampling import corrupt, unlabeled_positive_fraction_ss
 from .trainer import METHODS, TrainerConfig, batch_objective, evaluate, save_trace, train
 
 RESULTS_TAG = "# puerm-results-v1"
@@ -73,6 +66,8 @@ class DatasetSource:
             raise ParameterError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ParameterError(f"dataset {self.name!r}: csv kind needs a path")
+        if self.pi is not None and not 0.0 < self.pi < 1.0:
+            raise ParameterError(f"dataset {self.name!r}: pi must be in (0, 1)")
         if self.kind == "synthetic" and self.pi is None:
             self.pi = 0.5
 
@@ -114,6 +109,15 @@ class GridSpec:
                     "c=1 is not usable with the case-control scenario "
                     "(its unlabeled component would be empty)"
                 )
+        for name, low in (("seeds", 0), ("hidden_dims", 1)):
+            values = getattr(self, name)
+            # type() rather than isinstance(), which would let bools through
+            if not isinstance(values, list) or not all(
+                type(v) is int and v >= low for v in values
+            ):
+                raise ParameterError(f"{name} must be a list of integers >= {low}")
+        if self.activation not in ACTIVATIONS:
+            raise ParameterError(f"activation must be one of {ACTIVATIONS}")
         if self.n < 10:
             raise ParameterError(f"per-run budget n must be >= 10, got {self.n}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -258,11 +262,6 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
     return results, n_errors
 
 
-def _existing_keys(path) -> set:
-    results, _ = load_results(path)
-    return {_result_key(r.dataset, r.scenario, r.method, r.c, r.seed) for r in results}
-
-
 def _drop_torn_tail(path) -> None:
     """Cut what a crash mid-write leaves at the end of a results file.
 
@@ -282,18 +281,23 @@ def _drop_torn_tail(path) -> None:
 def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     """Run every cell of the grid, appending to ``spec.out`` as cells finish.
 
-    Cells whose key already appears in the results file are skipped, so a
-    rerun after an interruption picks up where it stopped; a row the
+    Cells with a result row in the results file are skipped, so a rerun
+    after an interruption picks up where it stopped; a row the
     interruption tore in half is dropped first and its cell run again. A
     cell that raises a ``PuermError`` or an ``OSError`` (an unwritable
     trace file, say) writes an error-marker row (empty metric fields,
     message in the trace_path column) and the run continues; an error
-    writing the results file itself propagates.
+    writing the results file itself propagates. An error row does not
+    mark its cell done: the next run retries the cell and appends its
+    result after the error row, which stays as history.
     """
     if os.path.exists(spec.out):
         _drop_torn_tail(spec.out)
     fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
-    done = set() if fresh else _existing_keys(spec.out)
+    done = set() if fresh else {
+        _result_key(r.dataset, r.scenario, r.method, r.c, r.seed)
+        for r in load_results(spec.out)[0]
+    }
     results: list[ExperimentResult] = []
     with open(spec.out, "a", encoding="utf-8", newline="") as fh:
         if fresh:
@@ -341,62 +345,42 @@ def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
     results, n_errors = load_results(results_path)
     if n_errors:
         print(f"warning: {n_errors} error rows skipped", file=sys.stderr)
-    rows = [r for r in results if r.scenario == scenario]
     out = io.StringIO()
     title = f"{metric} (percent), scenario {scenario}, mean over seeds"
     print(title, file=out)
     print("=" * len(title), file=out)
-    if not rows:
-        print("warning: no results for this scenario", file=sys.stderr)
-        return out.getvalue()
-
-    datasets = sorted({r.dataset for r in rows})
-    methods = sorted({r.method for r in rows})
-    c_values = sorted({r.c for r in rows})
     by_cell: dict[tuple, list[float]] = {}
-    for r in rows:
-        by_cell.setdefault((r.dataset, r.method, r.c), []).append(getattr(r, metric))
-
-    def mean_of(dataset: str, method: str, c: float) -> float | None:
-        values = by_cell.get((dataset, method, c))
-        return None if not values else float(np.mean(values))
-
-    label_width = max(
-        [len("method")]
-        + [len(m) for m in methods]
-        + [len(f"delta_{fam}") for fam in ("nnpu", "upu")]
-    )
+    for r in results:
+        if r.scenario == scenario:
+            by_cell.setdefault((r.dataset, r.method, r.c), []).append(getattr(r, metric))
+    if not by_cell:
+        print("warning: no results for this scenario", file=sys.stderr)
+    means = {cell: float(np.mean(values)) for cell, values in by_cell.items()}
+    datasets = sorted({d for d, _, _ in by_cell})
+    methods = sorted({m for _, m, _ in by_cell})
+    other = SCENARIO_CC if scenario == SCENARIO_SS else SCENARIO_SS
+    label_width = max(map(len, ["method", "delta_nnpu", "delta_upu", *methods]))
     col_width = max([8] + [len(d) for d in datasets]) + 2
-    for c in c_values:
+    header = "method".ljust(label_width) + "".join(d.rjust(col_width) for d in datasets)
+    for c in sorted({c for _, _, c in by_cell}):
         print(f"\nc = {repr(c)}", file=out)
-        header = "method".ljust(label_width) + "".join(
-            d.rjust(col_width) for d in datasets
-        )
         print(header, file=out)
-        table: dict[str, list[float | None]] = {}
-        for m in methods:
-            table[m] = [mean_of(d, m, c) for d in datasets]
+        table = {m: [means.get((d, m, c)) for d in datasets] for m in methods}
         for family in ("nnpu", "upu"):
-            correct = f"{family}_{scenario}"
-            other = f"{family}_{SCENARIO_CC if scenario == SCENARIO_SS else SCENARIO_SS}"
-            if correct in methods and other in methods:
-                deltas = []
-                for i in range(len(datasets)):
-                    a, b = table[correct][i], table[other][i]
-                    deltas.append(None if a is None or b is None else a - b)
-                table[f"delta_{family}"] = deltas
+            matched = table.get(f"{family}_{scenario}")
+            crossed = table.get(f"{family}_{other}")
+            if matched is not None and crossed is not None:
+                table[f"delta_{family}"] = [
+                    None if a is None or b is None else a - b
+                    for a, b in zip(matched, crossed)
+                ]
         for name, values in table.items():
-            cells = []
+            cells = ""
             for d, v in zip(datasets, values):
                 if v is None:
-                    print(
-                        f"warning: no results for {d}/{name}/c={repr(c)}",
-                        file=sys.stderr,
-                    )
-                    cells.append("".rjust(col_width))
-                else:
-                    cells.append(f"{v:.2f}".rjust(col_width))
-            print(name.ljust(label_width) + "".join(cells), file=out)
+                    print(f"warning: no results for {d}/{name}/c={repr(c)}", file=sys.stderr)
+                cells += ("" if v is None else f"{v:.2f}").rjust(col_width)
+            print(name.ljust(label_width) + cells, file=out)
     return out.getvalue()
 
 
@@ -521,31 +505,22 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
     n = 200000
     pool = gaussian_mixture(2 * n, 0.5, rng=rng.child(2000))
     for j, c in enumerate((0.1, 0.5, 0.9)):
-        pu = scar_label(pool, ScarConfig(c=c, n=n), rng.child(2100 + j))
-        unl = pu.s == -1
-        frac = float(np.mean(pu.y_true[unl] == 1))
         target = unlabeled_positive_fraction_ss(0.5, c)
-        sigma = math.sqrt(target * (1.0 - target) / int(np.sum(unl)))
-        ok = abs(frac - target) <= 3.0 * sigma
-        checks.append(
+        for k, (scenario, label, want, shown) in enumerate(
             (
-                f"single-sample unlabeled mix (c={c})",
-                ok,
-                f"fraction {frac:.5f} vs {target:.5f} (3 sigma = {3 * sigma:.5f})",
+                (SCENARIO_SS, "single-sample", target, f"{target:.5f}"),
+                (SCENARIO_CC, "case-control", 0.5, "0.5"),
             )
-        )
-        cc = case_control_sample(
-            pool, CaseControlConfig(c=c, pi=0.5, n=n), rng.child(2200 + j)
-        )
-        unl = cc.s == -1
-        frac = float(np.mean(cc.y_true[unl] == 1))
-        sigma = math.sqrt(0.25 / int(np.sum(unl)))
-        ok = abs(frac - 0.5) <= 3.0 * sigma
-        checks.append(
-            (
-                f"case-control unlabeled mix (c={c})",
-                ok,
-                f"fraction {frac:.5f} vs 0.5 (3 sigma = {3 * sigma:.5f})",
+        ):
+            pu = corrupt(pool, scenario, c, n, rng.child(2100 + 100 * k + j))
+            unl = pu.s == -1
+            frac = float(np.mean(pu.y_true[unl] == 1))
+            sigma = math.sqrt(want * (1.0 - want) / int(np.sum(unl)))
+            checks.append(
+                (
+                    f"{label} unlabeled mix (c={c})",
+                    abs(frac - want) <= 3.0 * sigma,
+                    f"fraction {frac:.5f} vs {shown} (3 sigma = {3 * sigma:.5f})",
+                )
             )
-        )
     return checks

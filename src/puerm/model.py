@@ -21,7 +21,7 @@ so a save/load cycle reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +71,8 @@ class MLPModel:
 class GradientBundle:
     """Gradients with the same shapes as the owning model's parameters."""
 
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
-
-
-def zero_gradients(model: MLPModel) -> GradientBundle:
-    return GradientBundle(
-        weights=[np.zeros_like(w) for w in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-    )
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
 
 
 def _check_layer_dims(dims: list[int]) -> None:
@@ -186,10 +179,7 @@ def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
         raise ParameterError(f"h must be > 0, got {h}")
     _, analytic = objective(model)
     worst = 0.0
-    params = list(zip(model.weights, analytic.weights)) + list(
-        zip(model.biases, analytic.biases)
-    )
-    for array, grad in params:
+    for array, grad in zip(model.weights + model.biases, analytic.weights + analytic.biases):
         flat = array.ravel()
         gflat = np.asarray(grad, dtype=np.float64).ravel()
         for i in range(flat.size):

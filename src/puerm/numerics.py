@@ -102,8 +102,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n), as the argsort of n uniforms."""
-        if n < 0:
-            raise ParameterError("n must be >= 0")
         return np.argsort(self.uniform(n), kind="stable")
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:

@@ -56,7 +56,9 @@ class CaseControlConfig:
     ``c`` plays the same labeling-frequency role as in the single-sample
     scheme but must be < 1 here: at c=1 the unlabeled component would be
     empty. ``pi`` is the known positive-class prior and ``n`` the nominal
-    total budget shared by the two components.
+    total budget shared by the two components. The values are checked by
+    ``case_control_sizes``, so a budget that leaves no unlabeled rows is
+    refused here.
     """
 
     c: float
@@ -64,15 +66,7 @@ class CaseControlConfig:
     n: int = 1000
 
     def __post_init__(self):
-        if not 0.0 <= self.c < 1.0:
-            raise ParameterError(
-                f"c must be in [0, 1) for case-control sampling (c=1 leaves "
-                f"no unlabeled rows), got {self.c}"
-            )
-        if not 0.0 < self.pi < 1.0:
-            raise ParameterError(f"pi must be in (0, 1), got {self.pi}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        case_control_sizes(self.n, self.pi, self.c)
 
 
 def scar_label(source: LabeledDataset, cfg: ScarConfig, rng: Rng) -> PUDataset:
@@ -117,7 +111,7 @@ def case_control_sizes(n: int, pi: float, c: float) -> tuple[int, int]:
     if not 0.0 < pi < 1.0:
         raise ParameterError(f"pi must be in (0, 1), got {pi}")
     if not 0.0 <= c < 1.0:
-        raise ParameterError(f"c must be in [0, 1) for case-control sizing, got {c}")
+        raise ParameterError(f"c must be in [0, 1) (c=1 leaves no unlabeled rows), got {c}")
     a = 1.0 / (1.0 - c * (1.0 - pi))
     n_labeled = int(np.rint(a * c * pi * n))
     n_unlabeled = n - n_labeled
@@ -188,8 +182,6 @@ def _check_pi_c(pi: float, c: float) -> None:
         raise ParameterError(f"pi must be in (0, 1), got {pi}")
     if not 0.0 <= c <= 1.0:
         raise ParameterError(f"c must be in [0, 1], got {c}")
-    if pi * c >= 1.0:
-        raise ParameterError(f"pi * c must be < 1, got {pi * c}")
 
 
 def unlabeled_positive_fraction_ss(pi: float, c: float) -> float:

@@ -13,7 +13,9 @@ watch the signed part: while r_dist - r_corr > -beta they descend the
 unbiased combination; once it falls to -beta or below they instead
 descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
 which pushes the overfitted negative part back up. Defaults are beta=0
-and gamma=1.
+and gamma=1. The step is plain SGD, or adaptive moments with
+``optimizer="adam-style"``; both walk the weights, then the biases, as
+one parameter list.
 
 Per-epoch traces (``EpochTrace``, one trace-file row each; the file's
 columns are its field names) record the mean components, the mean
@@ -34,7 +36,7 @@ import numpy as np
 from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
 from .errors import FormatError, ParameterError, TrainingError
 from .metrics import confusion, scores
-from .model import MLPModel, backward, forward, forward_pass, zero_gradients
+from .model import MLPModel, backward, forward, forward_pass
 from .numerics import Rng
 from .risk import get_loss, nnpu_risk, risk_components
 
@@ -105,33 +107,24 @@ class _Adam:
     def __init__(self, model: MLPModel, b1=0.9, b2=0.999, eps=1e-8):
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        z = zero_gradients(model)
-        self.mw = z.weights
-        self.mb = z.biases
-        z = zero_gradients(model)
-        self.vw = z.weights
-        self.vb = z.biases
+        self.m = [np.zeros_like(p) for p in model.weights + model.biases]
+        self.v = [np.zeros_like(p) for p in model.weights + model.biases]
 
     def step(self, model: MLPModel, grads, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for params, gs, ms, vs in (
-            (model.weights, grads.weights, self.mw, self.vw),
-            (model.biases, grads.biases, self.mb, self.vb),
-        ):
-            for p, g, m, v in zip(params, gs, ms, vs):
-                m *= self.b1
-                m += (1.0 - self.b1) * g
-                v *= self.b2
-                v += (1.0 - self.b2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        params = zip(model.weights + model.biases, grads.weights + grads.biases)
+        for (p, g), m, v in zip(params, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def _sgd_step(model: MLPModel, grads, lr: float) -> None:
-    for p, g in zip(model.weights, grads.weights):
-        p -= lr * g
-    for p, g in zip(model.biases, grads.biases):
+    for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
         p -= lr * g
 
 
@@ -211,18 +204,8 @@ def train(
         if test is not None:
             preds = classify_scores(forward(model, test.x))
             test_acc = float(np.mean(preds == test.y))
-        means = sums / n_batches
-        traces.append(
-            EpochTrace(
-                epoch=epoch,
-                r_label=float(means[0]),
-                r_dist=float(means[1]),
-                r_corr=float(means[2]),
-                objective=float(means[3]),
-                truncation_fraction=truncated_batches / n_batches,
-                test_accuracy=test_acc,
-            )
-        )
+        means = (sums / n_batches).tolist()
+        traces.append(EpochTrace(epoch, *means, truncated_batches / n_batches, test_acc))
     return model, traces
 
 

@@ -276,6 +276,37 @@ def test_run_grid_records_an_os_error_and_continues(tmp_path):
     assert rows[0].startswith("gauss1d,ss,nnpu_ss,0.5,0,,,,,error: ")
 
 
+def test_run_grid_retries_a_failed_cell_and_keeps_its_error_row(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    spec = _tiny_spec(
+        tmp_path,
+        scenarios=["ss"],
+        methods=["nnpu_ss"],
+        c_values=[0.5],
+        seeds=[0, 1],
+        trace_dir=str(traces),
+    )
+    blocker = traces / "gauss1d_ss_nnpu_ss_c0.5_s0.csv"
+    blocker.mkdir(parents=True)
+    run_grid(spec)
+    blocker.rmdir()
+    # the next run retries seed 0 and appends its result after the error row
+    assert [r.seed for r in run_grid(spec)] == [0]
+    rows = open(spec.out).read().splitlines()[2:]
+    assert [row.split(",")[4] for row in rows] == ["0", "1", "0"]
+    assert ",error: " in rows[0]
+    assert "error" not in rows[1] + rows[2]
+    loaded, n_errors = load_results(spec.out)
+    assert sorted(r.seed for r in loaded) == [0, 1]
+    assert n_errors == 1
+    emit_report(spec.out, metric="f1", scenario="ss")
+    assert "1 error rows skipped" in capsys.readouterr().err
+    # a done cell is never run again, so a third run appends nothing
+    before = open(spec.out, "rb").read()
+    assert run_grid(spec) == []
+    assert open(spec.out, "rb").read() == before
+
+
 # ---------------------------------------------------------------------------
 # results file parsing
 
@@ -406,6 +437,91 @@ def test_emit_report_counts_error_rows(tmp_path, capsys):
     assert "1 error rows skipped" in capsys.readouterr().err
 
 
+_REPORT_ROWS = """\
+d1,ss,nnpu_ss,0.3,0,91.0,0,0,90.0,
+d1,ss,nnpu_ss,0.3,1,92.0,0,0,91.0,
+d1,ss,nnpu_cc,0.3,0,86.0,0,0,85.0,
+d1,ss,upu_ss,0.3,0,89.0,0,0,88.0,
+d1,ss,upu_cc,0.3,0,87.5,0,0,86.5,
+d2,ss,nnpu_ss,0.3,0,71.25,0,0,70.25,
+d2,ss,nnpu_cc,0.3,0,61.0,0,0,60.0,
+d2,ss,upu_ss,0.3,0,66.0,0,0,65.0,
+d1,ss,nnpu_ss,0.9,0,96.0,0,0,95.0,
+d1,ss,nnpu_cc,0.9,0,51.0,0,0,50.0,
+d1,ss,upu_ss,0.9,0,94.0,0,0,93.0,
+d1,ss,upu_cc,0.9,0,56.0,0,0,55.0,
+d2,ss,nnpu_ss,0.9,0,81.0,0,0,80.0,
+d2,ss,nnpu_cc,0.9,0,41.0,0,0,40.0,
+d2,ss,upu_ss,0.9,0,79.0,0,0,78.0,
+d2,ss,upu_cc,0.9,0,46.0,0,0,45.0,
+d2,ss,upu_cc,0.9,1,,,,,error: boom
+d1,cc,nnpu_cc,0.3,0,89.0,0,0,88.0,
+d1,cc,nnpu_ss,0.3,0,84.0,0,0,83.0,
+d2,cc,nnpu_cc,0.3,0,75.0,0,0,74.0,
+d2,cc,nnpu_ss,0.3,0,77.0,0,0,76.0,
+"""
+
+_REPORT_SS_F1 = """\
+f1 (percent), scenario ss, mean over seeds
+==========================================
+
+c = 0.3
+method            d1        d2
+nnpu_cc        85.00     60.00
+nnpu_ss        90.50     70.25
+upu_cc         86.50{blank}
+upu_ss         88.00     65.00
+delta_nnpu      5.50     10.25
+delta_upu       1.50{blank}
+
+c = 0.9
+method            d1        d2
+nnpu_cc        50.00     40.00
+nnpu_ss        95.00     80.00
+upu_cc         55.00     45.00
+upu_ss         93.00     78.00
+delta_nnpu     45.00     40.00
+delta_upu      38.00     33.00
+""".format(blank=" " * 10)  # a missing cell prints as blank padding
+
+_REPORT_CC_ACCURACY = """\
+accuracy (percent), scenario cc, mean over seeds
+================================================
+
+c = 0.3
+method            d1        d2
+nnpu_cc        89.00     75.00
+nnpu_ss        84.00     77.00
+delta_nnpu      5.00     -2.00
+"""
+
+
+@pytest.mark.parametrize(
+    "metric, scenario, text, warnings",
+    [
+        (
+            "f1",
+            "ss",
+            _REPORT_SS_F1,
+            [
+                "1 error rows skipped",
+                "no results for d2/upu_cc/c=0.3",
+                "no results for d2/delta_upu/c=0.3",
+            ],
+        ),
+        ("accuracy", "cc", _REPORT_CC_ACCURACY, ["1 error rows skipped"]),
+    ],
+    ids=["ss-f1", "cc-accuracy"],
+)
+def test_emit_report_text_is_pinned(tmp_path, capsys, metric, scenario, text, warnings):
+    # two datasets, all four methods, one missing cell (d2/upu_cc at c=0.3)
+    # and one error row; the table text and the stderr lines are exact
+    p = tmp_path / "r.csv"
+    p.write_text(_RESULTS_PREAMBLE + _REPORT_ROWS)
+    assert emit_report(p, metric=metric, scenario=scenario) == text
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+
+
 def test_emit_report_validates_arguments(tmp_path):
     p = tmp_path / "r.csv"
     _write_results(p, [])
@@ -478,8 +594,24 @@ def test_load_grid_config_from_file(tmp_path):
         {"datasets": 3},
         {"datasets": [5]},
         {"datasets": [{"name": "g"}], "c_values": ["a"]},
+        {"datasets": [{"name": "g", "pi": "a"}]},
+        {"datasets": [{"name": "g"}], "seeds": 3},
+        {"datasets": [{"name": "g"}], "seeds": ["x"]},
+        {"datasets": [{"name": "g"}], "seeds": [0.5]},
+        {"datasets": [{"name": "g"}], "hidden_dims": "32"},
+        {"datasets": [{"name": "g"}], "activation": "sigmoid"},
     ],
-    ids=["datasets-int", "dataset-entry-int", "c-value-str"],
+    ids=[
+        "datasets-int",
+        "dataset-entry-int",
+        "c-value-str",
+        "pi-str",
+        "seeds-int",
+        "seed-str",
+        "seed-float",
+        "hidden-dims-str",
+        "activation-unknown",
+    ],
 )
 def test_load_grid_config_rejects_mistyped_values(tmp_path, doc):
     cfg = tmp_path / "grid.json"
@@ -497,6 +629,20 @@ def test_self_checks_all_pass():
     assert len(checks) >= 6
     for name, ok, detail in checks:
         assert ok, f"self check failed: {name}: {detail}"
+
+
+def test_self_check_sampler_lines_are_pinned():
+    # single-sample rows are checked against pi (1 - c) / (1 - pi c) at
+    # pi = 0.5, case-control rows against pi itself
+    mix = [(name, detail) for name, _, detail in run_self_checks() if "mix" in name]
+    assert mix == [
+        ("single-sample unlabeled mix (c=0.1)", "fraction 0.47560 vs 0.47368 (3 sigma = 0.00344)"),
+        ("case-control unlabeled mix (c=0.1)", "fraction 0.50035 vs 0.5 (3 sigma = 0.00345)"),
+        ("single-sample unlabeled mix (c=0.5)", "fraction 0.33277 vs 0.33333 (3 sigma = 0.00366)"),
+        ("case-control unlabeled mix (c=0.5)", "fraction 0.50198 vs 0.5 (3 sigma = 0.00411)"),
+        ("single-sample unlabeled mix (c=0.9)", "fraction 0.09118 vs 0.09091 (3 sigma = 0.00260)"),
+        ("case-control unlabeled mix (c=0.9)", "fraction 0.49808 vs 0.5 (3 sigma = 0.00787)"),
+    ]
 
 
 # ---------------------------------------------------------------------------

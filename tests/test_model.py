@@ -15,7 +15,6 @@ from puerm.model import (
     init,
     load_model,
     save_model,
-    zero_gradients,
 )
 from puerm.numerics import Rng
 
@@ -210,12 +209,6 @@ def test_grad_check_flags_tampered_gradients():
         return value, grads
 
     assert grad_check(m, objective) > 1e-2
-
-
-def test_gradient_bundle_helpers():
-    m = init([2, 3, 1], "relu", Rng(8))
-    z = zero_gradients(m)
-    assert all(np.all(w == 0) for w in z.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,14 @@ def test_cc_rejects_c_equal_one():
         CaseControlConfig(c=1.0, pi=0.5)
 
 
+def test_cc_config_refuses_what_the_sizes_refuse():
+    with pytest.raises(ParameterError, match="c=1 leaves no unlabeled rows"):
+        CaseControlConfig(c=1.0, pi=0.5)
+    # at n=50, pi=0.5, c=0.999 the labeled part rounds up to all 50 rows
+    with pytest.raises(ParameterError, match="budget n=50 leaves no unlabeled rows"):
+        CaseControlConfig(c=0.999, pi=0.5, n=50)
+
+
 def test_cc_requires_positive_rows():
     neg_only = gaussian_mixture(100, 0.5, rng=Rng(10))
     neg_only.y[:] = -1
