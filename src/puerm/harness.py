@@ -40,7 +40,7 @@ from .datasets import (
 )
 from .errors import FormatError, ParameterError, PuermError
 from .model import ACTIVATIONS, grad_check, init
-from .numerics import Rng
+from .numerics import Rng, check_field_types, is_real
 from .sampling import corrupt, unlabeled_positive_fraction_ss
 from .trainer import METHODS, TrainerConfig, batch_objective, evaluate, save_trace, train
 
@@ -62,12 +62,15 @@ class DatasetSource:
     dim: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("synthetic", "csv"):
             raise ParameterError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ParameterError(f"dataset {self.name!r}: csv kind needs a path")
         if self.pi is not None and not 0.0 < self.pi < 1.0:
             raise ParameterError(f"dataset {self.name!r}: pi must be in (0, 1)")
+        if self.sd <= 0 or self.dim < 1:
+            raise ParameterError(f"dataset {self.name!r}: sd must be > 0 and dim >= 1")
         if self.kind == "synthetic" and self.pi is None:
             self.pi = 0.5
 
@@ -90,6 +93,7 @@ class GridSpec:
     trace_dir: str | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.datasets:
             raise ParameterError("grid needs at least one dataset")
         names = [d.name for d in self.datasets]
@@ -102,8 +106,8 @@ class GridSpec:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; use one of {METHODS}")
         for c in self.c_values:
-            if not 0.0 < c <= 1.0:
-                raise ParameterError(f"c values must lie in (0, 1], got {c}")
+            if not is_real(c) or not 0.0 < c <= 1.0:
+                raise ParameterError(f"c values must be numbers in (0, 1], got {c!r}")
             if c == 1.0 and SCENARIO_CC in self.scenarios:
                 raise ParameterError(
                     "c=1 is not usable with the case-control scenario "

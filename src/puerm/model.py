@@ -2,14 +2,18 @@
 
 The network maps a feature row to a single real score through fully
 connected layers with relu or tanh hidden activations and a linear output.
-``forward_pass`` validates a batch once and runs it through the network,
+``forward_pass`` validates a batch once (or not at all, for rows already
+validated, with ``checked=True``) and runs it through the network,
 returning a ``ForwardPass`` that holds every layer's pre-activations and
 activations; its ``scores`` are what ``forward`` returns. ``backward``
 consumes that pass instead of recomputing it and returns the exact
 gradient of sum_i upstream_i * g(x_i) with respect to every parameter,
 which is all a loss needs once it supplies d(objective)/d(score) per row.
 So a training step runs the network forward once: ``forward_pass``, the
-loss on ``fp.scores``, then ``backward(model, fp, upstream)``.
+loss on ``fp.scores``, then ``backward(model, fp, upstream)``. Both take
+their matrix products with ``np.dot``, which hands each one to BLAS; ``@``
+sends a product with an inner dimension of 1 (one input feature, or the
+(n, 1) output layer) to a loop several times slower, for the same bits.
 ``grad_check`` verifies any objective's analytic gradient against central
 finite differences.
 
@@ -124,13 +128,19 @@ class ForwardPass:
         return self.acts[0].shape[0]
 
 
-def forward_pass(model: MLPModel, x) -> ForwardPass:
-    """Validate ``x`` once and run the network over it, keeping every layer."""
-    a = as_matrix(x, cols=model.input_dim)
+def forward_pass(model: MLPModel, x, *, checked: bool = False) -> ForwardPass:
+    """Run the network over ``x``, keeping every layer.
+
+    ``x`` is validated with ``as_matrix`` unless ``checked`` says it is
+    already a finite C-ordered float64 matrix of the model's width, such
+    as a row slice of a dataset's features.
+    """
+    a = x if checked else as_matrix(x, cols=model.input_dim)
     zs, acts = [], [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
+        z = np.dot(a, w.T)
+        z += b
         zs.append(z)
         a = z if k == last else _act(z, model.activation)
         acts.append(a)
@@ -159,11 +169,11 @@ def backward(model: MLPModel, fp: ForwardPass, upstream) -> GradientBundle:
     biases = [None] * n_layers
     delta = u[:, None]
     for k in range(n_layers - 1, -1, -1):
-        weights[k] = delta.T @ fp.acts[k]
+        weights[k] = np.dot(delta.T, fp.acts[k])
         biases[k] = delta.sum(axis=0)
         if k > 0:
-            act_deriv = _act_deriv(fp.zs[k - 1], model.activation)
-            delta = (delta @ model.weights[k]) * act_deriv
+            delta = np.dot(delta, model.weights[k])
+            delta *= _act_deriv(fp.zs[k - 1], model.activation)
     return GradientBundle(weights=weights, biases=biases)
 
 

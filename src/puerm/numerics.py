@@ -2,8 +2,10 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order with
 dtype float64; the helpers here validate that convention and keep results
-finite. ``Rng`` wraps numpy's PCG64 bit generator so that every random
-stream in the package is reproducible byte-for-byte across platforms:
+finite. ``check_field_types`` type-checks the scalar fields of a config
+dataclass against their annotations. ``Rng`` wraps numpy's PCG64 bit
+generator so that every random stream in the package is reproducible
+byte-for-byte across platforms:
 
 * uniforms come straight from PCG64's 64-bit output via the standard
   ``(word >> 11) * 2**-53`` conversion (numpy's ``Generator.random``),
@@ -17,6 +19,8 @@ which makes sibling streams independent by construction.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,6 +44,38 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     if a.size and not np.all(np.isfinite(a)):
         raise ParameterError("matrix entries must be finite")
     return a
+
+
+def is_real(v) -> bool:
+    """True for an int or a float, but not for a bool (JSON ``true``)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),  # not a bool, not 50.0
+    "float": ("a number", is_real),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ParameterError for a scalar field of dataclass ``obj`` that
+    holds a value of the wrong type.
+
+    Fields annotated ``int``, ``float`` or ``str``, optionally ``| None``,
+    are checked; others are left to their owner. An ``int`` field takes an
+    int and nothing else, a ``float`` field an int or a float but no bool.
+    The annotations are read as the strings that ``from __future__ import
+    annotations`` leaves in the owner's module.
+    """
+    for f in fields(obj):
+        kind, _, optional = f.type.partition(" | ")
+        v = getattr(obj, f.name)
+        if kind not in _FIELD_TYPES or (v is None and optional == "None"):
+            continue
+        what, ok = _FIELD_TYPES[kind]
+        if not ok(v):
+            raise ParameterError(f"{f.name} must be {what}, got {v!r}")
 
 
 class Rng:

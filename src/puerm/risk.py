@@ -13,11 +13,13 @@ a batch of n rows split into a labeled part L and an unlabeled part U:
 
 ``risk_components`` returns the three values together with their per-row
 gradients d(component)/d(g(x_i)); it is the only place that evaluates the
-loss or its derivative during training. The unbiased estimator (uPU) is
-``r_label + (r_dist - r_corr)`` and may go negative on finite samples. The
-non-negative estimator (nnPU) truncates ``r_dist - r_corr`` at zero; when
-that signed part falls too low, training descends the surrogate
-``r_corr - r_dist`` instead (Kiryo et al., NeurIPS 2017, Algorithm 1).
+loss or its derivative during training, with one value call and one
+derivative call per batch, each over the margins (-g, g). The unbiased
+estimator (uPU) is ``r_label + (r_dist - r_corr)`` and may go negative on
+finite samples. The non-negative estimator (nnPU) truncates
+``r_dist - r_corr`` at zero; when that signed part falls too low,
+training descends the surrogate ``r_corr - r_dist`` instead (Kiryo et
+al., NeurIPS 2017, Algorithm 1).
 ``RiskComponents.unbiased`` and ``RiskComponents.surrogate`` give those two
 combinations as (value, per-row gradient).
 """
@@ -157,16 +159,22 @@ def risk_components(
     unl = ~lab
     n_l = int(np.count_nonzero(lab))
     n_u = g.size - n_l
-    neg = loss.value(-g)  # l(-g_i), read by r_corr and the pooled r_dist
-    dneg = loss.derivative(-g)  # l'(-g_i); d l(-g_i) / d g_i = -l'(-g_i)
+    # One value and one derivative call over the margins (-g, g): the same
+    # ufuncs on the same numbers as a call per side, for half the overhead.
+    margins = np.concatenate((-g, g))
+    values = loss.value(margins)
+    slopes = loss.derivative(margins)
+    neg, pos = values[: g.size], values[g.size :]  # l(-g_i), l(g_i)
+    # l'(-g_i), l'(g_i); note d l(-g_i) / d g_i = -l'(-g_i)
+    dneg, dpos = slopes[: g.size], slopes[g.size :]
     # ndarray.sum() / n is np.mean's arithmetic without its call overhead
     sum_neg_l = float(neg[lab].sum())
     sum_neg_u = float(neg[unl].sum())
     if n_l > 0:
         w = pi / n_l
-        r_label = pi * (float(loss.value(g[lab]).sum()) / n_l)
+        r_label = pi * (float(pos[lab].sum()) / n_l)
         r_corr = pi * (sum_neg_l / n_l)
-        d_label = np.where(lab, w * loss.derivative(g), 0.0)
+        d_label = np.where(lab, w * dpos, 0.0)
         d_corr = np.where(lab, -(w * dneg), 0.0)
     else:
         r_label = r_corr = 0.0

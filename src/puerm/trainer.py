@@ -1,21 +1,22 @@
 """Minibatched PU training with the non-negative truncation branch.
 
-Each epoch shuffles the training rows and walks minibatches. Every batch
-takes the same four steps: run the network over the rows once
-(``forward_pass``), compute the three risk components of its scores and
-their per-row gradients in the mode named by the method
-(``risk.risk_components``; ``*_ss`` pools labeled and unlabeled rows into
-the distribution term, ``*_cc`` uses unlabeled rows only), pick a
-combination of them, and backpropagate its gradient through that same
-pass (``backward``). The uPU methods always descend the unbiased
-combination r_label + (r_dist - r_corr) with step eta. The nnPU methods
-watch the signed part: while r_dist - r_corr > -beta they descend the
-unbiased combination; once it falls to -beta or below they instead
+Each epoch gathers the training rows in shuffled order once and walks
+minibatches as slices of them. Every batch takes the same four steps: run
+the network over the rows once (``forward_pass``), compute the three risk
+components of its scores and their per-row gradients in the mode named by
+the method (``risk.risk_components``; ``*_ss`` pools labeled and
+unlabeled rows into the distribution term, ``*_cc`` uses unlabeled rows
+only), pick a combination of them, and backpropagate its gradient through
+that same pass (``backward``). The uPU methods always descend the
+unbiased combination r_label + (r_dist - r_corr) with step eta. The nnPU
+methods watch the signed part: while r_dist - r_corr > -beta they descend
+the unbiased combination; once it falls to -beta or below they instead
 descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
 which pushes the overfitted negative part back up. Defaults are beta=0
-and gamma=1. The step is plain SGD, or adaptive moments with
-``optimizer="adam-style"``; both walk the weights, then the biases, as
-one parameter list.
+and gamma=1. The step is plain SGD, done in place on the fresh gradient
+arrays ``backward`` returns, or adaptive moments with
+``optimizer="adam-style"``; both walk the weights, then the biases, as one
+parameter list.
 
 Per-epoch traces (``EpochTrace``, one trace-file row each; the file's
 columns are its field names) record the mean components, the mean
@@ -34,10 +35,10 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
-from .errors import FormatError, ParameterError, TrainingError
+from .errors import FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
 from .model import MLPModel, backward, forward, forward_pass
-from .numerics import Rng
+from .numerics import Rng, check_field_types
 from .risk import get_loss, nnpu_risk, risk_components
 
 METHODS = ("nnpu_ss", "nnpu_cc", "upu_ss", "upu_cc")
@@ -59,6 +60,7 @@ class TrainerConfig:
     loss: str = "logistic"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.beta < 0:
@@ -124,8 +126,10 @@ class _Adam:
 
 
 def _sgd_step(model: MLPModel, grads, lr: float) -> None:
+    """p -= lr * g in place; scales the fresh arrays ``backward`` returned."""
     for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
-        p -= lr * g
+        g *= lr
+        p -= g
 
 
 def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
@@ -161,6 +165,10 @@ def train(
     non-finite (divergence is reported, never clamped).
     """
     n = dataset.n
+    if dataset.x.shape[1] != model.input_dim:
+        raise ShapeError(
+            f"dataset has {dataset.x.shape[1]} features, model expects {model.input_dim}"
+        )
     if cfg.batch_size > n:
         raise ParameterError(
             f"batch_size {cfg.batch_size} exceeds dataset size {n}"
@@ -175,14 +183,16 @@ def train(
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
+        # gather the epoch's rows once; each batch is a view of a slice
+        x_epoch = dataset.x[perm]
+        lab_epoch = dataset.s[perm] == 1
         sums = np.zeros(4)
         truncated_batches = 0
         for b in range(n_batches):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            xb = dataset.x[idx]
-            lab_mask = dataset.s[idx] == 1
-            fp = forward_pass(model, xb)
-            comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
+            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            # PUDataset validated x, so its rows need no second scan
+            fp = forward_pass(model, x_epoch[rows], checked=True)
+            comp = risk_components(fp.scores, lab_epoch[rows], pi, mode, loss)
             nn_value, truncated = nnpu_risk(comp, cfg.beta)
             surrogate = cfg.is_nnpu and truncated
             value, upstream = comp.surrogate() if surrogate else comp.unbiased()

@@ -600,6 +600,13 @@ def test_load_grid_config_from_file(tmp_path):
         {"datasets": [{"name": "g"}], "seeds": [0.5]},
         {"datasets": [{"name": "g"}], "hidden_dims": "32"},
         {"datasets": [{"name": "g"}], "activation": "sigmoid"},
+        {"datasets": [{"name": 3}]},
+        {"datasets": [{"name": "g", "sd": True}]},
+        {"datasets": [{"name": "g"}], "out": 5},
+        {"datasets": [{"name": "g"}], "trainer": {"eta": True}},
+        {"datasets": [{"name": "g"}], "trainer": {"seed": 1.5}},
+        {"datasets": [{"name": "g", "sd": 0}]},
+        {"datasets": [{"name": "g", "dim": 0}]},
     ],
     ids=[
         "datasets-int",
@@ -611,6 +618,13 @@ def test_load_grid_config_from_file(tmp_path):
         "seed-float",
         "hidden-dims-str",
         "activation-unknown",
+        "dataset-name-int",
+        "sd-bool",
+        "out-int",
+        "eta-bool",
+        "trainer-seed-float",
+        "sd-zero",
+        "dim-zero",
     ],
 )
 def test_load_grid_config_rejects_mistyped_values(tmp_path, doc):
@@ -618,6 +632,46 @@ def test_load_grid_config_rejects_mistyped_values(tmp_path, doc):
     cfg.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=re.escape(str(cfg))):
         load_grid_config(cfg)
+
+
+# one cell, one epoch: small enough to run if a mistyped value slips through
+ONE_CELL_GRID = {
+    "datasets": [{"name": "g"}],
+    "scenarios": ["ss"],
+    "methods": ["nnpu_ss"],
+    "c_values": [0.5],
+    "seeds": [0],
+    "n": 50,
+    "hidden_dims": [4],
+    "trainer": {"epochs": 1, "batch_size": 10},
+}
+
+
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        (("n",), 50.0),
+        (("datasets", 0, "dim"), 1.5),
+        (("datasets", 0, "mu_pos"), "a"),
+        (("c_values",), [True]),
+        (("trainer", "epochs"), 1.5),
+        (("trainer", "batch_size"), True),
+    ],
+    ids=["n-float", "dim-float", "mu-pos-str", "c-value-bool", "epochs-float", "batch-size-bool"],
+)
+def test_cli_grid_refuses_mistyped_numbers_before_any_cell(tmp_path, capsys, where, value):
+    doc = json.loads(json.dumps(ONE_CELL_GRID))
+    *parents, key = where
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    owner[key] = value
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert f"error: {cfg}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

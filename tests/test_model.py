@@ -128,6 +128,58 @@ def test_forward_input_validation():
         forward(m, np.array([[1.0, 2.0, np.nan]]))
 
 
+def _matmul_reference(model, x, upstream):
+    """Forward pass and gradients written with ``@``: the layer outputs,
+    pre-activations and weight and bias gradients, in layer order."""
+    relu = model.activation == "relu"
+    zs, acts = [], [x]
+    last = len(model.weights) - 1
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        acts.append(z if k == last else (np.maximum(z, 0.0) if relu else np.tanh(z)))
+    gw, gb = [None] * len(zs), [None] * len(zs)
+    delta = upstream[:, None]
+    for k in range(last, -1, -1):
+        gw[k] = delta.T @ acts[k]
+        gb[k] = delta.sum(axis=0)
+        if k > 0:
+            z = zs[k - 1]
+            deriv = (z > 0.0) if relu else 1.0 - np.tanh(z) * np.tanh(z)
+            delta = (delta @ model.weights[k]) * deriv
+    return zs, acts, gw, gb
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("rows", [1, 6, 100])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_pass_and_gradients_match_matmul_reference_bit_for_bit(dim, rows, activation):
+    # dim 1 and the (n, 1) output give products with an inner dimension
+    # of 1, which ``@`` and ``np.dot`` send down different code paths
+    rng = Rng(100 * dim + rows)
+    m = init([dim, 32, 32, 32, 32, 1], activation, rng.child(0))
+    for b in m.biases:
+        b += rng.child(1).normal(b.size, sd=0.1)
+    x = rng.child(2).normal(rows * dim, sd=2.0).reshape(rows, dim)
+    u = rng.child(3).normal(rows)
+    zs, acts, gw, gb = _matmul_reference(m, x, u)
+    fp = forward_pass(m, x)
+    grads = backward(m, fp, u)
+    assert _same_bits(fp.scores, acts[-1][:, 0])
+    assert _same_bits(forward(m, x), acts[-1][:, 0])
+    for got, want in zip(fp.zs + fp.acts, zs + acts):
+        assert _same_bits(got, want)
+    for got, want in zip(grads.weights + grads.biases, gw + gb):
+        assert _same_bits(got, want)
+    # a checked batch skips validation and changes nothing else
+    assert _same_bits(forward_pass(m, x, checked=True).scores, acts[-1][:, 0])
+
+
 # ---------------------------------------------------------------------------
 # backward
 

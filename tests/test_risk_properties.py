@@ -4,7 +4,9 @@ Each batch has a random size, labeled share, class prior and score
 scale. The per-row gradients returned with the three components are
 checked against central finite differences of the components, in both
 modes and for both losses, and the single-sample uPU value is checked
-against the regrouped closed form. The mask-free ``_sigmoid`` is checked
+against the regrouped closed form. The one value and one derivative
+call that ``risk_components`` makes per batch are checked bit for bit
+against one call per argument. The mask-free ``_sigmoid`` is checked
 bit for bit against the two-branch masked form on any float input.
 """
 
@@ -117,3 +119,63 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit(values):
         scalar = _sigmoid(v)
         assert isinstance(scalar, float)
         assert _same_bits(scalar, _sigmoid_two_branch(v))
+
+
+COMPONENT_FIELDS = ("r_label", "r_dist", "r_corr", "d_label", "d_dist", "d_corr")
+
+
+def _components_from_separate_calls(g, lab, pi, mode, loss):
+    """The components with one loss call per argument, l(-g), l(g_L),
+    l'(-g) and l'(g), as (r_label, r_dist, r_corr, d_label, d_dist, d_corr)."""
+    n_l = int(lab.sum())
+    n_u = g.size - n_l
+    neg = loss.value(-g)
+    dneg = loss.derivative(-g)
+    zeros = np.zeros_like(g)
+    if n_l > 0:
+        w = pi / n_l
+        r_label = pi * (float(loss.value(g[lab]).sum()) / n_l)
+        r_corr = pi * (float(neg[lab].sum()) / n_l)
+        d_label = np.where(lab, w * loss.derivative(g), 0.0)
+        d_corr = np.where(lab, -(w * dneg), 0.0)
+    else:
+        r_label = r_corr = 0.0
+        d_label = d_corr = zeros
+    if mode == SCENARIO_SS:
+        r_dist = (float(neg[lab].sum()) + float(neg[~lab].sum())) / g.size
+        d_dist = -dneg / g.size
+    elif n_u > 0:
+        r_dist = float(neg[~lab].sum()) / n_u
+        d_dist = np.where(~lab, -dneg / n_u, 0.0)
+    else:
+        r_dist, d_dist = 0.0, zeros
+    return r_label, r_dist, r_corr, d_label, d_dist, d_corr
+
+
+@st.composite
+def batches_by_labeled_share(draw):
+    """A batch whose rows are all unlabeled, all labeled, or a mix of both,
+    with scores out to where exp(-|g|) underflows."""
+    share = draw(st.sampled_from(("none", "all", "mix")))
+    n = draw(st.integers(min_value=2 if share == "mix" else 1, max_value=30))
+    margin = st.floats(min_value=-800.0, max_value=800.0, allow_nan=False)
+    g = np.array(draw(st.lists(margin, min_size=n, max_size=n)))
+    if share == "mix":
+        labeled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(labeled.any() and not labeled.all())
+    else:
+        labeled = np.full(n, share == "all")
+    pi = draw(st.floats(min_value=0.05, max_value=0.95))
+    return g, labeled, pi
+
+
+@pytest.mark.parametrize("loss", [LOGISTIC, SIGMOID], ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("mode", SCENARIOS)
+@settings(max_examples=60, deadline=None)
+@given(batch=batches_by_labeled_share())
+def test_one_call_per_side_matches_separate_calls_bit_for_bit(batch, mode, loss):
+    g, labeled, pi = batch
+    comp = risk_components(g, labeled, pi, mode, loss)
+    want = _components_from_separate_calls(g, labeled, pi, mode, loss)
+    for name, expected in zip(COMPONENT_FIELDS, want):
+        assert _same_bits(getattr(comp, name), expected), name

@@ -12,7 +12,7 @@ from puerm.datasets import (
     PUDataset,
     gaussian_mixture,
 )
-from puerm.errors import FormatError, ParameterError, TrainingError
+from puerm.errors import FormatError, ParameterError, ShapeError, TrainingError
 from puerm.model import MLPModel, backward, forward, forward_pass, init
 from puerm.numerics import Rng
 from puerm.risk import get_loss, nnpu_risk, risk_components, upu_risk
@@ -24,7 +24,6 @@ from puerm.trainer import (
     EpochTrace,
     TrainerConfig,
     _Adam,
-    _sgd_step,
     batch_objective,
     classify_scores,
     evaluate,
@@ -83,6 +82,24 @@ def test_zero_epochs_leaves_model_untouched():
     assert traces == []
     for w0, w1 in zip(before, model.weights):
         assert np.array_equal(w0, w1)
+
+
+def test_model_of_another_width_rejected():
+    data = _small_ss_dataset(n=40)
+    with pytest.raises(ShapeError):
+        train(data, TrainerConfig(batch_size=10), init([2, 4, 1], "tanh", Rng(3)))
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_train_leaves_its_inputs_alone(optimizer):
+    # the in-place step and the per-epoch gather must write only the model
+    data = _small_ss_dataset(n=200)
+    test = gaussian_mixture(100, 0.5, rng=Rng(7))
+    arrays = (data.x, data.s, test.x)
+    before = [a.tobytes() for a in arrays]
+    cfg = TrainerConfig(epochs=3, batch_size=30, optimizer=optimizer, seed=9)
+    train(data, cfg, init([1, 8, 8, 1], "relu", Rng(8)), test)
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_batch_size_larger_than_dataset_rejected():
@@ -241,8 +258,9 @@ def test_divergence_raises_naming_epoch_and_batch():
 
 
 def _two_pass_train(dataset, cfg, model):
-    """``train``'s update rule with each batch run forward twice: once by
-    ``forward`` for the risk, once more by ``forward_pass`` for ``backward``."""
+    """``train``'s update rule with each batch gathered by its own index,
+    run forward twice (once by ``forward`` for the risk, once more by
+    ``forward_pass`` for ``backward``) and, for sgd, stepped out of place."""
     loss = get_loss(cfg.loss)
     rng = Rng(cfg.seed)
     opt = _Adam(model) if cfg.optimizer == "adam-style" else None
@@ -267,7 +285,8 @@ def _two_pass_train(dataset, cfg, model):
             grads = backward(model, forward_pass(model, xb), upstream)
             step = cfg.gamma * cfg.eta if surrogate else cfg.eta
             if opt is None:
-                _sgd_step(model, grads, step)
+                for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
+                    p -= step * g
             else:
                 opt.step(model, grads, step)
         means = sums / n_batches
