@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,12 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def positive_rows(self) -> np.ndarray:
+        """Indices of the rows with y = +1, found on first use and kept;
+        ``y`` must not change after that."""
+        return np.flatnonzero(self.y == 1)
 
     def empirical_prior(self) -> float:
         if self.n == 0:

@@ -12,7 +12,8 @@ byte-for-byte across platforms:
 * normals are produced by the Box-Muller transform applied to those
   uniforms (never by numpy's ziggurat, whose stream is not pinned),
 * permutations are the argsort of a block of uniforms,
-* subset draws use a partial Fisher-Yates shuffle.
+* subset draws return the same indices as the first k steps of a
+  Fisher-Yates shuffle, computed with vectorised numpy work.
 
 Child generators are derived with ``numpy.random.SeedSequence`` spawn keys,
 which makes sibling streams independent by construction.
@@ -143,21 +144,54 @@ class Rng:
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct indices drawn uniformly from range(n).
 
-        Uses the full argsort permutation when k == n, otherwise the first
-        k steps of a Fisher-Yates shuffle (consumes exactly k uniforms).
+        Uses the full argsort permutation when k == n. Otherwise returns
+        the same indices as the first k steps of a Fisher-Yates shuffle of
+        range(n), in the same order, from exactly k uniforms: step i swaps
+        positions i and j[i] = i + floor(u[i] (n - i)) and keeps the value
+        that lands on position i. That value is j[i] itself, or the value
+        that the last earlier step with the same j displaced; a displaced
+        value follows the same rule one step back. One stable argsort of j
+        finds those earlier steps, and pointer doubling resolves the
+        chains, in O(k log k) time and O(k) memory.
         """
         if k < 0 or k > n:
             raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
         if k == n:
             return self.permutation(n)
-        idx = np.arange(n, dtype=np.int64)
-        u = self.uniform(k)
-        for i in range(k):
-            j = i + int(u[i] * (n - i))
-            if j >= n:  # guard against u*(n-i) rounding up to n-i
-                j = n - 1
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k].copy()
+        # float64 times an int below 2**53 is exact, and astype truncates
+        # like int(), so j matches the scalar loop bit for bit
+        j = (self.uniform(k) * np.arange(n, n - k, -1)).astype(np.int64)
+        j += np.arange(k)
+        np.minimum(j, n - 1, out=j)  # u*(n-i) may round up to n-i
+        order = np.argsort(j, kind="stable")
+        sorted_j = j[order]
+        same = sorted_j[1:] == sorted_j[:-1]
+        # prev[i]: the last step before i with the same j, or -1
+        prev = np.full(k, -1, dtype=np.int64)
+        prev[order[1:][same]] = order[:-1][same]
+        # the last step of each group of equal j
+        is_end = np.ones(k, dtype=bool)
+        is_end[:-1] = ~same
+        ends = np.flatnonzero(is_end)
+        del same, is_end
+        # src[t]: the last step aiming at position t, whose displaced value
+        # t holds before step t; t itself when no step aimed at it. When
+        # that step is t itself no later step reads w[t], since j[i] >= i.
+        target, last = sorted_j[ends], order[ends]
+        del sorted_j, order, ends
+        aimed = target < k
+        src = np.arange(k)
+        src[target[aimed]] = last[aimed]
+        del target, last, aimed
+        # the value position t holds before step t is the start of the
+        # chain t -> src[t] -> ...; pointer doubling walks to it
+        while True:
+            nxt = src[src]
+            if np.array_equal(nxt, src):
+                break
+            src = nxt
+        np.copyto(j, src[prev], where=prev >= 0)
+        return j
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """``n`` integers uniform on [0, high), via floor(u * high)."""

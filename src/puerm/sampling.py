@@ -134,7 +134,7 @@ def case_control_sample(
     otherwise. Labeled rows get s=+1, unlabeled rows s=-1.
     """
     n_labeled, n_unlabeled = case_control_sizes(cfg.n, cfg.pi, cfg.c)
-    pos_idx = np.flatnonzero(source.y == 1)
+    pos_idx = source.positive_rows
     if pos_idx.size == 0:
         raise DataError("source dataset has no positive rows")
 

@@ -38,7 +38,7 @@ from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
 from .errors import FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
 from .model import MLPModel, backward, forward, forward_pass
-from .numerics import Rng, check_field_types
+from .numerics import Rng, as_matrix, check_field_types
 from .risk import get_loss, nnpu_risk, risk_components
 
 METHODS = ("nnpu_ss", "nnpu_cc", "upu_ss", "upu_cc")
@@ -132,6 +132,13 @@ def _sgd_step(model: MLPModel, grads, lr: float) -> None:
         p -= g
 
 
+def _check_width(x: np.ndarray, model: MLPModel, what: str) -> None:
+    if x.shape[1] != model.input_dim:
+        raise ShapeError(
+            f"{what} has {x.shape[1]} features, model expects {model.input_dim}"
+        )
+
+
 def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     """Objective factory for one batch and one branch of the update rule.
 
@@ -139,13 +146,15 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     value is the quantity the branch actually descends: the unbiased
     objective r_label + r_dist - r_corr when ``surrogate`` is False, the
     surrogate r_corr - r_dist when True. Used by finite-difference
-    gradient verification and by the self-check command.
+    gradient verification and by the self-check command. ``x`` is
+    validated here once, not on every call.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_matrix(x)
     lab_mask = np.asarray(s, dtype=np.int64) == 1
 
     def objective(model: MLPModel):
-        fp = forward_pass(model, x)
+        _check_width(x, model, "batch")
+        fp = forward_pass(model, x, checked=True)
         comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
         value, upstream = comp.surrogate() if surrogate else comp.unbiased()
         return value, backward(model, fp, upstream)
@@ -165,10 +174,9 @@ def train(
     non-finite (divergence is reported, never clamped).
     """
     n = dataset.n
-    if dataset.x.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"dataset has {dataset.x.shape[1]} features, model expects {model.input_dim}"
-        )
+    _check_width(dataset.x, model, "dataset")
+    if test is not None:
+        _check_width(test.x, model, "test set")
     if cfg.batch_size > n:
         raise ParameterError(
             f"batch_size {cfg.batch_size} exceeds dataset size {n}"
@@ -212,7 +220,8 @@ def train(
                 opt.step(model, grads, step)
         test_acc = None
         if test is not None:
-            preds = classify_scores(forward(model, test.x))
+            # LabeledDataset validated test.x, and its width is checked above
+            preds = classify_scores(forward_pass(model, test.x, checked=True).scores)
             test_acc = float(np.mean(preds == test.y))
         means = (sums / n_batches).tolist()
         traces.append(EpochTrace(epoch, *means, truncated_batches / n_batches, test_acc))

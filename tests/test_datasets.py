@@ -30,6 +30,14 @@ def test_labeled_dataset_basics():
     assert ds.empirical_prior() == 0.75
 
 
+def test_positive_rows_index_is_cached():
+    ds = gaussian_mixture(500, 0.3, rng=Rng(4))
+    assert np.array_equal(ds.positive_rows, np.flatnonzero(ds.y == 1))
+    assert ds.positive_rows is ds.positive_rows
+    empty = LabeledDataset(x=np.zeros((0, 2)), y=[])
+    assert empty.positive_rows.shape == (0,)
+
+
 def test_labeled_dataset_rejects_bad_labels():
     with pytest.raises(DataError):
         LabeledDataset(x=[[0.0], [1.0]], y=[1, 2])

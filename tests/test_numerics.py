@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puerm.errors import ParameterError, ShapeError
 from puerm.numerics import Rng, as_matrix
@@ -171,6 +173,92 @@ def test_sample_without_replacement_properties():
     assert np.array_equal(np.sort(full), np.arange(20))
     with pytest.raises(ParameterError):
         Rng(8).sample_without_replacement(5, 6)
+
+
+def _dense_draw(rng, n, k):
+    """The sampler as a dense swap loop over all of range(n): the oracle
+    the vectorised draw must match index for index."""
+    if k == n:
+        return rng.permutation(n)
+    idx = np.arange(n, dtype=np.int64)
+    u = rng.uniform(k)
+    for i in range(k):
+        j = i + int(u[i] * (n - i))
+        if j >= n:
+            j = n - 1
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k].copy()
+
+
+def _assert_same_draw(n, k, seed):
+    got = Rng(seed).sample_without_replacement(n, k)
+    want = _dense_draw(Rng(seed), n, k)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _sizes(draw):
+    n = draw(st.integers(1, 5000))
+    return n, draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sizes(), st.integers(0, 2**64 - 1))
+@example((2, 1), 2**64 - 1)
+@example((5000, 4999), 3)
+def test_sample_without_replacement_matches_dense_loop(size, seed):
+    _assert_same_draw(*size, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+def test_sample_without_replacement_edge_sizes(n):
+    for k in (0, n - 1, n):
+        _assert_same_draw(n, k, n)
+
+
+def _aim(n, k, j):
+    """Uniforms that make step i aim at position j[i] (i <= j[i] < n)."""
+    i = np.arange(k)
+    return (j - i + 0.5) / (n - i)
+
+
+# Crafted streams u(n, k) and, where it is simple, the draw they force.
+CRAFTED = {
+    # j[i] = i: no step swaps anything
+    "zeros": (lambda n, k: np.zeros(k), lambda n, k: np.arange(k)),
+    # the largest double below 1: every step aims at position n - 1
+    "below-one": (lambda n, k: np.full(k, 1.0 - 2.0**-53), None),
+    # u = 1 makes u*(n-i) equal n-i, so j = n is clamped to n - 1
+    "clamp": (lambda n, k: np.ones(k), None),
+    # a few targets hit in interleaved order: an unstable sort of j breaks
+    "few-targets": (
+        lambda n, k: _aim(n, k, np.maximum(np.arange(k), n - 1 - (7 * np.arange(k)) % 5)),
+        None,
+    ),
+    # j[i] = i + 1 carries value 0 forward through every step, so each
+    # displaced value ends a chain as long as k: the most rounds of
+    # pointer doubling
+    "chain": (lambda n, k: _aim(n, k, np.arange(1, k + 1)), lambda n, k: np.arange(1, k + 1)),
+}
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_sample_without_replacement_crafted_streams(monkeypatch, name):
+    u_of, expected = CRAFTED[name]
+    for n, k in [(2, 1), (10, 9), (1000, 600), (1000, 999), (5000, 4999)]:
+        u = u_of(n, k)
+        monkeypatch.setattr(Rng, "uniform", lambda self, count: u[:count])
+        got = Rng(0).sample_without_replacement(n, k)
+        assert np.array_equal(got, _dense_draw(Rng(0), n, k))
+        if expected is not None:
+            assert np.array_equal(got, expected(n, k))
+
+
+def test_sample_without_replacement_large_draws_match():
+    # the sizes the self-checks and criterion 5 draw
+    for n, k, seed in [(400_000, 200_000, 1), (1_000_000, 1000, 2), (20_000, 10_000, 3)]:
+        _assert_same_draw(n, k, seed)
 
 
 def test_sample_without_replacement_is_roughly_uniform():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puerm.datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, gaussian_mixture
 from puerm.errors import DataError, ParameterError
@@ -131,6 +133,26 @@ def test_sizes_validation():
         case_control_sizes(1000, 1.5, 0.5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-3, 10**7),
+    st.floats(-0.5, 1.5, allow_nan=False),
+    st.floats(-0.5, 1.5, allow_nan=False),
+)
+def test_sizes_split_the_budget_or_refuse(n, pi, c):
+    valid = n >= 1 and 0.0 < pi < 1.0 and 0.0 <= c < 1.0
+    try:
+        nl, nu = case_control_sizes(n, pi, c)
+    except ParameterError as exc:
+        # valid inputs are refused only when labeling takes every row
+        assert not valid or "leaves no unlabeled rows" in str(exc)
+        return
+    assert valid
+    assert type(nl) is int and type(nu) is int
+    assert nl + nu == n
+    assert 0 <= nl < n
+
+
 # ---------------------------------------------------------------------------
 # case_control_sample
 
@@ -185,6 +207,18 @@ def test_cc_small_pool_falls_back_to_replacement():
     )
     assert pu.n == 200
     assert np.all(pu.y_true[pu.s == 1] == 1)
+
+
+def test_cc_draws_from_the_cached_positive_rows(source):
+    cfg = CaseControlConfig(c=0.3, pi=0.5, n=2000)
+    pu = case_control_sample(source, cfg, Rng(17))
+    # the same draws, recomputing the positive rows from y
+    rng = Rng(17)
+    pos = np.flatnonzero(source.y == 1)
+    nl, nu = case_control_sizes(cfg.n, cfg.pi, cfg.c)
+    lab = pos[rng.sample_without_replacement(pos.size, nl)]
+    unl = rng.sample_without_replacement(source.n, nu)
+    assert np.array_equal(pu.x, source.x[np.concatenate([lab, unl])])
 
 
 def test_cc_deterministic(source):

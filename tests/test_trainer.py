@@ -90,6 +90,39 @@ def test_model_of_another_width_rejected():
         train(data, TrainerConfig(batch_size=10), init([2, 4, 1], "tanh", Rng(3)))
 
 
+def test_test_set_of_another_width_rejected():
+    data = _small_ss_dataset(n=40)
+    test = gaussian_mixture(20, 0.5, dim=2, rng=Rng(4))
+    with pytest.raises(ShapeError, match="test set has 2 features"):
+        train(data, TrainerConfig(batch_size=10), init([1, 4, 1], "tanh", Rng(3)), test)
+
+
+def _count_as_matrix(monkeypatch):
+    """Count the matrix validations the model module makes."""
+    import puerm.model
+
+    calls = []
+    original = puerm.model.as_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(puerm.model, "as_matrix", counted)
+    return calls
+
+
+def test_train_scores_the_test_set_without_rescanning(monkeypatch):
+    data = _small_ss_dataset(n=60)
+    test = gaussian_mixture(30, 0.5, rng=Rng(5))
+    calls = _count_as_matrix(monkeypatch)
+    _, traces = train(
+        data, TrainerConfig(epochs=3, batch_size=20), init([1, 4, 1], "tanh", Rng(3)), test
+    )
+    assert all(t.test_accuracy is not None for t in traces)
+    assert calls == []
+
+
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_train_leaves_its_inputs_alone(optimizer):
     # the in-place step and the per-epoch gather must write only the model
@@ -352,6 +385,25 @@ def test_batch_objective_values_match_component_route():
     surr = batch_objective(data.x, data.s, data.pi, "ss", LOGISTIC, surrogate=True)
     value_s, _ = surr(model)
     assert abs(value_s - (comp.r_corr - comp.r_dist)) < 1e-14
+
+
+def test_batch_objective_validates_its_batch_once(monkeypatch):
+    from puerm.risk import LOGISTIC
+
+    data = _small_ss_dataset(n=40, seed=19)
+    obj = batch_objective(data.x, data.s, data.pi, "ss", LOGISTIC, surrogate=False)
+    calls = _count_as_matrix(monkeypatch)
+    model = init([1, 4, 1], "tanh", Rng(20))
+    for _ in range(3):
+        obj(model)
+    assert calls == []
+    # a model of another width is a ShapeError, not numpy's ValueError
+    with pytest.raises(ShapeError, match="batch has 1 features, model expects 2"):
+        obj(init([2, 4, 1], "tanh", Rng(21)))
+    with pytest.raises(ShapeError):
+        batch_objective([1.0, 2.0], [1, -1], 0.5, "ss", LOGISTIC, surrogate=False)
+    with pytest.raises(ParameterError):
+        batch_objective([[np.nan]], [1], 0.5, "ss", LOGISTIC, surrogate=False)
 
 
 # ---------------------------------------------------------------------------
