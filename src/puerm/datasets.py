@@ -4,15 +4,27 @@ CSV schema (UTF-8, comma separated, ``.`` decimal point, LF line endings):
 a header row with feature columns ``f0..f{d-1}`` holding float64 text,
 an optional ``y`` column and an optional ``s`` column, both in {-1, 1}.
 Floats are written with 17 significant digits so a save/load round trip
-reproduces every value exactly.
+reproduces every value bit for bit.
+
+``save_csv`` formats every row from one template and writes the file
+atomically (a temporary file beside the target, then ``os.replace``).
+The loaders tokenize with ``csv.reader`` and convert a block of rows at
+a time, column by column, with ``float`` and a label lookup; only when
+that fails does a per-row loop run over the block, to find the first bad
+row and word its ``FormatError``. A cell that parses to a non-finite
+float is a ``FormatError`` too. Every ``FormatError`` names the file
+and, for a bad cell, its line and column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +37,10 @@ SCENARIO_CC = "cc"
 SCENARIOS = (SCENARIO_SS, SCENARIO_CC)
 
 _FLOAT_FMT = "{:.17g}"
+# Accepted label cells and the label each one stands for.
+_LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
+# Rows a loader tokenizes and converts at a time.
+_BLOCK_ROWS = 4096
 
 
 def _as_labels(values, n: int, name: str) -> np.ndarray:
@@ -173,8 +189,28 @@ def _feature_header(d: int) -> list[str]:
     return [f"f{i}" for i in range(d)]
 
 
+def _write_atomically(path, lines) -> None:
+    """Write ``lines`` to a new file beside ``path``, then rename it over
+    ``path``: the target holds its old bytes or all the new ones, never a
+    part, and a write that fails leaves no temporary file behind."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    # O_EXCL: never write through a file someone else created; 0o666
+    # lets the umask set the mode, as a plain open() would.
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
-    """Write a dataset in the package CSV schema.
+    """Write a dataset in the package CSV schema, atomically.
 
     LabeledDataset emits feature columns plus ``y``; PUDataset emits
     features, ``y`` when ground truth is present, and ``s``.
@@ -186,69 +222,103 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     else:
         raise TypeError(f"cannot save object of type {type(dataset)!r}")
     labels = {name: col for name, col in labels.items() if col is not None}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_feature_header(dataset.x.shape[1]) + list(labels))
-        for i in range(dataset.x.shape[0]):
-            row = [_FLOAT_FMT.format(v) for v in dataset.x[i]]
-            row.extend(str(int(col[i])) for col in labels.values())
-            w.writerow(row)
+    d = dataset.x.shape[1]
+    header = ",".join(_feature_header(d) + list(labels)) + "\n"
+    row = ",".join([_FLOAT_FMT] * d + ["{:d}"] * len(labels)) + "\n"
+    columns = [*dataset.x.T.tolist(), *(col.tolist() for col in labels.values())]
+    _write_atomically(
+        path, itertools.chain([header], itertools.starmap(row.format, zip(*columns)))
+    )
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _raise_row_error(path, header, rows, first_line, feat_names, col_index, label_names):
+    """Raise the ``FormatError`` for the first malformed row of ``rows``,
+    whose first row is on line ``first_line`` of the file."""
+    for line, row in enumerate(rows, first_line):
+        if len(row) != len(header):
+            raise FormatError(
+                f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
+            )
+        for name in feat_names:
+            cell = row[col_index[name]]
+            try:
+                float(cell)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {line}: non-numeric value {cell!r} in column {name}"
+                ) from None
+        for name in label_names:
+            cell = row[col_index[name]]
+            if cell not in _LABEL_CELLS:
+                raise FormatError(
+                    f"{path}: line {line}: column {name} must be -1 or 1, got {cell!r}"
+                )
+
+
+def _read_columns(path, want_y: bool, want_s: bool):
+    """(x, y or None, s or None) from a file in the package CSV schema."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file, expected a header row") from None
-        return header, list(reader)
-
-
-def _parse_columns(path, header, rows, want_y: bool, want_s: bool):
-    feat_names = [h for h in header if h not in ("y", "s")]
-    d = len(feat_names)
-    if feat_names != _feature_header(d):
-        raise FormatError(
-            f"{path}: feature columns must be named f0..f{d - 1} in order, "
-            f"got {feat_names}"
-        )
-    col_index = {name: i for i, name in enumerate(header)}
-    for name, wanted in (("y", want_y), ("s", want_s)):
-        if wanted and name not in col_index:
-            raise FormatError(f"{path}: missing required column {name!r}")
-
-    n = len(rows)
-    x = np.empty((n, d), dtype=np.float64)
-    labels = {name: np.empty(n, dtype=np.int64) for name in ("y", "s") if name in col_index}
-    for r, row in enumerate(rows):
-        line = r + 2  # 1-based file position; line 1 is the header
-        if len(row) != len(header):
+        feat_names = [h for h in header if h not in ("y", "s")]
+        d = len(feat_names)
+        if feat_names != _feature_header(d):
             raise FormatError(
-                f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
+                f"{path}: feature columns must be named f0..f{d - 1} in order, "
+                f"got {feat_names}"
             )
-        for j, name in enumerate(feat_names):
-            cell = row[col_index[name]]
+        col_index = {name: i for i, name in enumerate(header)}
+        for name, wanted in (("y", want_y), ("s", want_s)):
+            if wanted and name not in col_index:
+                raise FormatError(f"{path}: missing required column {name!r}")
+        label_names = [name for name in ("y", "s") if name in col_index]
+
+        # A block of rows at a time, converted column by column; any failure
+        # hands the block to the row loop, which finds the first bad row and
+        # words the error. Blocks bound the memory the text cells take.
+        xs = [np.empty((0, d))]
+        labels = {name: [np.empty(0, dtype=np.int64)] for name in label_names}
+        line = 2  # of the block's first row; line 1 is the header
+        non_finite = None  # reported only once every cell has parsed
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            n = len(rows)
             try:
-                x[r, j] = float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line}: non-numeric value {cell!r} in column {name}"
-                ) from None
-        for name, out in labels.items():
-            cell = row[col_index[name]]
-            if cell not in ("-1", "1", "+1"):
-                raise FormatError(
-                    f"{path}: line {line}: column {name} must be -1 or 1, got {cell!r}"
+                if set(map(len, rows)) - {len(header)}:
+                    raise ValueError("ragged rows")
+                x = np.empty((n, d))
+                for j, name in enumerate(feat_names):
+                    cells = map(itemgetter(col_index[name]), rows)
+                    x[:, j] = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+                for name in label_names:
+                    cells = map(itemgetter(col_index[name]), rows)
+                    labels[name].append(
+                        np.fromiter(map(_LABEL_CELLS.__getitem__, cells), np.int64, n)
+                    )
+            except (ValueError, KeyError):
+                _raise_row_error(path, header, rows, line, feat_names, col_index, label_names)
+                raise
+            bad = np.argwhere(~np.isfinite(x))
+            if len(bad) and non_finite is None:
+                r, j = bad[0]
+                name = feat_names[j]
+                non_finite = (
+                    f"{path}: line {line + r}: non-finite value "
+                    f"{rows[r][col_index[name]]!r} in column {name}"
                 )
-            out[r] = int(cell)
-    return x, labels.get("y"), labels.get("s")
+            xs.append(x)
+            line += n
+    if non_finite:
+        raise FormatError(non_finite)
+    labels = {name: np.concatenate(parts) for name, parts in labels.items()}
+    return np.concatenate(xs), labels.get("y"), labels.get("s")
 
 
 def load_csv(path) -> LabeledDataset:
     """Read a fully labeled dataset (requires the ``y`` column)."""
-    header, rows = _read_rows(path)
-    x, y, _ = _parse_columns(path, header, rows, want_y=True, want_s=False)
+    x, y, _ = _read_columns(path, want_y=True, want_s=False)
     return LabeledDataset(x=x, y=y)
 
 
@@ -264,8 +334,7 @@ def load_pu_csv(
     and scenario tag must be supplied; if ``pi`` is omitted it is estimated
     from the ``y`` column when present.
     """
-    header, rows = _read_rows(path)
-    x, y, s = _parse_columns(path, header, rows, want_y=False, want_s=True)
+    x, y, s = _read_columns(path, want_y=False, want_s=True)
     empirical = False
     if pi is None:
         if y is None:

@@ -8,10 +8,10 @@ tag) as soon as each cell finishes; re-running the same grid skips cells
 already present, which makes interrupted runs resumable and full reruns
 byte-identical.
 
-Per-cell protocol: build the source data (synthetic draw or CSV), carve
-out a held-out labeled test set, corrupt the training side under the
-cell's scenario, train the cell's method, then score hard predictions on
-the test set.
+Per-cell protocol: build the source data (synthetic draw, or CSV rows
+read once per grid run), carve out a held-out labeled test set, corrupt
+the training side under the cell's scenario, train the cell's method,
+then score hard predictions on the test set.
 """
 
 from __future__ import annotations
@@ -165,10 +165,19 @@ def cell_seed(seed: int, dataset: str, scenario: str, method: str, c: float) -> 
     return int.from_bytes(digest[:8], "big")
 
 
+def _load_source(source: DatasetSource) -> LabeledDataset:
+    """A ``csv`` source's rows, with the source's ``pi`` when it sets one."""
+    data = load_csv(source.path)
+    if source.pi is not None:
+        data = LabeledDataset(x=data.x, y=data.y, pi=source.pi)
+    return data
+
+
 def _build_source_data(
-    source: DatasetSource, spec: GridSpec, rng: Rng
+    source: DatasetSource, spec: GridSpec, rng: Rng, data: LabeledDataset | None
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """(training pool, held-out test set) for one cell."""
+    """(training pool, held-out test set) for one cell; ``data`` as in
+    ``run_cell``."""
     if source.kind == "synthetic":
         pool_n = 2 * spec.n
         test_n = max(1, round(spec.n * spec.test_fraction / (1.0 - spec.test_fraction)))
@@ -179,19 +188,23 @@ def _build_source_data(
             test_n, source.pi, source.mu_pos, source.mu_neg, source.sd, source.dim, rng
         )
         return pool, test
-    data = load_csv(source.path)
-    if source.pi is not None:
-        data = LabeledDataset(x=data.x, y=data.y, pi=source.pi)
+    if data is None:
+        data = _load_source(source)
     return train_test_split(data, 1.0 - spec.test_fraction, rng)
 
 
 def run_cell(
-    source: DatasetSource, scenario: str, method: str, c: float, seed: int, spec: GridSpec
+    source: DatasetSource, scenario: str, method: str, c: float, seed: int, spec: GridSpec,
+    data: LabeledDataset | None = None,
 ) -> ExperimentResult:
-    """Execute one grid cell end to end and return its scores."""
+    """Execute one grid cell end to end and return its scores.
+
+    ``data`` is the rows of a ``csv`` source, loaded once by the caller
+    for all its cells; when None the cell loads the file itself.
+    """
     base = cell_seed(seed, source.name, scenario, method, c)
     root = Rng(base)
-    pool, test = _build_source_data(source, spec, root.child(0))
+    pool, test = _build_source_data(source, spec, root.child(0), data)
     # a single-sample draw is without replacement, so it cannot exceed the pool
     budget = min(spec.n, pool.n) if scenario == SCENARIO_SS else spec.n
     pu = corrupt(pool, scenario, c, budget, root.child(1))
@@ -303,6 +316,7 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
         for r in load_results(spec.out)[0]
     }
     results: list[ExperimentResult] = []
+    loaded: dict[str, LabeledDataset] = {}  # csv sources by name, read once per run
     with open(spec.out, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(RESULTS_TAG + "\n")
@@ -314,7 +328,9 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
             if key in done:
                 continue
             try:
-                r = run_cell(source, scenario, method, c, seed, spec)
+                if source.kind == "csv" and source.name not in loaded:
+                    loaded[source.name] = _load_source(source)
+                r = run_cell(source, scenario, method, c, seed, spec, loaded.get(source.name))
             except (PuermError, OSError) as exc:
                 writer.writerow(_result_row(key, None, str(exc)))
                 fh.flush()

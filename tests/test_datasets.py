@@ -1,10 +1,18 @@
 """Tests for dataset containers, the synthetic generator, and CSV I/O."""
 
+import builtins
+import errno
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from puerm import datasets
 from puerm.datasets import (
     SCENARIO_SS,
     LabeledDataset,
@@ -224,3 +232,188 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     path.write_text("f0,y\n0.5,1\n0.25\n")
     with pytest.raises(FormatError):
         load_csv(path)
+
+
+# Every finite float64, -0.0, subnormals and +-max included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _saved_sets(draw):
+    """(x, y, s) with n in 0..30 and dim in 1..4; ``s`` labels only true positives."""
+    n = draw(st.integers(0, 30))
+    dim = draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(FINITE, min_size=n * dim, max_size=n * dim)), dtype=np.float64)
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)), dtype=np.int64)
+    picked = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    s = np.where(picked & (y == 1), 1, -1).astype(np.int64)
+    return x.reshape(n, dim), y, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_saved_sets(), st.booleans(), st.sampled_from([1, 7, datasets._BLOCK_ROWS]))
+@example(
+    (np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]]),
+     np.array([1]), np.array([1])),
+    True,
+    datasets._BLOCK_ROWS,
+)
+def test_csv_round_trip_is_bit_exact_for_any_finite_float(data, with_y_true, block_rows):
+    x, y, s = data
+    with (
+        tempfile.TemporaryDirectory() as where,
+        mock.patch.object(datasets, "_BLOCK_ROWS", block_rows),
+    ):
+        path = os.path.join(where, "d.csv")
+        save_csv(LabeledDataset(x=x, y=y), path)
+        back = load_csv(path)
+        assert back.x.shape == x.shape
+        assert back.x.tobytes() == x.tobytes()
+        assert back.y.tobytes() == y.tobytes()
+
+        pu = PUDataset(x=x, s=s, y_true=y if with_y_true else None, pi=0.5,
+                       scenario=SCENARIO_SS, c=0.5)
+        save_csv(pu, path)
+        back = load_pu_csv(path, pi=0.5)
+        assert back.x.shape == x.shape
+        assert back.x.tobytes() == x.tobytes()
+        assert back.s.tobytes() == s.tobytes()
+        if with_y_true:
+            assert back.y_true.tobytes() == y.tobytes()
+        else:
+            assert back.y_true is None
+
+
+# (file text, loaded (x, y) or the FormatError text after "<file>: "). The
+# expected values are what the row-by-row loader this module used to have
+# returned or raised for the same files.
+AWKWARD_FILES = {
+    "quoted": ('f0,"y"\n"1.5",1\n"-2",-1\n', ([[1.5], [-2.0]], [1, -1])),
+    "crlf": ("f0,y\r\n1.5,1\r\n-2,-1\r\n", ([[1.5], [-2.0]], [1, -1])),
+    "blank_line": ("f0,y\n1.5,1\n\n-2,-1\n", "line 3: expected 2 cells, got 0"),
+    "trailing_blank_line": ("f0,y\n1.5,1\n\n", "line 3: expected 2 cells, got 0"),
+    "no_final_newline": ("f0,y\n1.5,1\n-2,-1", ([[1.5], [-2.0]], [1, -1])),
+    "plus_one_label": ("f0,y\n1.5,+1\n-2,-1\n", ([[1.5], [-2.0]], [1, -1])),
+    "space_before_float": ("f0,y\n 1.5,1\n-2,-1\n", ([[1.5], [-2.0]], [1, -1])),
+    "underscore_in_float": ("f0,y\n1_0,1\n-2,-1\n", ([[10.0], [-2.0]], [1, -1])),
+    "float_label": ("f0,y\n1.5,1.0\n-2,-1\n", "line 2: column y must be -1 or 1, got '1.0'"),
+    "ragged_row": ("f0,y\n1.5,1\n-2\n", "line 3: expected 2 cells, got 1"),
+    "header_only": ("f0,y\n", (np.zeros((0, 1)), [])),
+    "non_numeric": ("f0,y\n0.5,1\noops,1\n", "line 3: non-numeric value 'oops' in column f0"),
+    # the parse error wins over an earlier non-finite cell, as before
+    "nan_then_non_numeric": (
+        "f0,y\nnan,1\noops,-1\n", "line 3: non-numeric value 'oops' in column f0"
+    ),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, datasets._BLOCK_ROWS])
+@pytest.mark.parametrize("text, expected", AWKWARD_FILES.values(), ids=AWKWARD_FILES)
+def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, block_rows):
+    monkeypatch.setattr(datasets, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {expected}"
+        return
+    ds = load_csv(path)
+    want_x = np.asarray(expected[0], dtype=np.float64)
+    assert ds.x.shape == want_x.shape
+    assert ds.x.tobytes() == want_x.tobytes()
+    assert ds.y.tolist() == expected[1]
+
+
+def test_csv_spanning_several_blocks(tmp_path):
+    n = 2 * datasets._BLOCK_ROWS + 3
+    ds = gaussian_mixture(n, 0.5, dim=2, rng=Rng(13))
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.x.tobytes() == ds.x.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+    lines = path.read_text().splitlines(keepends=True)
+    # a non-finite cell in the first block, a bad label in the last row
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",2\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: line {n + 1}: column y must be -1 or 1, got '2'"
+    # with the label mended, the first of two non-finite cells is reported
+    lines[-1] = "inf," + lines[-1].split(",", 1)[1].rsplit(",", 1)[0] + ",1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: line 2: non-finite value 'nan' in column f0"
+
+
+def test_load_pu_csv_reports_bad_s_label(tmp_path):
+    path = tmp_path / "pu.csv"
+    path.write_text("f0,y,s\n1.5,1,1\n-2,-1,0\n")
+    with pytest.raises(FormatError) as err:
+        load_pu_csv(path, pi=0.5)
+    assert str(err.value) == f"{path}: line 3: column s must be -1 or 1, got '0'"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("f0,y\n1.5,1\nnan,-1\n", "line 3: non-finite value 'nan' in column f0"),
+        ("f0,f1,y\n1.5,2,1\n-2,-inf,-1\n", "line 3: non-finite value '-inf' in column f1"),
+        ("f0,f1,y\n1e400,inf,1\n", "line 2: non-finite value '1e400' in column f0"),
+    ],
+    ids=["nan", "minus_inf_in_f1", "overflow"],
+)
+def test_non_finite_cell_is_a_format_error(tmp_path, text, where):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}: {where}"
+    pu_path = tmp_path / "pu.csv"
+    pu_path.write_text(text.replace(",y\n", ",y,s\n").replace("1\n", "1,-1\n"))
+    with pytest.raises(FormatError) as err:
+        load_pu_csv(pu_path)
+    assert str(err.value) == f"{pu_path}: {where}"
+
+
+class _DiskFillsUp:
+    """A file that takes a few lines, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, lines):
+        for i, line in enumerate(lines):
+            if i == 5:
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.fh.write(line)
+
+
+def test_save_csv_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    save_csv(gaussian_mixture(40, 0.5, rng=Rng(11)), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        datasets, "open", lambda *a, **k: _DiskFillsUp(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError):
+        save_csv(gaussian_mixture(40, 0.5, rng=Rng(12)), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["d.csv"]
+
+
+def test_save_csv_into_a_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "missing" / "d.csv"
+    with pytest.raises(FileNotFoundError) as err:
+        save_csv(gaussian_mixture(4, 0.5, rng=Rng(14)), path)
+    assert err.value.filename == str(path)

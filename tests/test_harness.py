@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from puerm import harness
 from puerm.cli import cli_dispatch
+from puerm.datasets import gaussian_mixture, load_csv, save_csv
 from puerm.errors import FormatError, ParameterError, PuermError
 from puerm.harness import (
     RESULTS_COLUMNS,
@@ -25,6 +27,7 @@ from puerm.harness import (
     run_grid,
     run_self_checks,
 )
+from puerm.numerics import Rng
 from puerm.trainer import TrainerConfig, load_trace
 
 
@@ -177,6 +180,44 @@ def test_run_grid_rerun_is_byte_identical(tmp_path):
     run_grid(spec_a)
     run_grid(spec_b)
     assert open(spec_a.out, "rb").read() == open(spec_b.out, "rb").read()
+
+
+def _csv_grid(tmp_path, path, **overrides):
+    """A 4-cell grid (one scenario, two methods, two c values) over one CSV source."""
+    source = DatasetSource(name="rows", kind="csv", path=str(path), pi=0.5)
+    return _tiny_spec(tmp_path, datasets=[source], scenarios=["ss"], seeds=[0], **overrides)
+
+
+def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    loads = []
+
+    def counting_load_csv(p):
+        loads.append(p)
+        return load_csv(p)
+
+    monkeypatch.setattr(harness, "load_csv", counting_load_csv)
+    spec = _csv_grid(tmp_path, path)
+    assert len(run_grid(spec)) == 4
+    assert loads == [str(path)]
+
+    # the same cells as four one-cell runs, each loading the file itself
+    per_cell = str(tmp_path / "per_cell.csv")
+    for _, _, method, c, _ in iter_cells(spec):
+        run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell))
+    assert len(loads) == 1 + 4
+    assert open(per_cell, "rb").read() == open(spec.out, "rb").read()
+
+
+def test_run_grid_unreadable_csv_source_fails_every_cell(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("f0,y\n0.5,1\noops,1\n")
+    assert run_grid(_csv_grid(tmp_path, path)) == []
+    loaded, n_errors = load_results(tmp_path / "results.csv")
+    assert (loaded, n_errors) == ([], 4)
+    text = open(tmp_path / "results.csv").read()
+    assert text.count(f"{path}: line 3: non-numeric value 'oops' in column f0") == 4
 
 
 def test_run_grid_resumes_without_duplicates(tmp_path):
