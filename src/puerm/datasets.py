@@ -13,7 +13,8 @@ a time, column by column, with ``float`` and a label lookup; only when
 that fails does a per-row loop run over the block, to find the first bad
 row and word its ``FormatError``. A cell that parses to a non-finite
 float is a ``FormatError`` too. Every ``FormatError`` names the file
-and, for a bad cell, its line and column.
+and, for a bad cell, its line and column; lines are lines of the file, so
+a quoted cell that holds a line break counts as more than one.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ _BLOCK_ROWS = 4096
 
 
 def _as_labels(values, n: int, name: str) -> np.ndarray:
-    a = np.asarray(values, dtype=np.int64)
+    """``values`` as an int64 label vector of length ``n``. The values are
+    checked before the cast, so 1.7 is an error rather than 1."""
+    a = np.asarray(values)
     if a.shape != (n,):
         raise DataError(f"{name} must have length {n}, got shape {a.shape}")
-    if a.size and not np.all(np.isin(a, (-1, 1))):
+    if not ((a == 1) | (a == -1)).all():
         raise DataError(f"{name} entries must be -1 or +1")
-    return a
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -231,10 +234,20 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     )
 
 
+def _row_lines(rows, first_line):
+    """Yield (line, row) for a block of rows whose first row starts on line
+    ``first_line`` of the file. A line break inside a quoted cell (CR LF, a
+    lone CR or a lone LF, as the file iterator splits lines) moves every
+    later row down one line."""
+    for row in rows:
+        yield first_line, row
+        first_line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+
+
 def _raise_row_error(path, header, rows, first_line, feat_names, col_index, label_names):
     """Raise the ``FormatError`` for the first malformed row of ``rows``,
-    whose first row is on line ``first_line`` of the file."""
-    for line, row in enumerate(rows, first_line):
+    whose first row starts on line ``first_line`` of the file."""
+    for line, row in _row_lines(rows, first_line):
         if len(row) != len(header):
             raise FormatError(
                 f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
@@ -281,7 +294,7 @@ def _read_columns(path, want_y: bool, want_s: bool):
         # words the error. Blocks bound the memory the text cells take.
         xs = [np.empty((0, d))]
         labels = {name: [np.empty(0, dtype=np.int64)] for name in label_names}
-        line = 2  # of the block's first row; line 1 is the header
+        first_line = reader.line_num + 1  # of the block's first row
         non_finite = None  # reported only once every cell has parsed
         while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
             n = len(rows)
@@ -298,18 +311,21 @@ def _read_columns(path, want_y: bool, want_s: bool):
                         np.fromiter(map(_LABEL_CELLS.__getitem__, cells), np.int64, n)
                     )
             except (ValueError, KeyError):
-                _raise_row_error(path, header, rows, line, feat_names, col_index, label_names)
+                _raise_row_error(
+                    path, header, rows, first_line, feat_names, col_index, label_names
+                )
                 raise
             bad = np.argwhere(~np.isfinite(x))
             if len(bad) and non_finite is None:
                 r, j = bad[0]
                 name = feat_names[j]
+                line, row = next(itertools.islice(_row_lines(rows, first_line), r, None))
                 non_finite = (
-                    f"{path}: line {line + r}: non-finite value "
-                    f"{rows[r][col_index[name]]!r} in column {name}"
+                    f"{path}: line {line}: non-finite value "
+                    f"{row[col_index[name]]!r} in column {name}"
                 )
             xs.append(x)
-            line += n
+            first_line = reader.line_num + 1
     if non_finite:
         raise FormatError(non_finite)
     labels = {name: np.concatenate(parts) for name, parts in labels.items()}

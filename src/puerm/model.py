@@ -15,7 +15,7 @@ their matrix products with ``np.dot``, which hands each one to BLAS; ``@``
 sends a product with an inner dimension of 1 (one input feature, or the
 (n, 1) output layer) to a loop several times slower, for the same bits.
 ``grad_check`` verifies any objective's analytic gradient against central
-finite differences.
+finite differences of its value, which it asks for without the gradient.
 
 Checkpoints are JSON ("mlp-checkpoint-v1"): layer dims, activation name,
 and parameters as nested lists. Python's float repr is shortest-round-trip,
@@ -180,14 +180,16 @@ def backward(model: MLPModel, fp: ForwardPass, upstream) -> GradientBundle:
 def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
     """Largest relative disagreement between analytic and numeric gradients.
 
-    ``objective(model)`` must return (value, GradientBundle). Every
-    parameter is perturbed by +-h for a central difference of the value;
-    the result is max over parameters of |analytic - numeric| divided by
-    max(|analytic| + |numeric|, 1e-8).
+    ``objective(model, grad)`` must return (value, GradientBundle) when
+    ``grad`` is True and may return (value, None) when it is False. The
+    gradient is asked for once, at the unperturbed parameters; every
+    parameter is then perturbed by +-h for a central difference of the
+    value alone. The result is max over parameters of |analytic - numeric|
+    divided by max(|analytic| + |numeric|, 1e-8).
     """
     if h <= 0:
         raise ParameterError(f"h must be > 0, got {h}")
-    _, analytic = objective(model)
+    _, analytic = objective(model, grad=True)
     worst = 0.0
     for array, grad in zip(model.weights + model.biases, analytic.weights + analytic.biases):
         flat = array.ravel()
@@ -195,9 +197,9 @@ def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = objective(model)
+            up, _ = objective(model, grad=False)
             flat[i] = orig - h
-            down, _ = objective(model)
+            down, _ = objective(model, grad=False)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)

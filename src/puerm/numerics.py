@@ -13,7 +13,8 @@ byte-for-byte across platforms:
   uniforms (never by numpy's ziggurat, whose stream is not pinned),
 * permutations are the argsort of a block of uniforms,
 * subset draws return the same indices as the first k steps of a
-  Fisher-Yates shuffle, computed with vectorised numpy work.
+  Fisher-Yates shuffle, computed with vectorised numpy work: one sort of
+  packed (swap target, step) keys and pointer doubling, no O(n) array.
 
 Child generators are derived with ``numpy.random.SeedSequence`` spawn keys,
 which makes sibling streams independent by construction.
@@ -150,21 +151,35 @@ class Rng:
         positions i and j[i] = i + floor(u[i] (n - i)) and keeps the value
         that lands on position i. That value is j[i] itself, or the value
         that the last earlier step with the same j displaced; a displaced
-        value follows the same rule one step back. One stable argsort of j
-        finds those earlier steps, and pointer doubling resolves the
-        chains, in O(k log k) time and O(k) memory.
+        value follows the same rule one step back. One sort of the unique
+        keys (j[i] << b) | i, with b = (k - 1).bit_length(), puts the steps
+        in stable order of j and so finds those earlier steps; pointer
+        doubling resolves the chains, in O(k log k) time and O(k) memory.
+        The keys must fit in 63 bits, (n - 1).bit_length() + b <= 63, which
+        holds for every n below 2**31; larger draws raise ParameterError.
         """
         if k < 0 or k > n:
             raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
         if k == n:
             return self.permutation(n)
+        b = int(k - 1).bit_length()
+        if int(n - 1).bit_length() + b > 63:
+            raise ParameterError(
+                f"n={n}, k={k} is too large: (n - 1).bit_length() + "
+                f"(k - 1).bit_length() must be <= 63"
+            )
         # float64 times an int below 2**53 is exact, and astype truncates
         # like int(), so j matches the scalar loop bit for bit
         j = (self.uniform(k) * np.arange(n, n - k, -1)).astype(np.int64)
         j += np.arange(k)
         np.minimum(j, n - 1, out=j)  # u*(n-i) may round up to n-i
-        order = np.argsort(j, kind="stable")
-        sorted_j = j[order]
+        # the keys (j[i] << b) | i are unique, so an unstable sort of them
+        # gives the stable order of j; the low b bits decode to that order
+        sorted_j = j << b
+        sorted_j |= np.arange(k)
+        sorted_j.sort()
+        order = sorted_j & ((1 << b) - 1)
+        sorted_j >>= b
         same = sorted_j[1:] == sorted_j[:-1]
         # prev[i]: the last step before i with the same j, or -1
         prev = np.full(k, -1, dtype=np.int64)

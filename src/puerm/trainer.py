@@ -29,12 +29,13 @@ hard predictions on a labeled set in percent.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset
+from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _write_atomically
 from .errors import FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
 from .model import MLPModel, backward, forward, forward_pass
@@ -142,22 +143,23 @@ def _check_width(x: np.ndarray, model: MLPModel, what: str) -> None:
 def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     """Objective factory for one batch and one branch of the update rule.
 
-    Returns a callable mapping a model to (value, GradientBundle) where
-    value is the quantity the branch actually descends: the unbiased
-    objective r_label + r_dist - r_corr when ``surrogate`` is False, the
-    surrogate r_corr - r_dist when True. Used by finite-difference
-    gradient verification and by the self-check command. ``x`` is
-    validated here once, not on every call.
+    Returns a callable ``objective(model, grad=True)`` giving (value,
+    GradientBundle), or (value, None) without running ``backward`` when
+    ``grad`` is False. The value is the quantity the branch actually
+    descends: the unbiased objective r_label + r_dist - r_corr when
+    ``surrogate`` is False, the surrogate r_corr - r_dist when True. Used
+    by finite-difference gradient verification (``grad_check``) and by the
+    self-check command. ``x`` is validated here once, not on every call.
     """
     x = as_matrix(x)
     lab_mask = np.asarray(s, dtype=np.int64) == 1
 
-    def objective(model: MLPModel):
+    def objective(model: MLPModel, grad: bool = True):
         _check_width(x, model, "batch")
         fp = forward_pass(model, x, checked=True)
         comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
         value, upstream = comp.surrogate() if surrogate else comp.unbiased()
-        return value, backward(model, fp, upstream)
+        return value, backward(model, fp, upstream) if grad else None
 
     return objective
 
@@ -243,12 +245,14 @@ def evaluate(model: MLPModel, data: LabeledDataset) -> tuple[float, float, float
 
 
 def save_trace(traces, path) -> None:
-    """Persist per-epoch diagnostics as CSV (empty test accuracy allowed)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for t in traces:
-            w.writerow(["" if v is None else v for v in astuple(t)])
+    """Persist per-epoch diagnostics as CSV (empty test accuracy allowed),
+    atomically: ``path`` holds its old bytes or all the new ones."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(TRACE_COLUMNS)
+    for t in traces:
+        w.writerow(["" if v is None else v for v in astuple(t)])
+    _write_atomically(path, buf.getvalue().splitlines(keepends=True))
 
 
 def load_trace(path) -> list[EpochTrace]:

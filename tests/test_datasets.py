@@ -25,6 +25,7 @@ from puerm.datasets import (
 )
 from puerm.errors import DataError, FormatError, ParameterError
 from puerm.numerics import Rng
+from puerm.trainer import EpochTrace, save_trace
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,21 @@ def test_labeled_dataset_rejects_bad_labels():
         LabeledDataset(x=[[0.0], [1.0]], y=[1])
     with pytest.raises(ParameterError):
         LabeledDataset(x=[[0.0], [1.0]], y=[1, -1], pi=1.0)
+
+
+def test_labels_must_be_exactly_plus_or_minus_one():
+    # checked before the int cast, which would turn 1.7 into 1
+    with pytest.raises(DataError, match="y entries must be -1 or \\+1"):
+        LabeledDataset(x=np.zeros((3, 1)), y=[1.7, -1.2, 1])
+    with pytest.raises(DataError, match="s entries"):
+        PUDataset(
+            x=np.zeros((2, 1)), s=[1, -0.5], y_true=None, pi=0.5, scenario=SCENARIO_SS, c=0.5
+        )
+    with pytest.raises(DataError, match="y entries"):
+        LabeledDataset(x=np.zeros((2, 1)), y=[1, np.nan])
+    ds = LabeledDataset(x=np.zeros((3, 1)), y=[1.0, -1.0, 1.0])
+    assert ds.y.dtype == np.int64
+    assert ds.y.tolist() == [1, -1, 1]
 
 
 def test_pu_dataset_consistency_check():
@@ -304,6 +320,18 @@ AWKWARD_FILES = {
     "nan_then_non_numeric": (
         "f0,y\nnan,1\noops,-1\n", "line 3: non-numeric value 'oops' in column f0"
     ),
+    # a line break inside a quoted cell moves the later rows down a line
+    "newline_in_quoted_cell": (
+        'f0,y\n"1.5\n",1\noops,1\n', "line 4: non-numeric value 'oops' in column f0"
+    ),
+    "crlf_in_quoted_cell": (
+        'f0,y\r\n"1.5\r\n",1\r\n-2,-1\r\n-2,0\r\n',
+        "line 5: column y must be -1 or 1, got '0'",
+    ),
+    "cr_in_quoted_cell": ('f0,y\n"1.5\r",1\n-2\n', "line 4: expected 2 cells, got 1"),
+    "two_newlines_in_quoted_cell": (
+        'f0,y\n1,1\n"2\n\n",1\nnan,1\n', "line 6: non-finite value 'nan' in column f0"
+    ),
 }
 
 
@@ -410,6 +438,21 @@ def test_save_csv_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
         save_csv(gaussian_mixture(40, 0.5, rng=Rng(12)), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["d.csv"]
+
+
+def test_save_trace_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    # trace files go through the same atomic writer as save_csv
+    traces = [EpochTrace(e, 0.1, 0.2, 0.3, 0.05, 0.25, 0.5) for e in range(20)]
+    path = tmp_path / "trace.csv"
+    save_trace(traces, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        datasets, "open", lambda *a, **k: _DiskFillsUp(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError):
+        save_trace(traces[:10], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_save_csv_into_a_missing_directory_names_the_target(tmp_path):

@@ -241,7 +241,7 @@ def test_grad_check_accepts_exact_gradients():
     x = rng.normal(2 * 6).reshape(6, 2)
     u = rng.normal(6)
 
-    def objective(model):
+    def objective(model, grad=True):
         fp = forward_pass(model, x)
         return float(np.dot(u, fp.scores)), backward(model, fp, u)
 
@@ -254,7 +254,7 @@ def test_grad_check_flags_tampered_gradients():
     x = rng.normal(2 * 6).reshape(6, 2)
     u = rng.normal(6)
 
-    def objective(model):
+    def objective(model, grad=True):
         value = float(np.dot(u, forward(model, x)))
         grads = backward(model, forward_pass(model, x), u)
         grads.weights[0][0, 0] += 0.5

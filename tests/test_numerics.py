@@ -246,13 +246,45 @@ CRAFTED = {
 @pytest.mark.parametrize("name", CRAFTED)
 def test_sample_without_replacement_crafted_streams(monkeypatch, name):
     u_of, expected = CRAFTED[name]
-    for n, k in [(2, 1), (10, 9), (1000, 600), (1000, 999), (5000, 4999)]:
+    sizes = [(2, 1), (10, 9), (1000, 600), (1000, 999), (5000, 4999)]
+    # where the sort keys' index field b = (k - 1).bit_length() grows
+    sizes += [(2**11, 2**10), (2**11 + 1, 2**10 + 1), (2**12, 2**12 - 1)]
+    for n, k in sizes:
         u = u_of(n, k)
         monkeypatch.setattr(Rng, "uniform", lambda self, count: u[:count])
         got = Rng(0).sample_without_replacement(n, k)
         assert np.array_equal(got, _dense_draw(Rng(0), n, k))
         if expected is not None:
             assert np.array_equal(got, expected(n, k))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 10, 12])
+def test_sample_without_replacement_at_powers_of_two(m):
+    # the sort keys take b = (k - 1).bit_length() low bits, which grows by
+    # one from k = 2**m to 2**m + 1; n = 2**m is the largest n for its width
+    p = 2**m
+    for n in (p, p + 1, p + 2, 2 * p):
+        for k in (p - 1, p, p + 1):
+            if 0 <= k <= n:
+                _assert_same_draw(n, k, 1000 * m + n + k)
+
+
+def test_sample_without_replacement_key_bound(monkeypatch):
+    # the keys (j << b) | i need (n - 1).bit_length() + b <= 63 bits; past
+    # that the draw is refused before any uniform or index array is made
+    def no_draws(self, count):
+        raise AssertionError(f"asked for {count} uniforms")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Rng, "uniform", no_draws)
+        with pytest.raises(ParameterError, match="must be <= 63"):
+            Rng(0).sample_without_replacement(2**40, 2**24 + 1)
+        with pytest.raises(ParameterError, match="must be <= 63"):
+            Rng(0).sample_without_replacement(2**62, 3)
+    # 62 + 1 bits still fit
+    s = Rng(0).sample_without_replacement(2**62, 2)
+    assert s.dtype == np.int64 and len(set(s.tolist())) == 2
+    assert 0 <= s.min() and s.max() < 2**62
 
 
 def test_sample_without_replacement_large_draws_match():

@@ -13,7 +13,7 @@ from puerm.datasets import (
     gaussian_mixture,
 )
 from puerm.errors import FormatError, ParameterError, ShapeError, TrainingError
-from puerm.model import MLPModel, backward, forward, forward_pass, init
+from puerm.model import MLPModel, backward, forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
 from puerm.risk import get_loss, nnpu_risk, risk_components, upu_risk
 from puerm.sampling import ScarConfig, scar_label
@@ -404,6 +404,59 @@ def test_batch_objective_validates_its_batch_once(monkeypatch):
         batch_objective([1.0, 2.0], [1, -1], 0.5, "ss", LOGISTIC, surrogate=False)
     with pytest.raises(ParameterError):
         batch_objective([[np.nan]], [1], 0.5, "ss", LOGISTIC, surrogate=False)
+
+
+def _grad_check_computing_every_gradient(model, objective, h=1e-5):
+    """``grad_check`` as it was when every objective call, the +-h ones
+    included, ran ``backward`` too: the reference for the value-only calls."""
+    _, analytic = objective(model)
+    worst = 0.0
+    for array, grad in zip(model.weights + model.biases, analytic.weights + analytic.biases):
+        flat, gflat = array.ravel(), grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = objective(model)
+            flat[i] = orig - h
+            down, _ = objective(model)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("mode", [SCENARIO_SS, SCENARIO_CC])
+@pytest.mark.parametrize("surrogate", [False, True])
+def test_grad_check_asks_for_one_gradient(monkeypatch, activation, mode, surrogate):
+    from puerm import trainer
+    from puerm.risk import LOGISTIC
+
+    rng = Rng(22)
+    x = rng.normal(12, sd=1.5).reshape(6, 2)
+    s = np.array([1, 1, -1, -1, -1, -1])
+    model = init([2, 8, 8, 1], activation, rng.child(1))
+    obj = batch_objective(x, s, 0.5, mode, LOGISTIC, surrogate)
+    value, _ = obj(model)
+    assert obj(model, grad=False) == (value, None)
+    backward_calls = []
+    real_backward = trainer.backward
+    monkeypatch.setattr(
+        trainer, "backward", lambda *a: backward_calls.append(1) or real_backward(*a)
+    )
+    asked = []
+
+    def counted(m, grad=True):
+        asked.append(grad)
+        return obj(m, grad=grad)
+
+    err = grad_check(model, counted)
+    n_params = sum(p.size for p in model.weights + model.biases)
+    assert asked == [True] + [False] * (2 * n_params)
+    assert len(backward_calls) == 1
+    # the +-h values, and so the error, are the bits the full calls give
+    assert err == _grad_check_computing_every_gradient(model, obj)
 
 
 # ---------------------------------------------------------------------------
