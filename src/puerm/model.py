@@ -4,31 +4,51 @@ The network maps a feature row to a single real score through fully
 connected layers with relu or tanh hidden activations and a linear output.
 ``forward_pass`` validates a batch once (or not at all, for rows already
 validated, with ``checked=True``) and runs it through the network,
-returning a ``ForwardPass`` that holds every layer's pre-activations and
-activations; its ``scores`` are what ``forward`` returns. ``backward``
-consumes that pass instead of recomputing it and returns the exact
-gradient of sum_i upstream_i * g(x_i) with respect to every parameter,
-which is all a loss needs once it supplies d(objective)/d(score) per row.
-So a training step runs the network forward once: ``forward_pass``, the
-loss on ``fp.scores``, then ``backward(model, fp, upstream)``. Both take
-their matrix products with ``np.dot``, which hands each one to BLAS; ``@``
-sends a product with an inner dimension of 1 (one input feature, or the
-(n, 1) output layer) to a loop several times slower, for the same bits.
-``grad_check`` verifies any objective's analytic gradient against central
-finite differences of its value, which it asks for without the gradient.
+returning a ``ForwardPass`` that holds every layer's input; its
+``scores`` are what ``forward`` returns. ``backward`` consumes that pass
+instead of recomputing it and returns the exact gradient of
+sum_i upstream_i * g(x_i) with respect to every parameter, which is all a
+loss needs once it supplies d(objective)/d(score) per row. So a training
+step runs the network forward once: ``forward_pass``, the loss on
+``fp.scores``, then ``backward(model, fp, upstream, out=grads)``. Both
+take their matrix products with ``np.dot``, which hands each one to BLAS;
+``@`` sends a product with an inner dimension of 1 (one input feature, or
+the (n, 1) output layer) to a loop several times slower, for the same
+bits. ``grad_check`` verifies any objective's analytic gradient against
+central finite differences of its value, which it asks for without the
+gradient.
+
+Each hidden activation is written over its fresh pre-activation, and
+``backward`` takes the activation's derivative from the output (relu:
+a > 0; tanh: 1 - a * a), so a pass allocates one array per layer, not
+two. That matters most for the per-epoch test scoring, where each layer
+of a 1,000-row pass is a fresh 256 KB array paid for in page faults.
+
+A model keeps every parameter in one flat float64 vector, ``params``
+(weights, then biases, each C-ordered); ``weights[k]`` and ``biases[k]``
+are views into it, however the model was made. A ``GradientBundle`` has
+the same layout in its own vector ``flat``, so an optimizer steps all the
+parameters with a few whole-vector operations. ``backward`` writes into
+a bundle it is given, which a training run allocates once and reuses
+for every batch; each element gets the same IEEE operations in the same
+order as with fresh arrays, so the results are bit-identical.
 
 Checkpoints are JSON ("mlp-checkpoint-v1"): layer dims, activation name,
-and parameters as nested lists. Python's float repr is shortest-round-trip,
-so a save/load cycle reproduces every parameter bit for bit.
+and parameters as nested lists, written atomically. Python's float repr
+is shortest-round-trip, so a save/load cycle reproduces every parameter
+bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .datasets import _write_atomically
 from .errors import FormatError, ParameterError, ShapeError
 from .numerics import Rng, as_matrix
 
@@ -37,46 +57,88 @@ CHECKPOINT_FORMAT = "mlp-checkpoint-v1"
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``, written over ``z``."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output ``a``: relu's a > 0 holds
+    exactly where z > 0, and tanh's 1 - a * a is 1 - tanh(z)^2 with the same
+    bits as taking tanh of z again."""
     if kind == "relu":
-        return z > 0.0  # a bool mask multiplies exactly like 1.0 / 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return a > 0.0  # a bool mask multiplies exactly like 1.0 / 0.0
+    return 1.0 - a * a
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-ordered views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 @dataclass
 class MLPModel:
-    """Layer sizes plus weight matrices (out x in) and bias vectors."""
+    """Layer sizes plus weight matrices (out x in) and bias vectors.
+
+    Every parameter lives in the one float64 vector ``params``: the weights,
+    then the biases, each C-ordered. ``weights[k]`` and ``biases[k]`` are
+    views into it, so an in-place edit through either side is seen by the
+    other. Construction copies the given arrays into a fresh ``params``.
+    """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = [*self.weights, *self.biases]
+        arrays = [np.asarray(a, dtype=np.float64) for a in given]
+        self.params = np.empty(sum(a.size for a in arrays))
+        views = _views(self.params, [a.shape for a in arrays])
+        for view, a in zip(views, arrays):
+            view[...] = a
+        n = len(self.weights)
+        self.weights, self.biases = views[:n], views[n:]
+
+    def repack(self) -> None:
+        """Copy the parameters into a fresh ``params`` if a ``weights`` or
+        ``biases`` entry is no longer a view of it (it was rebound after
+        construction, or the model was deep-copied or unpickled)."""
+        if any(a.base is not self.params for a in self.weights + self.biases):
+            self.__post_init__()
 
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
     def copy(self) -> "MLPModel":
-        return MLPModel(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-        )
+        return replace(self, layer_dims=list(self.layer_dims))
 
 
 @dataclass
 class GradientBundle:
-    """Gradients with the same shapes as the owning model's parameters."""
+    """Gradients with the same shapes as the owning model's parameters,
+    views of the one vector ``flat``, laid out like ``MLPModel.params``."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    @classmethod
+    def like(cls, model: MLPModel) -> "GradientBundle":
+        """An uninitialised bundle for ``model``'s parameter shapes."""
+        flat = np.empty_like(model.params)
+        views = _views(flat, [a.shape for a in model.weights + model.biases])
+        n = len(model.weights)
+        return cls(flat, views[:n], views[n:])
 
 
 def _check_layer_dims(dims: list[int]) -> None:
@@ -111,12 +173,12 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
 class ForwardPass:
     """One forward pass over a batch, kept for ``backward``.
 
-    ``zs[k]`` is the pre-activation of layer k and ``acts[k]`` its input,
-    so ``acts[0]`` is the validated batch and ``acts[-1]`` the (n, 1)
-    output. ``len()`` is the number of rows.
+    ``acts[k]`` is the input of layer k, so ``acts[0]`` is the validated
+    batch and ``acts[-1]`` the (n, 1) output. Each hidden activation is
+    written over its pre-activation, which is not kept. ``len()`` is the
+    number of rows.
     """
 
-    zs: list[np.ndarray]
     acts: list[np.ndarray]
 
     @property
@@ -129,22 +191,21 @@ class ForwardPass:
 
 
 def forward_pass(model: MLPModel, x, *, checked: bool = False) -> ForwardPass:
-    """Run the network over ``x``, keeping every layer.
+    """Run the network over ``x``, keeping every layer's input.
 
     ``x`` is validated with ``as_matrix`` unless ``checked`` says it is
     already a finite C-ordered float64 matrix of the model's width, such
     as a row slice of a dataset's features.
     """
     a = x if checked else as_matrix(x, cols=model.input_dim)
-    zs, acts = [], [a]
+    acts = [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = np.dot(a, w.T)
         z += b
-        zs.append(z)
         a = z if k == last else _act(z, model.activation)
         acts.append(a)
-    return ForwardPass(zs, acts)
+    return ForwardPass(acts)
 
 
 def forward(model: MLPModel, x) -> np.ndarray:
@@ -152,11 +213,16 @@ def forward(model: MLPModel, x) -> np.ndarray:
     return forward_pass(model, x).scores
 
 
-def backward(model: MLPModel, fp: ForwardPass, upstream) -> GradientBundle:
+def backward(
+    model: MLPModel, fp: ForwardPass, upstream, out: GradientBundle | None = None
+) -> GradientBundle:
     """Exact gradient of sum_i upstream_i * g(x_i) over all parameters.
 
     ``fp`` is ``forward_pass(model, x)`` taken at the model's current
-    parameters; the batch is not run through the network again.
+    parameters; the batch is not run through the network again. Every
+    gradient is written into ``out`` (a ``GradientBundle.like(model)``,
+    which may be reused from call to call) and ``out`` is returned; without
+    it a new bundle is made.
     """
     u = np.asarray(upstream, dtype=np.float64)
     if u.shape != (len(fp),):
@@ -164,17 +230,16 @@ def backward(model: MLPModel, fp: ForwardPass, upstream) -> GradientBundle:
             f"upstream must have one entry per row: expected {(len(fp),)}, "
             f"got {u.shape}"
         )
-    n_layers = len(model.weights)
-    weights = [None] * n_layers
-    biases = [None] * n_layers
+    if out is None:
+        out = GradientBundle.like(model)
     delta = u[:, None]
-    for k in range(n_layers - 1, -1, -1):
-        weights[k] = np.dot(delta.T, fp.acts[k])
-        biases[k] = delta.sum(axis=0)
+    for k in range(len(model.weights) - 1, -1, -1):
+        np.dot(delta.T, fp.acts[k], out=out.weights[k])
+        np.add.reduce(delta, axis=0, out=out.biases[k])
         if k > 0:
             delta = np.dot(delta, model.weights[k])
-            delta *= _act_deriv(fp.zs[k - 1], model.activation)
-    return GradientBundle(weights=weights, biases=biases)
+            delta *= _act_deriv(fp.acts[k], model.activation)
+    return out
 
 
 def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
@@ -189,25 +254,25 @@ def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise ParameterError(f"h must be > 0, got {h}")
+    model.repack()
     _, analytic = objective(model, grad=True)
+    flat, gflat = model.params, analytic.flat
     worst = 0.0
-    for array, grad in zip(model.weights + model.biases, analytic.weights + analytic.biases):
-        flat = array.ravel()
-        gflat = np.asarray(grad, dtype=np.float64).ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = objective(model, grad=False)
-            flat[i] = orig - h
-            down, _ = objective(model, grad=False)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
-            worst = max(worst, err)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up, _ = objective(model, grad=False)
+        flat[i] = orig - h
+        down, _ = objective(model, grad=False)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
+        worst = max(worst, err)
     return worst
 
 
 def save_model(model: MLPModel, path) -> None:
+    """Write a checkpoint atomically: ``path`` holds its old bytes or all the new ones."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "layer_dims": model.layer_dims,
@@ -215,9 +280,8 @@ def save_model(model: MLPModel, path) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    # the chunks json.dump would write, streamed through the atomic writer
+    _write_atomically(path, itertools.chain(json.JSONEncoder().iterencode(doc), ["\n"]))
 
 
 def _float_arrays(path, doc: dict, key: str) -> list[np.ndarray]:

@@ -14,9 +14,10 @@ a batch of n rows split into a labeled part L and an unlabeled part U:
 ``risk_components`` returns the three values together with their per-row
 gradients d(component)/d(g(x_i)); it is the only place that evaluates the
 loss or its derivative during training, with one value call and one
-derivative call per batch, each over the margins (-g, g). The unbiased
-estimator (uPU) is ``r_label + (r_dist - r_corr)`` and may go negative on
-finite samples. The non-negative estimator (nnPU) truncates
+derivative call per batch, each over the margins (-g, g); a caller that
+needs only the values (``grad=False``) makes the value call alone. The
+unbiased estimator (uPU) is ``r_label + (r_dist - r_corr)`` and may go
+negative on finite samples. The non-negative estimator (nnPU) truncates
 ``r_dist - r_corr`` at zero; when that signed part falls too low,
 training descends the surrogate ``r_corr - r_dist`` instead (Kiryo et
 al., NeurIPS 2017, Algorithm 1).
@@ -56,9 +57,15 @@ def loss_logistic(margin):
 
 
 def loss_logistic_derivative(margin):
-    """d/dm log(1 + e^-m) = -1 / (1 + e^m)."""
+    """d/dm log(1 + e^-m) = -1 / (1 + e^m), which is -_sigmoid(-m).
+
+    With e = exp(-|m|), m <= 0 gives -1 / (1 + e) and m > 0 gives
+    -e / (1 + e): ``_sigmoid``'s two quotients with the sign taken into
+    the numerator, which rounds to the same bits in one division.
+    """
     m = np.asarray(margin, dtype=np.float64)
-    out = -_sigmoid(-m)
+    e = np.exp(-np.abs(m))
+    out = np.where(m <= 0, -1.0, -e) / (1.0 + e)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -102,26 +109,30 @@ class RiskComponents:
 
     Each value is nonnegative by construction. Each ``d_*`` array has one
     entry per batch row, in row order, and is zero on the rows its
-    component does not read.
+    component does not read; all three are None when the components were
+    computed without gradients.
     """
 
     r_label: float
     r_dist: float
     r_corr: float
-    d_label: np.ndarray
-    d_dist: np.ndarray
-    d_corr: np.ndarray
+    d_label: np.ndarray | None
+    d_dist: np.ndarray | None
+    d_corr: np.ndarray | None
 
-    def unbiased(self) -> tuple[float, np.ndarray]:
+    def unbiased(self) -> tuple[float, np.ndarray | None]:
         """The uPU objective r_label + (r_dist - r_corr) and its gradient."""
-        return (
-            self.r_label + (self.r_dist - self.r_corr),
-            self.d_label + (self.d_dist - self.d_corr),
-        )
+        value = self.r_label + (self.r_dist - self.r_corr)
+        if self.d_label is None:
+            return value, None
+        return value, self.d_label + (self.d_dist - self.d_corr)
 
-    def surrogate(self) -> tuple[float, np.ndarray]:
+    def surrogate(self) -> tuple[float, np.ndarray | None]:
         """The nnPU surrogate r_corr - r_dist and its gradient."""
-        return self.r_corr - self.r_dist, self.d_corr - self.d_dist
+        value = self.r_corr - self.r_dist
+        if self.d_label is None:
+            return value, None
+        return value, self.d_corr - self.d_dist
 
 
 def _as_scores(values, name: str) -> np.ndarray:
@@ -138,14 +149,16 @@ def _check_pi(pi: float) -> float:
 
 
 def risk_components(
-    g, labeled, pi: float, mode: str, loss: LossSpec = LOGISTIC
+    g, labeled, pi: float, mode: str, loss: LossSpec = LOGISTIC, grad: bool = True
 ) -> RiskComponents:
     """The three components of one batch and their per-row gradients.
 
     ``g`` holds the batch's scores in row order and ``labeled`` is a
     boolean mask of the same length marking the rows of L. An empty
     labeled part yields r_label = r_corr = 0 so a degenerate batch still
-    contributes its distribution term.
+    contributes its distribution term. With ``grad=False`` the gradients
+    are left out (None) and ``loss.derivative`` is not called; the values
+    are the same bits either way.
     """
     pi = _check_pi(pi)
     if mode not in SCENARIOS:
@@ -163,29 +176,36 @@ def risk_components(
     # ufuncs on the same numbers as a call per side, for half the overhead.
     margins = np.concatenate((-g, g))
     values = loss.value(margins)
-    slopes = loss.derivative(margins)
     neg, pos = values[: g.size], values[g.size :]  # l(-g_i), l(g_i)
-    # l'(-g_i), l'(g_i); note d l(-g_i) / d g_i = -l'(-g_i)
-    dneg, dpos = slopes[: g.size], slopes[g.size :]
     # ndarray.sum() / n is np.mean's arithmetic without its call overhead
     sum_neg_l = float(neg[lab].sum())
     sum_neg_u = float(neg[unl].sum())
     if n_l > 0:
-        w = pi / n_l
         r_label = pi * (float(pos[lab].sum()) / n_l)
         r_corr = pi * (sum_neg_l / n_l)
-        d_label = np.where(lab, w * dpos, 0.0)
-        d_corr = np.where(lab, -(w * dneg), 0.0)
     else:
         r_label = r_corr = 0.0
-        d_label, d_corr = np.zeros_like(g), np.zeros_like(g)
     if mode == SCENARIO_CC:
         r_dist = sum_neg_u / n_u if n_u > 0 else 0.0
-        d_dist = np.where(unl, -dneg / n_u, 0.0) if n_u > 0 else np.zeros_like(g)
     else:
         n = n_l + n_u
         r_dist = (sum_neg_l + sum_neg_u) / n if n > 0 else 0.0
-        d_dist = -dneg / n
+    if not grad:
+        return RiskComponents(r_label, r_dist, r_corr, None, None, None)
+
+    slopes = loss.derivative(margins)
+    # l'(-g_i), l'(g_i); note d l(-g_i) / d g_i = -l'(-g_i)
+    dneg, dpos = slopes[: g.size], slopes[g.size :]
+    if n_l > 0:
+        w = pi / n_l
+        d_label = np.where(lab, w * dpos, 0.0)
+        d_corr = np.where(lab, -(w * dneg), 0.0)
+    else:
+        d_label, d_corr = np.zeros_like(g), np.zeros_like(g)
+    if mode == SCENARIO_CC:
+        d_dist = np.where(unl, -dneg / n_u, 0.0) if n_u > 0 else np.zeros_like(g)
+    else:
+        d_dist = -dneg / (n_l + n_u)
     return RiskComponents(r_label, r_dist, r_corr, d_label, d_dist, d_corr)
 
 

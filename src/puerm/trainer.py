@@ -13,10 +13,11 @@ methods watch the signed part: while r_dist - r_corr > -beta they descend
 the unbiased combination; once it falls to -beta or below they instead
 descend the surrogate r_corr - r_dist with the discounted step gamma*eta,
 which pushes the overfitted negative part back up. Defaults are beta=0
-and gamma=1. The step is plain SGD, done in place on the fresh gradient
-arrays ``backward`` returns, or adaptive moments with
-``optimizer="adam-style"``; both walk the weights, then the biases, as one
-parameter list.
+and gamma=1. A run allocates one ``GradientBundle`` and ``backward``
+writes every batch's gradient into it. The step works on whole vectors:
+plain SGD scales that buffer in place and subtracts it from the model's
+flat ``params``, and ``optimizer="adam-style"`` keeps its adaptive moments
+as two more vectors of the same layout. Per-epoch sums are Python floats.
 
 Per-epoch traces (``EpochTrace``, one trace-file row each; the file's
 columns are its field names) record the mean components, the mean
@@ -38,7 +39,7 @@ import numpy as np
 from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _write_atomically
 from .errors import FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
-from .model import MLPModel, backward, forward, forward_pass
+from .model import GradientBundle, MLPModel, backward, forward, forward_pass
 from .numerics import Rng, as_matrix, check_field_types
 from .risk import get_loss, nnpu_risk, risk_components
 
@@ -110,27 +111,27 @@ class _Adam:
     def __init__(self, model: MLPModel, b1=0.9, b2=0.999, eps=1e-8):
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in model.weights + model.biases]
-        self.v = [np.zeros_like(p) for p in model.weights + model.biases]
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
 
-    def step(self, model: MLPModel, grads, lr: float) -> None:
+    def step(self, model: MLPModel, grads: GradientBundle, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        params = zip(model.weights + model.biases, grads.weights + grads.biases)
-        for (p, g), m, v in zip(params, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v = grads.flat, self.m, self.v
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * g * g
+        model.params -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _sgd_step(model: MLPModel, grads, lr: float) -> None:
-    """p -= lr * g in place; scales the fresh arrays ``backward`` returned."""
-    for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
-        g *= lr
-        p -= g
+def _sgd_step(model: MLPModel, grads: GradientBundle, lr: float) -> None:
+    """params -= lr * g in place; scales the gradient buffer, which the
+    next ``backward`` overwrites."""
+    g = grads.flat
+    g *= lr
+    model.params -= g
 
 
 def _check_width(x: np.ndarray, model: MLPModel, what: str) -> None:
@@ -144,12 +145,13 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     """Objective factory for one batch and one branch of the update rule.
 
     Returns a callable ``objective(model, grad=True)`` giving (value,
-    GradientBundle), or (value, None) without running ``backward`` when
-    ``grad`` is False. The value is the quantity the branch actually
-    descends: the unbiased objective r_label + r_dist - r_corr when
-    ``surrogate`` is False, the surrogate r_corr - r_dist when True. Used
-    by finite-difference gradient verification (``grad_check``) and by the
-    self-check command. ``x`` is validated here once, not on every call.
+    GradientBundle), or (value, None) without the per-row risk gradients
+    or ``backward`` when ``grad`` is False. The value is the quantity the
+    branch actually descends: the unbiased objective r_label + r_dist -
+    r_corr when ``surrogate`` is False, the surrogate r_corr - r_dist when
+    True. Used by finite-difference gradient verification (``grad_check``)
+    and by the self-check command. ``x`` is validated here once, not on
+    every call.
     """
     x = as_matrix(x)
     lab_mask = np.asarray(s, dtype=np.int64) == 1
@@ -157,7 +159,7 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     def objective(model: MLPModel, grad: bool = True):
         _check_width(x, model, "batch")
         fp = forward_pass(model, x, checked=True)
-        comp = risk_components(fp.scores, lab_mask, pi, mode, loss)
+        comp = risk_components(fp.scores, lab_mask, pi, mode, loss, grad)
         value, upstream = comp.surrogate() if surrogate else comp.unbiased()
         return value, backward(model, fp, upstream) if grad else None
 
@@ -171,6 +173,10 @@ def train(
     test: LabeledDataset | None = None,
 ) -> tuple[MLPModel, list[EpochTrace]]:
     """Run the minibatch loop; mutates ``model`` in place and returns it.
+
+    A ``weights`` or ``biases`` entry rebound since the model was built is
+    first copied into ``params`` (``MLPModel.repack``), so the run never
+    steps a vector the layers no longer read.
 
     Raises TrainingError naming the epoch and batch if the objective goes
     non-finite (divergence is reported, never clamped).
@@ -187,7 +193,9 @@ def train(
     mode = cfg.mode
     pi = dataset.pi
     rng = Rng(cfg.seed)
+    model.repack()
     opt = _Adam(model) if cfg.optimizer == "adam-style" else None
+    grads = GradientBundle.like(model)
     traces: list[EpochTrace] = []
     n_batches = math.ceil(n / cfg.batch_size)
 
@@ -196,7 +204,7 @@ def train(
         # gather the epoch's rows once; each batch is a view of a slice
         x_epoch = dataset.x[perm]
         lab_epoch = dataset.s[perm] == 1
-        sums = np.zeros(4)
+        sum_label = sum_dist = sum_corr = sum_objective = 0.0
         truncated_batches = 0
         for b in range(n_batches):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
@@ -207,14 +215,17 @@ def train(
             surrogate = cfg.is_nnpu and truncated
             value, upstream = comp.surrogate() if surrogate else comp.unbiased()
             objective = nn_value if cfg.is_nnpu else value
-            if not np.isfinite(objective):
+            if not math.isfinite(objective):
                 raise TrainingError(
                     f"non-finite objective at epoch {epoch}, batch {b} "
                     f"(method {cfg.method}, eta {cfg.eta})"
                 )
             truncated_batches += truncated
-            sums += (comp.r_label, comp.r_dist, comp.r_corr, objective)
-            grads = backward(model, fp, upstream)
+            sum_label += comp.r_label
+            sum_dist += comp.r_dist
+            sum_corr += comp.r_corr
+            sum_objective += objective
+            backward(model, fp, upstream, out=grads)
             step = cfg.gamma * cfg.eta if surrogate else cfg.eta
             if opt is None:
                 _sgd_step(model, grads, step)
@@ -225,7 +236,7 @@ def train(
             # LabeledDataset validated test.x, and its width is checked above
             preds = classify_scores(forward_pass(model, test.x, checked=True).scores)
             test_acc = float(np.mean(preds == test.y))
-        means = (sums / n_batches).tolist()
+        means = (s / n_batches for s in (sum_label, sum_dist, sum_corr, sum_objective))
         traces.append(EpochTrace(epoch, *means, truncated_batches / n_batches, test_acc))
     return model, traces
 

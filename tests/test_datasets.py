@@ -24,6 +24,7 @@ from puerm.datasets import (
     train_test_split,
 )
 from puerm.errors import DataError, FormatError, ParameterError
+from puerm.model import init, save_model
 from puerm.numerics import Rng
 from puerm.trainer import EpochTrace, save_trace
 
@@ -453,6 +454,20 @@ def test_save_trace_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
         save_trace(traces[:10], path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_save_model_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    # checkpoints go through the same atomic writer as save_csv
+    path = tmp_path / "model.json"
+    save_model(init([1, 4, 1], "tanh", Rng(15)), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        datasets, "open", lambda *a, **k: _DiskFillsUp(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError):
+        save_model(init([1, 4, 1], "tanh", Rng(16)), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
 
 
 def test_save_csv_into_a_missing_directory_names_the_target(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the feed-forward scorer: init, forward, exact gradients, IO."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from puerm.errors import FormatError, ParameterError, ShapeError
 from puerm.model import (
+    GradientBundle,
     MLPModel,
     backward,
     forward,
@@ -167,12 +170,15 @@ def test_pass_and_gradients_match_matmul_reference_bit_for_bit(dim, rows, activa
         b += rng.child(1).normal(b.size, sd=0.1)
     x = rng.child(2).normal(rows * dim, sd=2.0).reshape(rows, dim)
     u = rng.child(3).normal(rows)
-    zs, acts, gw, gb = _matmul_reference(m, x, u)
+    _, acts, gw, gb = _matmul_reference(m, x, u)
     fp = forward_pass(m, x)
     grads = backward(m, fp, u)
     assert _same_bits(fp.scores, acts[-1][:, 0])
     assert _same_bits(forward(m, x), acts[-1][:, 0])
-    for got, want in zip(fp.zs + fp.acts, zs + acts):
+    # the reference takes each activation's derivative from its
+    # pre-activation; the pass keeps only the layer inputs
+    assert len(fp.acts) == len(acts)
+    for got, want in zip(fp.acts, acts):
         assert _same_bits(got, want)
     for got, want in zip(grads.weights + grads.biases, gw + gb):
         assert _same_bits(got, want)
@@ -210,7 +216,7 @@ def test_backward_matches_central_differences(activation, tol):
     if activation == "relu":
         # keep pre-activations away from the kink so the finite
         # difference is a valid probe of the analytic piece
-        zs = forward_pass(m, x).zs
+        zs = _matmul_reference(m, x, u)[0]
         assert min(np.min(np.abs(z)) for z in zs[:-1]) > 1e-3
 
     analytic = backward(m, forward_pass(m, x), u)
@@ -400,3 +406,128 @@ def test_checkpoint_rejects_mistyped_documents(tmp_path, tamper):
     path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
     with pytest.raises(FormatError, match="model.json"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector
+
+
+def _built_models(tmp_path):
+    """The same two-layer model made each way a model can be made."""
+    base = init([2, 3, 1], "tanh", Rng(13))
+    path = tmp_path / "model.json"
+    save_model(base, path)
+    ints = MLPModel(
+        layer_dims=[2, 3, 1],
+        weights=[np.arange(6).reshape(3, 2), np.array([[1, -2, 3]])],
+        biases=[np.array([0, 1, 2]), np.array([-1])],
+        activation="relu",
+    )
+    fortran = MLPModel(
+        layer_dims=[2, 3, 1],
+        weights=[np.asfortranarray(w) for w in base.weights],
+        biases=list(base.biases),
+        activation="tanh",
+    )
+    return {
+        "init": base,
+        "load_model": load_model(path),
+        "copy": base.copy(),
+        "replace": dataclasses.replace(base),
+        "ints": ints,
+        "fortran": fortran,
+    }
+
+
+@pytest.mark.parametrize(
+    "how", ["init", "load_model", "copy", "replace", "ints", "fortran"]
+)
+def test_layers_are_views_of_the_flat_vector(tmp_path, how):
+    m = _built_models(tmp_path)[how]
+    arrays = m.weights + m.biases
+    assert m.params.dtype == np.float64 and m.params.flags.c_contiguous
+    # weights, then biases, each C-ordered
+    assert _same_bits(m.params, np.concatenate([a.ravel() for a in arrays]))
+    offset = 0
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.base is m.params
+        assert np.shares_memory(a, m.params[offset : offset + a.size])
+        offset += a.size
+    assert offset == m.params.size
+    # an edit through either side is seen by the other
+    m.weights[0][1, 0] = 7.5
+    m.biases[-1] += 0.25
+    assert m.params[2] == 7.5
+    assert m.params[-1] == m.biases[-1][0]
+    m.params[0] = -3.0
+    m.params[-2] = 4.0
+    assert m.weights[0][0, 0] == -3.0
+    assert m.biases[0][-1] == 4.0
+
+
+def test_copies_do_not_share_the_vector(tmp_path):
+    models = _built_models(tmp_path)
+    base = models["init"]
+    for how in ("copy", "replace", "load_model", "fortran"):
+        assert not np.shares_memory(models[how].params, base.params), how
+        assert _same_bits(models[how].params, base.params), how
+
+
+def _reuse_batches(rng, sizes):
+    m = init([2, 16, 16, 1], "relu", rng.child(0))
+    for b in m.biases:
+        b += rng.child(1).normal(b.size, sd=0.1)
+    batches = []
+    for k, rows in enumerate(sizes):
+        x = rng.child(10 + k).normal(2 * rows).reshape(rows, 2)
+        batches.append((forward_pass(m, x), rng.child(20 + k).normal(rows)))
+    return m, batches
+
+
+def test_backward_into_a_reused_buffer_matches_fresh_arrays():
+    # three batches, the last one short, all written into one buffer
+    m, batches = _reuse_batches(Rng(14), [30, 30, 7])
+    buf = GradientBundle.like(m)
+    buf.flat[:] = np.nan  # every element must be written
+    for fp, u in batches:
+        out = backward(m, fp, u, out=buf)
+        assert out is buf
+        fresh = backward(m, fp, u)
+        assert _same_bits(buf.flat, fresh.flat)
+        for got, want in zip(buf.weights + buf.biases, fresh.weights + fresh.biases):
+            assert got.base is buf.flat
+            assert _same_bits(got, want)
+
+
+def test_training_repacks_a_rebound_layer():
+    # a list entry rebound after construction is no view of params; a run
+    # must train the values the layers read, not the old vector
+    from puerm.datasets import gaussian_mixture
+    from puerm.sampling import ScarConfig, scar_label
+    from puerm.trainer import TrainerConfig, train
+
+    pool = gaussian_mixture(400, 0.5, rng=Rng(15))
+    data = scar_label(pool, ScarConfig(c=0.5, n=100), Rng(16))
+    cfg = TrainerConfig(epochs=2, batch_size=25, seed=17)
+    rebound = init([1, 4, 1], "tanh", Rng(18))
+    new_first = np.full((4, 1), 0.3)
+    rebound.weights[0] = new_first
+    fresh = MLPModel([1, 4, 1], [new_first, rebound.weights[1]], rebound.biases, "tanh")
+    deep = copy.deepcopy(fresh)  # its arrays are copies, no views of its params
+    for m in (rebound, fresh, deep):
+        train(data, cfg, m)
+        assert all(a.base is m.params for a in m.weights + m.biases)
+    assert _same_bits(rebound.params, fresh.params)
+    assert _same_bits(deep.params, fresh.params)
+    assert not np.array_equal(fresh.weights[0], new_first)
+    # grad_check perturbs params too, so it repacks the same way
+    stale = init([1, 4, 1], "tanh", Rng(19))
+    stale.biases[0] = np.full(4, 0.1)
+    x, u = np.linspace(-1.0, 1.0, 5)[:, None], np.arange(5.0) - 1.0
+
+    def objective(model, grad=True):
+        fp = forward_pass(model, x)
+        return float(np.dot(u, fp.scores)), backward(model, fp, u) if grad else None
+
+    assert grad_check(stale, objective) < 1e-6

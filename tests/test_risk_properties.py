@@ -6,8 +6,10 @@ checked against central finite differences of the components, in both
 modes and for both losses, and the single-sample uPU value is checked
 against the regrouped closed form. The one value and one derivative
 call that ``risk_components`` makes per batch are checked bit for bit
-against one call per argument. The mask-free ``_sigmoid`` is checked
-bit for bit against the two-branch masked form on any float input.
+against one call per argument, and so are the values it gives without
+gradients. The mask-free ``_sigmoid`` is checked
+bit for bit against the two-branch masked form on any float input, and
+so is the logistic derivative against the negated form.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from puerm.risk import (
     SIGMOID,
     _sigmoid,
     empirical_risk_ss_regrouped,
+    loss_logistic_derivative,
     risk_components,
     upu_risk,
 )
@@ -121,6 +124,18 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit(values):
         assert _same_bits(scalar, _sigmoid_two_branch(v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(ANY_FLOAT, max_size=40))
+@example(values=SIGMOID_EDGES)
+def test_logistic_derivative_is_the_negated_sigmoid_bit_for_bit(values):
+    m = np.array(values, dtype=np.float64)
+    assert _same_bits(loss_logistic_derivative(m), -_sigmoid_two_branch(-m))
+    for v in values:
+        scalar = loss_logistic_derivative(v)
+        assert isinstance(scalar, float)
+        assert _same_bits(scalar, -_sigmoid_two_branch(-v))
+
+
 COMPONENT_FIELDS = ("r_label", "r_dist", "r_corr", "d_label", "d_dist", "d_corr")
 
 
@@ -179,3 +194,10 @@ def test_one_call_per_side_matches_separate_calls_bit_for_bit(batch, mode, loss)
     want = _components_from_separate_calls(g, labeled, pi, mode, loss)
     for name, expected in zip(COMPONENT_FIELDS, want):
         assert _same_bits(getattr(comp, name), expected), name
+    # without gradients: the same value bits, and no gradient arrays
+    values = risk_components(g, labeled, pi, mode, loss, grad=False)
+    for name, expected in zip(COMPONENT_FIELDS[:3], want):
+        assert _same_bits(getattr(values, name), expected), name
+    assert (values.d_label, values.d_dist, values.d_corr) == (None, None, None)
+    assert values.unbiased() == (comp.unbiased()[0], None)
+    assert values.surrogate() == (comp.surrogate()[0], None)

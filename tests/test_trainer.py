@@ -15,7 +15,7 @@ from puerm.datasets import (
 from puerm.errors import FormatError, ParameterError, ShapeError, TrainingError
 from puerm.model import MLPModel, backward, forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
-from puerm.risk import get_loss, nnpu_risk, risk_components, upu_risk
+from puerm.risk import LOGISTIC, LossSpec, get_loss, nnpu_risk, risk_components, upu_risk
 from puerm.sampling import ScarConfig, scar_label
 from puerm.trainer import (
     METHODS,
@@ -23,7 +23,6 @@ from puerm.trainer import (
     TRACE_COLUMNS,
     EpochTrace,
     TrainerConfig,
-    _Adam,
     batch_objective,
     classify_scores,
     evaluate,
@@ -290,13 +289,37 @@ def test_divergence_raises_naming_epoch_and_batch():
     assert "batch 0" in str(err.value)
 
 
+class _PerArrayAdam:
+    """Adaptive moments stepped one parameter array at a time: the reference
+    for ``train``'s adam-style step on the flat parameter vector."""
+
+    def __init__(self, model, b1=0.9, b2=0.999, eps=1e-8):
+        self.b1, self.b2, self.eps = b1, b2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in model.weights + model.biases]
+        self.v = [np.zeros_like(p) for p in model.weights + model.biases]
+
+    def step(self, model, grads, lr):
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        params = zip(model.weights + model.biases, grads.weights + grads.biases)
+        for (p, g), m, v in zip(params, self.m, self.v):
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
 def _two_pass_train(dataset, cfg, model):
     """``train``'s update rule with each batch gathered by its own index,
     run forward twice (once by ``forward`` for the risk, once more by
-    ``forward_pass`` for ``backward``) and, for sgd, stepped out of place."""
+    ``forward_pass`` for ``backward``), fresh gradient arrays every batch,
+    per-array steps (out of place for sgd) and numpy epoch sums."""
     loss = get_loss(cfg.loss)
     rng = Rng(cfg.seed)
-    opt = _Adam(model) if cfg.optimizer == "adam-style" else None
+    opt = _PerArrayAdam(model) if cfg.optimizer == "adam-style" else None
     n_batches = math.ceil(dataset.n / cfg.batch_size)
     traces = []
     for epoch in range(cfg.epochs):
@@ -329,18 +352,18 @@ def _two_pass_train(dataset, cfg, model):
     return model, traces
 
 
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
-@pytest.mark.parametrize("method", METHODS)
-def test_single_pass_training_matches_two_pass_reference(method, optimizer):
+def _check_single_pass_matches_two_pass(method, optimizer, activation, loss):
     pool = gaussian_mixture(800, 0.5, rng=Rng(30))
     data = scar_label(pool, ScarConfig(c=0.3, n=200), Rng(31))
     eta = 0.1 if optimizer == "sgd" else 0.01
+    if loss == "sigmoid":
+        eta *= 10  # its flatter slopes reach the nnPU branch only with this step
     # 200 rows in batches of 30 leave a short last batch of 20
     cfg = TrainerConfig(
         method=method, gamma=0.5, eta=eta, epochs=3, batch_size=30,
-        optimizer=optimizer, seed=33,
+        optimizer=optimizer, seed=33, loss=loss,
     )
-    model = init([1, 8, 8, 1], "relu", Rng(32))
+    model = init([1, 8, 8, 1], activation, Rng(32))
     reference, ref_traces = _two_pass_train(data, cfg, model.copy())
     trained, traces = train(data, cfg, model)
     if cfg.is_nnpu:
@@ -349,6 +372,25 @@ def test_single_pass_training_matches_two_pass_reference(method, optimizer):
     ref_params = reference.weights + reference.biases
     assert all(np.array_equal(p, q) for p, q in zip(params, ref_params))
     assert traces == ref_traces
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("method", METHODS)
+def test_single_pass_training_matches_two_pass_reference(method, optimizer):
+    _check_single_pass_matches_two_pass(method, optimizer, "relu", "logistic")
+
+
+# the grid trains relu with the logistic loss; these are the arithmetic
+# paths it never runs
+@pytest.mark.parametrize(
+    "activation,loss", [("tanh", "logistic"), ("relu", "sigmoid"), ("tanh", "sigmoid")]
+)
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("method", METHODS)
+def test_single_pass_training_matches_two_pass_reference_other_arithmetic(
+    method, optimizer, activation, loss
+):
+    _check_single_pass_matches_two_pass(method, optimizer, activation, loss)
 
 
 def test_adam_style_optimizer_runs_and_differs_from_sgd():
@@ -404,6 +446,51 @@ def test_batch_objective_validates_its_batch_once(monkeypatch):
         batch_objective([1.0, 2.0], [1, -1], 0.5, "ss", LOGISTIC, surrogate=False)
     with pytest.raises(ParameterError):
         batch_objective([[np.nan]], [1], 0.5, "ss", LOGISTIC, surrogate=False)
+
+
+def _counting_loss(spec, counts):
+    """``spec`` with its value and derivative calls counted in ``counts``."""
+
+    def value(margin):
+        counts["value"] += 1
+        return spec.value(margin)
+
+    def derivative(margin):
+        counts["derivative"] += 1
+        return spec.derivative(margin)
+
+    return LossSpec(spec.kind, value, derivative)
+
+
+@pytest.mark.parametrize("mode", [SCENARIO_SS, SCENARIO_CC])
+@pytest.mark.parametrize("surrogate", [False, True])
+def test_value_only_objective_makes_no_derivative_call(mode, surrogate):
+    data = _small_ss_dataset(n=40, seed=23)
+    model = init([1, 4, 1], "tanh", Rng(24))
+    counts = {"value": 0, "derivative": 0}
+    obj = batch_objective(
+        data.x, data.s, data.pi, mode, _counting_loss(LOGISTIC, counts), surrogate
+    )
+    value, grads = obj(model, grad=False)
+    assert grads is None
+    assert counts == {"value": 1, "derivative": 0}
+    full_value, grads = obj(model, grad=True)
+    assert grads is not None
+    assert counts == {"value": 2, "derivative": 1}
+    assert full_value == value
+
+
+@pytest.mark.parametrize("loss", ["logistic", "sigmoid"])
+def test_training_makes_one_value_and_one_derivative_call_per_batch(monkeypatch, loss):
+    from puerm import risk
+
+    counts = {"value": 0, "derivative": 0}
+    monkeypatch.setitem(risk.LOSSES, loss, _counting_loss(risk.LOSSES[loss], counts))
+    data = _small_ss_dataset(n=110, seed=25)
+    cfg = TrainerConfig(epochs=3, batch_size=25, seed=26, loss=loss)
+    train(data, cfg, init([1, 4, 1], "relu", Rng(27)))
+    batches = 3 * 5  # 110 rows in batches of 25, the last one short
+    assert counts == {"value": batches, "derivative": batches}
 
 
 def _grad_check_computing_every_gradient(model, objective, h=1e-5):
