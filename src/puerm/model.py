@@ -82,30 +82,44 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class MLPModel:
     """Layer sizes plus weight matrices (out x in) and bias vectors.
 
     Every parameter lives in the one float64 vector ``params``: the weights,
     then the biases, each C-ordered. ``weights[k]`` and ``biases[k]`` are
     views into it, so an in-place edit through either side is seen by the
-    other. Construction copies the given arrays into a fresh ``params``.
+    other. Construction checks the arrays against ``layer_dims`` (ShapeError
+    on a mismatch) and copies them into a fresh ``params``. Models compare
+    by identity: ``==`` on two models is ``is``.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        dims, n = self.layer_dims, len(self.weights)
+        if not n == len(self.biases) == len(dims) - 1:
+            raise ShapeError(
+                f"{len(dims)} layer sizes need {len(dims) - 1} weight matrices "
+                f"and bias vectors, got {n} and {len(self.biases)}"
+            )
         given = [*self.weights, *self.biases]
         arrays = [np.asarray(a, dtype=np.float64) for a in given]
+        for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            w, b = arrays[k].shape, arrays[n + k].shape
+            if w != (fan_out, fan_in) or b != (fan_out,):
+                raise ShapeError(
+                    f"layer {k} of layer_dims {dims} needs weights "
+                    f"{(fan_out, fan_in)} and biases {(fan_out,)}, got {w} and {b}"
+                )
         self.params = np.empty(sum(a.size for a in arrays))
         views = _views(self.params, [a.shape for a in arrays])
         for view, a in zip(views, arrays):
             view[...] = a
-        n = len(self.weights)
         self.weights, self.biases = views[:n], views[n:]
 
     def repack(self) -> None:
@@ -123,10 +137,11 @@ class MLPModel:
         return replace(self, layer_dims=list(self.layer_dims))
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientBundle:
     """Gradients with the same shapes as the owning model's parameters,
-    views of the one vector ``flat``, laid out like ``MLPModel.params``."""
+    views of the one vector ``flat``, laid out like ``MLPModel.params``.
+    Bundles compare by identity."""
 
     flat: np.ndarray
     weights: list[np.ndarray]
@@ -329,16 +344,12 @@ def load_model(path) -> MLPModel:
         raise FormatError(f"{path}: unknown activation {doc['activation']!r}")
     weights = _float_arrays(path, doc, "weights")
     biases = _float_arrays(path, doc, "biases")
-    if not len(weights) == len(biases) == len(dims) - 1:
-        raise FormatError(
-            f"{path}: {len(dims)} layer sizes need {len(dims) - 1} weight matrices "
-            f"and bias vectors, got {len(weights)} and {len(biases)}"
+    try:
+        model = MLPModel(
+            layer_dims=dims, weights=weights, biases=biases, activation=doc["activation"]
         )
-    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if weights[k].shape != (fan_out, fan_in) or biases[k].shape != (fan_out,):
-            raise FormatError(f"{path}: parameter shapes do not match layer_dims")
-    if not all(np.all(np.isfinite(p)) for p in weights + biases):
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not np.isfinite(model.params).all():
         raise FormatError(f"{path}: parameters must be finite")
-    return MLPModel(
-        layer_dims=dims, weights=weights, biases=biases, activation=doc["activation"]
-    )
+    return model

@@ -11,7 +11,10 @@ byte-for-byte across platforms:
   ``(word >> 11) * 2**-53`` conversion (numpy's ``Generator.random``),
 * normals are produced by the Box-Muller transform applied to those
   uniforms (never by numpy's ziggurat, whose stream is not pinned),
-* permutations are the argsort of a block of uniforms,
+* permutations are the stable argsort of a block of uniforms. Distinct
+  uniforms have one sorted order, which numpy's faster unstable argsort
+  finds too, so the sort is redone stably only on a tie (two equal
+  neighbours in sorted order),
 * subset draws return the same indices as the first k steps of a
   Fisher-Yates shuffle, computed with vectorised numpy work: one sort of
   packed (swap target, step) keys and pointer doubling, no O(n) array.
@@ -139,8 +142,17 @@ class Rng:
         return self.uniform(n) < p
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform permutation of range(n), as the argsort of n uniforms."""
-        return np.argsort(self.uniform(n), kind="stable")
+        """Uniform permutation of range(n), as the stable argsort of n uniforms.
+
+        Distinct uniforms have one sorted order, which any sort finds, so
+        the stable sort runs only when a tie needs it.
+        """
+        u = self.uniform(n)
+        order = u.argsort()
+        s = u[order]
+        if (s[1:] == s[:-1]).any():
+            order = u.argsort(kind="stable")
+        return order
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct indices drawn uniformly from range(n).

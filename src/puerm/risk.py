@@ -177,11 +177,12 @@ def risk_components(
     margins = np.concatenate((-g, g))
     values = loss.value(margins)
     neg, pos = values[: g.size], values[g.size :]  # l(-g_i), l(g_i)
-    # ndarray.sum() / n is np.mean's arithmetic without its call overhead
-    sum_neg_l = float(neg[lab].sum())
-    sum_neg_u = float(neg[unl].sum())
+    # np.add.reduce / n is np.mean's arithmetic (the reduction behind
+    # ndarray.sum) without either method's Python wrapper
+    sum_neg_l = float(np.add.reduce(neg[lab]))
+    sum_neg_u = float(np.add.reduce(neg[unl]))
     if n_l > 0:
-        r_label = pi * (float(pos[lab].sum()) / n_l)
+        r_label = pi * (float(np.add.reduce(pos[lab])) / n_l)
         r_corr = pi * (sum_neg_l / n_l)
     else:
         r_label = r_corr = 0.0

@@ -32,7 +32,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -103,6 +104,7 @@ class EpochTrace:
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(EpochTrace))
+_trace_row = attrgetter(*TRACE_COLUMNS)
 
 
 class _Adam:
@@ -192,29 +194,32 @@ def train(
     loss = get_loss(cfg.loss)
     mode = cfg.mode
     pi = dataset.pi
+    is_nnpu, beta = cfg.is_nnpu, cfg.beta
+    eta, surrogate_eta = cfg.eta, cfg.gamma * cfg.eta
     rng = Rng(cfg.seed)
     model.repack()
-    opt = _Adam(model) if cfg.optimizer == "adam-style" else None
+    step = _sgd_step if cfg.optimizer == "sgd" else _Adam(model).step
     grads = GradientBundle.like(model)
     traces: list[EpochTrace] = []
-    n_batches = math.ceil(n / cfg.batch_size)
+    batches = [slice(i, i + cfg.batch_size) for i in range(0, n, cfg.batch_size)]
+    n_batches = len(batches)
+    labeled = dataset.s == 1
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         # gather the epoch's rows once; each batch is a view of a slice
         x_epoch = dataset.x[perm]
-        lab_epoch = dataset.s[perm] == 1
+        lab_epoch = labeled[perm]
         sum_label = sum_dist = sum_corr = sum_objective = 0.0
         truncated_batches = 0
-        for b in range(n_batches):
-            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+        for b, rows in enumerate(batches):
             # PUDataset validated x, so its rows need no second scan
             fp = forward_pass(model, x_epoch[rows], checked=True)
             comp = risk_components(fp.scores, lab_epoch[rows], pi, mode, loss)
-            nn_value, truncated = nnpu_risk(comp, cfg.beta)
-            surrogate = cfg.is_nnpu and truncated
+            nn_value, truncated = nnpu_risk(comp, beta)
+            surrogate = is_nnpu and truncated
             value, upstream = comp.surrogate() if surrogate else comp.unbiased()
-            objective = nn_value if cfg.is_nnpu else value
+            objective = nn_value if is_nnpu else value
             if not math.isfinite(objective):
                 raise TrainingError(
                     f"non-finite objective at epoch {epoch}, batch {b} "
@@ -226,27 +231,24 @@ def train(
             sum_corr += comp.r_corr
             sum_objective += objective
             backward(model, fp, upstream, out=grads)
-            step = cfg.gamma * cfg.eta if surrogate else cfg.eta
-            if opt is None:
-                _sgd_step(model, grads, step)
-            else:
-                opt.step(model, grads, step)
+            step(model, grads, surrogate_eta if surrogate else eta)
         test_acc = None
         if test is not None:
             # LabeledDataset validated test.x, and its width is checked above
             preds = classify_scores(forward_pass(model, test.x, checked=True).scores)
-            test_acc = float(np.mean(preds == test.y))
+            test_acc = np.count_nonzero(preds == test.y) / test.n
         means = (s / n_batches for s in (sum_label, sum_dist, sum_corr, sum_objective))
         traces.append(EpochTrace(epoch, *means, truncated_batches / n_batches, test_acc))
     return model, traces
 
 
 def classify_scores(g_values) -> np.ndarray:
-    """Hard labels from scores: +1 where g >= 0, else -1."""
+    """Hard labels from scores: +1 where g >= 0, else -1, in numpy's
+    default integer type (int64, except on Windows under numpy 1.x)."""
     g = np.asarray(g_values, dtype=np.float64)
-    if g.size and not np.all(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ParameterError("scores must be finite")
-    return np.where(g >= 0, 1, -1).astype(np.int64)
+    return np.where(g >= 0, 1, -1)
 
 
 def evaluate(model: MLPModel, data: LabeledDataset) -> tuple[float, float, float, float]:
@@ -261,8 +263,7 @@ def save_trace(traces, path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TRACE_COLUMNS)
-    for t in traces:
-        w.writerow(["" if v is None else v for v in astuple(t)])
+    w.writerows(map(_trace_row, traces))  # csv writes None as an empty cell
     _write_atomically(path, buf.getvalue().splitlines(keepends=True))
 
 

@@ -74,6 +74,31 @@ def test_init_validation():
         init([3, 4, 1], "gelu", Rng(0))
 
 
+@pytest.mark.parametrize(
+    "weights,biases",
+    [
+        # each weight matrix transposed
+        ([np.zeros((3, 1)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)]),
+        # a bias of the wrong rank
+        ([np.zeros((4, 1)), np.zeros((1, 4))], [np.zeros(4), np.zeros((1, 1))]),
+        # a layer too few, and weights without their biases
+        ([np.zeros((4, 1))], [np.zeros(4)]),
+        ([np.zeros((4, 1)), np.zeros((1, 4))], [np.zeros(4)]),
+    ],
+)
+def test_construction_checks_arrays_against_layer_dims(weights, biases):
+    with pytest.raises(ShapeError):
+        MLPModel([1, 4, 1], weights, biases, "tanh")
+
+
+def test_models_and_gradient_bundles_compare_by_identity():
+    m = init([1, 4, 1], "tanh", Rng(20))
+    copy_ = m.copy()
+    assert m == m and m != copy_
+    g = GradientBundle.like(m)
+    assert g == g and g != GradientBundle.like(m)
+
+
 def test_init_is_deterministic():
     a = init([2, 16, 1], "tanh", Rng(42))
     b = init([2, 16, 1], "tanh", Rng(42))
@@ -301,7 +326,7 @@ def test_checkpoint_rejects_mismatched_shapes(tmp_path):
     doc = json.loads(path.read_text())
     doc["layer_dims"] = [3, 4, 1]
     path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"model\.json: layer 0 of layer_dims \[3, 4, 1\]"):
         load_model(path)
 
 

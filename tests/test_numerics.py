@@ -163,6 +163,34 @@ def test_permutation_varies_with_seed():
     assert len(firsts) > 10
 
 
+def _one_pair(n):
+    u = Rng(7).uniform(n)
+    u[-1:] = u[:1]  # the last uniform repeats the first
+    return u
+
+
+# Uniform streams with ties. Equal uniforms must keep index order, which an
+# unstable sort alone need not do.
+TIED_STREAMS = {
+    "all-equal": lambda n: np.full(n, 0.5),
+    "adjacent-pairs": lambda n: np.repeat(Rng(7).uniform((n + 1) // 2), 2)[:n],
+    "spread-pairs": lambda n: np.tile(Rng(7).uniform((n + 1) // 2), 2)[:n],
+    "few-values": lambda n: np.floor(Rng(7).uniform(n) * 8) / 8,
+    "one-pair": _one_pair,
+}
+
+
+@pytest.mark.parametrize("stream", [None, *TIED_STREAMS])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 4000])
+def test_permutation_is_the_stable_argsort_of_its_uniforms(monkeypatch, n, stream):
+    if stream is None:
+        u = Rng(n).uniform(n)
+    else:
+        u = TIED_STREAMS[stream](n)
+        monkeypatch.setattr(Rng, "uniform", lambda self, count: u[:count])
+    assert np.array_equal(Rng(n).permutation(n), np.argsort(u, kind="stable"))
+
+
 def test_sample_without_replacement_properties():
     r = Rng(8)
     s = r.sample_without_replacement(100, 30)

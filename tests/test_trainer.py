@@ -1,5 +1,8 @@
 """Tests for the minibatch training loop, branch logic, and trace IO."""
 
+import csv
+import dataclasses
+import io
 import math
 import warnings
 
@@ -312,11 +315,12 @@ class _PerArrayAdam:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _two_pass_train(dataset, cfg, model):
+def _two_pass_train(dataset, cfg, model, test):
     """``train``'s update rule with each batch gathered by its own index,
     run forward twice (once by ``forward`` for the risk, once more by
     ``forward_pass`` for ``backward``), fresh gradient arrays every batch,
-    per-array steps (out of place for sgd) and numpy epoch sums."""
+    per-array steps (out of place for sgd), numpy epoch sums, and test
+    accuracy as the mean of ``classify_scores`` hits."""
     loss = get_loss(cfg.loss)
     rng = Rng(cfg.seed)
     opt = _PerArrayAdam(model) if cfg.optimizer == "adam-style" else None
@@ -346,8 +350,9 @@ def _two_pass_train(dataset, cfg, model):
             else:
                 opt.step(model, grads, step)
         means = sums / n_batches
+        acc = float(np.mean(classify_scores(forward(model, test.x)) == test.y))
         traces.append(
-            EpochTrace(epoch, *(float(v) for v in means), truncated_batches / n_batches)
+            EpochTrace(epoch, *(float(v) for v in means), truncated_batches / n_batches, acc)
         )
     return model, traces
 
@@ -364,8 +369,9 @@ def _check_single_pass_matches_two_pass(method, optimizer, activation, loss):
         optimizer=optimizer, seed=33, loss=loss,
     )
     model = init([1, 8, 8, 1], activation, Rng(32))
-    reference, ref_traces = _two_pass_train(data, cfg, model.copy())
-    trained, traces = train(data, cfg, model)
+    test = gaussian_mixture(150, 0.5, rng=Rng(34))
+    reference, ref_traces = _two_pass_train(data, cfg, model.copy(), test)
+    trained, traces = train(data, cfg, model, test=test)
     if cfg.is_nnpu:
         assert any(t.truncation_fraction > 0 for t in traces)
     params = trained.weights + trained.biases
@@ -592,6 +598,22 @@ def test_trace_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == ",".join(TRACE_COLUMNS)
     assert load_trace(path) == traces
+
+
+def test_save_trace_writes_the_csv_of_each_field(tmp_path):
+    traces = [
+        EpochTrace(0, 0.1, 1e-300, -0.0, 0.05, 0.25, None),
+        EpochTrace(1, -0.0, 0.1, 1e-300, 2.5e-17, 1.0, 0.1),
+        EpochTrace(2, 1e-300, -0.0, 0.1, -0.0, 0.0, -0.0),
+    ]
+    path = tmp_path / "trace.csv"
+    save_trace(traces, path)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(TRACE_COLUMNS)
+    for t in traces:
+        w.writerow(["" if v is None else v for v in dataclasses.astuple(t)])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_trace_header_checked(tmp_path):
