@@ -173,13 +173,17 @@ def train_test_split(
     """Disjoint exhaustive partition into (train, test).
 
     The training side gets round(n * train_fraction) rows with ties going
-    to training; the permutation is drawn from ``rng``.
+    to training; the permutation is drawn from ``rng``. A split that would
+    leave either side empty raises ParameterError.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if dataset.n < 2:
-        raise ParameterError("need at least 2 rows to split")
     n_train = int(math.floor(dataset.n * train_fraction + 0.5))
+    if not 0 < n_train < dataset.n:
+        raise ParameterError(
+            f"splitting {dataset.n} rows at train_fraction {train_fraction} gives "
+            f"{n_train} training and {dataset.n - n_train} test rows; neither may be empty"
+        )
     perm = rng.permutation(dataset.n)
     tr, te = perm[:n_train], perm[n_train:]
     return (

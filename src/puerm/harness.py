@@ -404,14 +404,10 @@ def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
     return out.getvalue()
 
 
-def default_grid_spec(out: str = "results.csv", trace_dir: str | None = None) -> GridSpec:
+def default_grid_spec() -> GridSpec:
     """The built-in desk-scale grid: the two-Gaussian family, both
     scenarios, the truncation-based method pair, five c levels, ten seeds."""
-    return GridSpec(
-        datasets=[DatasetSource(name="gauss1d", kind="synthetic")],
-        out=out,
-        trace_dir=trace_dir,
-    )
+    return GridSpec(datasets=[DatasetSource(name="gauss1d", kind="synthetic")])
 
 
 def parse_grid_config(doc: dict, base_dir: str = ".") -> GridSpec:
@@ -476,7 +472,7 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
         pi = 0.05 + 0.9 * r.uniform(1)[0]
         labeled = np.arange(n_l + n_u) < n_l
         comp = risk.risk_components(np.concatenate([gl, gu]), labeled, pi, SCENARIO_SS)
-        a = risk.upu_risk(comp)
+        a = comp.unbiased()[0]
         b = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
     checks.append(

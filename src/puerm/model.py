@@ -2,21 +2,20 @@
 
 The network maps a feature row to a single real score through fully
 connected layers with relu or tanh hidden activations and a linear output.
-``forward_pass`` validates a batch once (or not at all, for rows already
-validated, with ``checked=True``) and runs it through the network,
-returning a ``ForwardPass`` that holds every layer's input; its
-``scores`` are what ``forward`` returns. ``backward`` consumes that pass
-instead of recomputing it and returns the exact gradient of
-sum_i upstream_i * g(x_i) with respect to every parameter, which is all a
-loss needs once it supplies d(objective)/d(score) per row. So a training
-step runs the network forward once: ``forward_pass``, the loss on
-``fp.scores``, then ``backward(model, fp, upstream, out=grads)``. Both
-take their matrix products with ``np.dot``, which hands each one to BLAS;
-``@`` sends a product with an inner dimension of 1 (one input feature, or
-the (n, 1) output layer) to a loop several times slower, for the same
-bits. ``grad_check`` verifies any objective's analytic gradient against
-central finite differences of its value, which it asks for without the
-gradient.
+``forward_pass`` runs an already validated batch through the network,
+returning a ``ForwardPass`` that holds every layer's input; ``forward``
+validates its input with ``as_matrix`` and returns the pass's ``scores``.
+``backward`` consumes that pass instead of recomputing it and returns the
+exact gradient of sum_i upstream_i * g(x_i) with respect to every
+parameter, which is all a loss needs once it supplies d(objective)/d(score)
+per row. So a training step runs the network forward once:
+``forward_pass``, the loss on ``fp.scores``, then ``backward(model, fp,
+upstream, out=grads)``. Both take their matrix products with ``np.dot``,
+which hands each one to BLAS; ``@`` sends a product with an inner
+dimension of 1 (one input feature, or the (n, 1) output layer) to a loop
+several times slower, for the same bits. ``grad_check`` verifies any
+objective's analytic gradient against central finite differences of its
+value, which it asks for without the gradient.
 
 Each hidden activation is written over its fresh pre-activation, and
 ``backward`` takes the activation's derivative from the output (relu:
@@ -33,10 +32,12 @@ a bundle it is given, which a training run allocates once and reuses
 for every batch; each element gets the same IEEE operations in the same
 order as with fresh arrays, so the results are bit-identical.
 
-Checkpoints are JSON ("mlp-checkpoint-v1"): layer dims, activation name,
-and parameters as nested lists, written atomically. Python's float repr
-is shortest-round-trip, so a save/load cycle reproduces every parameter
-bit for bit.
+``save_model`` writes a checkpoint as plain JSON ("mlp-checkpoint-v1"):
+layer dims, activation name, and parameters as nested lists, written
+atomically. Python's float repr is shortest-round-trip, so reading the
+file back reproduces every parameter bit for bit. The package reads no
+checkpoint; ``tests/oracles.py`` holds the reader the round-trip tests
+use.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datasets import _write_atomically
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .numerics import Rng, as_matrix
 
 ACTIVATIONS = ("relu", "tanh")
@@ -133,9 +134,6 @@ class MLPModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "MLPModel":
-        return replace(self, layer_dims=list(self.layer_dims))
-
 
 @dataclass(eq=False)
 class GradientBundle:
@@ -156,14 +154,6 @@ class GradientBundle:
         return cls(flat, views[:n], views[n:])
 
 
-def _check_layer_dims(dims: list[int]) -> None:
-    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
-        raise ParameterError(
-            f"layer_dims {dims} needs at least two sizes, all >= 1, "
-            "and an output size of 1"
-        )
-
-
 def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     """Build a model with fan-in-scaled normal weights and zero biases.
 
@@ -171,7 +161,11 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     tanh, the standard variance-preserving choices for each nonlinearity.
     """
     dims = [int(d) for d in layer_dims]
-    _check_layer_dims(dims)
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
+        raise ParameterError(
+            f"layer_dims {dims} needs at least two sizes, all >= 1, "
+            "and an output size of 1"
+        )
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}")
     gain = 2.0 if activation == "relu" else 1.0
@@ -184,14 +178,14 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     return MLPModel(layer_dims=dims, weights=weights, biases=biases, activation=activation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardPass:
     """One forward pass over a batch, kept for ``backward``.
 
     ``acts[k]`` is the input of layer k, so ``acts[0]`` is the validated
     batch and ``acts[-1]`` the (n, 1) output. Each hidden activation is
     written over its pre-activation, which is not kept. ``len()`` is the
-    number of rows.
+    number of rows. Passes compare by identity.
     """
 
     acts: list[np.ndarray]
@@ -205,14 +199,14 @@ class ForwardPass:
         return self.acts[0].shape[0]
 
 
-def forward_pass(model: MLPModel, x, *, checked: bool = False) -> ForwardPass:
+def forward_pass(model: MLPModel, x: np.ndarray) -> ForwardPass:
     """Run the network over ``x``, keeping every layer's input.
 
-    ``x`` is validated with ``as_matrix`` unless ``checked`` says it is
-    already a finite C-ordered float64 matrix of the model's width, such
-    as a row slice of a dataset's features.
+    ``x`` is not validated: it must already be a finite C-ordered float64
+    matrix of the model's width, such as a row slice of a dataset's
+    features or the output of ``as_matrix``.
     """
-    a = x if checked else as_matrix(x, cols=model.input_dim)
+    a = x
     acts = [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -224,8 +218,8 @@ def forward_pass(model: MLPModel, x, *, checked: bool = False) -> ForwardPass:
 
 
 def forward(model: MLPModel, x) -> np.ndarray:
-    """Scores g(x), one float per row of ``x``."""
-    return forward_pass(model, x).scores
+    """Scores g(x), one float per row of ``x``, validated with ``as_matrix``."""
+    return forward_pass(model, as_matrix(x, cols=model.input_dim)).scores
 
 
 def backward(
@@ -297,59 +291,3 @@ def save_model(model: MLPModel, path) -> None:
     }
     # the chunks json.dump would write, streamed through the atomic writer
     _write_atomically(path, itertools.chain(json.JSONEncoder().iterencode(doc), ["\n"]))
-
-
-def _float_arrays(path, doc: dict, key: str) -> list[np.ndarray]:
-    """``doc[key]`` as float64 arrays; it must be a list of numeric arrays."""
-    items = doc[key]
-    if not isinstance(items, list):
-        raise FormatError(f"{path}: {key} must be a list, got {type(items).__name__}")
-    arrays = []
-    for item in items:
-        try:
-            a = np.asarray(item)
-        except ValueError:  # ragged nesting
-            raise FormatError(f"{path}: {key} holds a ragged array") from None
-        if a.dtype.kind not in "iuf":
-            raise FormatError(f"{path}: {key} must hold numbers only")
-        arrays.append(np.asarray(a, dtype=np.float64))
-    return arrays
-
-
-def load_model(path) -> MLPModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: checkpoint must be a JSON object")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(
-            f"{path}: expected format {CHECKPOINT_FORMAT!r}, got {doc.get('format')!r}"
-        )
-    missing = [k for k in ("layer_dims", "activation", "weights", "biases") if k not in doc]
-    if missing:
-        raise FormatError(f"{path}: checkpoint is missing {missing}")
-    dims = doc["layer_dims"]
-    if not isinstance(dims, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in dims
-    ):
-        raise FormatError(f"{path}: layer_dims must be a list of integers")
-    try:
-        _check_layer_dims(dims)
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if doc["activation"] not in ACTIVATIONS:
-        raise FormatError(f"{path}: unknown activation {doc['activation']!r}")
-    weights = _float_arrays(path, doc, "weights")
-    biases = _float_arrays(path, doc, "biases")
-    try:
-        model = MLPModel(
-            layer_dims=dims, weights=weights, biases=biases, activation=doc["activation"]
-        )
-    except ShapeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if not np.isfinite(model.params).all():
-        raise FormatError(f"{path}: parameters must be finite")
-    return model

@@ -32,18 +32,16 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_matrix(data, cols: int | None = None) -> np.ndarray:
     """Coerce ``data`` to a C-ordered float64 2-D array and validate it.
 
-    Raises ShapeError if the value is not 2-dimensional or does not match
-    the expected ``rows``/``cols``, and ParameterError if any entry is
+    Raises ShapeError if the value is not 2-dimensional or does not have
+    the expected number of ``cols``, and ParameterError if any entry is
     non-finite.
     """
     a = np.ascontiguousarray(data, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise ShapeError(f"expected {cols} columns, got {a.shape[1]}")
     if a.size and not np.all(np.isfinite(a)):

@@ -22,7 +22,9 @@ negative on finite samples. The non-negative estimator (nnPU) truncates
 training descends the surrogate ``r_corr - r_dist`` instead (Kiryo et
 al., NeurIPS 2017, Algorithm 1).
 ``RiskComponents.unbiased`` and ``RiskComponents.surrogate`` give those two
-combinations as (value, per-row gradient).
+combinations as (value, per-row gradient). The true-label risk and its
+decompositions, which the tests compare the estimators with, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -103,14 +105,14 @@ def get_loss(kind: str) -> LossSpec:
         ) from None
 
 
-@dataclass
+@dataclass(eq=False)
 class RiskComponents:
     """Per-batch risk pieces and their gradients with respect to the scores.
 
     Each value is nonnegative by construction. Each ``d_*`` array has one
     entry per batch row, in row order, and is zero on the rows its
     component does not read; all three are None when the components were
-    computed without gradients.
+    computed without gradients. Components compare by identity.
     """
 
     r_label: float
@@ -210,11 +212,6 @@ def risk_components(
     return RiskComponents(r_label, r_dist, r_corr, d_label, d_dist, d_corr)
 
 
-def upu_risk(comp: RiskComponents) -> float:
-    """Unbiased estimate r_label + r_dist - r_corr; may be negative."""
-    return comp.unbiased()[0]
-
-
 def nnpu_risk(comp: RiskComponents, beta: float = 0.0) -> tuple[float, bool]:
     """Non-negative estimate and the truncation trigger.
 
@@ -231,81 +228,6 @@ def nnpu_risk(comp: RiskComponents, beta: float = 0.0) -> tuple[float, bool]:
     return value, negative_part <= -beta
 
 
-def true_risk(g_values, y_true, loss: LossSpec = LOGISTIC) -> float:
-    """Mean loss at the true-label margins: mean of l(y * g(x))."""
-    g = _as_scores(g_values, "g_values")
-    y = np.asarray(y_true, dtype=np.float64)
-    if y.shape != g.shape:
-        raise ShapeError(
-            f"y_true length {y.shape} does not match scores {g.shape}"
-        )
-    if g.size == 0:
-        raise DataError("true risk of an empty sample is undefined")
-    return float(np.mean(loss.value(y * g)))
-
-
-def risk_decomposition_cc(
-    g_values, y_true, pi: float, loss: LossSpec = LOGISTIC
-) -> float:
-    """Risk written in prior-weighted case-control form.
-
-    Evaluates pi * E_{y=1} l(g) + E l(-g) - pi * E_{y=1} l(-g) with
-    empirical means; agrees with ``true_risk`` exactly when ``pi`` is the
-    empirical positive fraction of ``y_true``.
-    """
-    pi = _check_pi(pi)
-    g = _as_scores(g_values, "g_values")
-    y = np.asarray(y_true, dtype=np.int64)
-    if y.shape != g.shape:
-        raise ShapeError("y_true length does not match scores")
-    pos = y == 1
-    if not np.any(pos):
-        raise DataError("decomposition needs at least one positive row")
-    gp = g[pos]
-    return (
-        pi * float(np.mean(loss.value(gp)))
-        + float(np.mean(loss.value(-g)))
-        - pi * float(np.mean(loss.value(-gp)))
-    )
-
-
-def risk_decomposition_ss(
-    g_values, s, y_true, pi: float, loss: LossSpec = LOGISTIC
-) -> float:
-    """Risk written in single-sample form over one jointly drawn sample.
-
-    Evaluates pi * E_{s=1} l(g) + P(s=-1) * E_{s=-1} l(-g)
-    - P(y=1, s=-1) * E_{s=1} l(-g), with P(s=-1) taken empirically and
-    the joint probability estimated by the plug-in pi - n_labeled / n.
-    ``y_true`` is optional and used only to validate that labeled rows
-    are genuinely positive.
-    """
-    pi = _check_pi(pi)
-    g = _as_scores(g_values, "g_values")
-    sv = np.asarray(s, dtype=np.int64)
-    if sv.shape != g.shape:
-        raise ShapeError("s length does not match scores")
-    if y_true is not None:
-        y = np.asarray(y_true, dtype=np.int64)
-        if y.shape != g.shape:
-            raise ShapeError("y_true length does not match scores")
-        if np.any((sv == 1) & (y == -1)):
-            raise DataError("a row with s=+1 must have y_true=+1")
-    lab = sv == 1
-    n = g.size
-    n_l = int(np.sum(lab))
-    if n_l == 0:
-        raise DataError("single-sample decomposition needs labeled rows")
-    p_unl = (n - n_l) / n
-    joint = pi - n_l / n
-    second = p_unl * float(np.mean(loss.value(-g[~lab]))) if n_l < n else 0.0
-    return (
-        pi * float(np.mean(loss.value(g[lab])))
-        + second
-        - joint * float(np.mean(loss.value(-g[lab])))
-    )
-
-
 def empirical_risk_ss_regrouped(
     g_labeled, g_unlabeled, pi: float, loss: LossSpec = LOGISTIC
 ) -> float:
@@ -316,7 +238,7 @@ def empirical_risk_ss_regrouped(
     labeled share of the pooled distribution term has been folded into the
     third coefficient, so the third term must be normalized per labeled
     row for the regrouping to stay exactly equal to the pooled form
-    (``upu_risk`` of single-sample ``risk_components``). The two
+    (``unbiased()`` of single-sample ``risk_components``). The two
     evaluations follow different groupings and serve as an arithmetic
     cross-check of each other.
     """
@@ -331,23 +253,3 @@ def empirical_risk_ss_regrouped(
     middle = float(np.sum(loss.value(-gu))) / n if gu.size else 0.0
     third = (pi - n_l / n) * (1.0 / n_l) * float(np.sum(loss.value(-gl)))
     return first + middle - third
-
-
-def cross_scenario_bias_gap(g_values, s, loss: LossSpec = LOGISTIC) -> float:
-    """How far the sample is from making labeled and unlabeled rows
-    interchangeable in the correction term.
-
-    Returns mean_{s=1} l(-g) - mean_{s=-1} l(-g). Treating a single-sample
-    dataset as case-control (or vice versa) is unbiased only when this gap
-    is zero; its magnitude measures the bias a cross-scenario estimator
-    incurs.
-    """
-    g = _as_scores(g_values, "g_values")
-    sv = np.asarray(s, dtype=np.int64)
-    if sv.shape != g.shape:
-        raise ShapeError("s length does not match scores")
-    lab = sv == 1
-    if not np.any(lab) or np.all(lab):
-        raise DataError("gap needs both labeled and unlabeled rows")
-    neg_losses = loss.value(-g)
-    return float(np.mean(neg_losses[lab])) - float(np.mean(neg_losses[~lab]))

@@ -6,7 +6,8 @@ Single-sample: one draw of n rows from the source; each positive row is
 labeled independently with probability ``c`` (selected completely at
 random), everything else goes to the unlabeled part of the same sample.
 The unlabeled rows then follow the mixture with positive weight
-(pi - pi c) / (1 - pi c).
+(pi - pi c) / (1 - pi c), which ``unlabeled_positive_fraction_ss`` returns
+and ``puerm check`` compares with drawn samples.
 
 Case-control: the labeled set is drawn from the positive rows only and the
 unlabeled set independently from all rows (positive fraction pi). Component
@@ -177,13 +178,6 @@ def corrupt(
     raise ParameterError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
 
-def _check_pi_c(pi: float, c: float) -> None:
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must be in (0, 1), got {pi}")
-    if not 0.0 <= c <= 1.0:
-        raise ParameterError(f"c must be in [0, 1], got {c}")
-
-
 def unlabeled_positive_fraction_ss(pi: float, c: float) -> float:
     """Expected true-positive fraction among single-sample unlabeled rows.
 
@@ -192,18 +186,8 @@ def unlabeled_positive_fraction_ss(pi: float, c: float) -> float:
     case-control counterpart is simply pi (its unlabeled component follows
     the full marginal), so no separate function is provided for it.
     """
-    _check_pi_c(pi, c)
+    if not 0.0 < pi < 1.0:
+        raise ParameterError(f"pi must be in (0, 1), got {pi}")
+    if not 0.0 <= c <= 1.0:
+        raise ParameterError(f"c must be in [0, 1], got {c}")
     return pi * (1.0 - c) / (1.0 - pi * c)
-
-
-def ss_unlabeled_mixture_weights(pi: float, c: float) -> tuple[float, float]:
-    """Mixture weights (w_pos, w_neg) of the single-sample unlabeled part.
-
-    The unlabeled rows follow the two-component mixture
-    w_pos * P(x | y=+1) + w_neg * P(x | y=-1) with
-    w_pos = (pi - pi c) / (1 - pi c) and w_neg = (1 - pi) / (1 - pi c);
-    the weights sum to 1.
-    """
-    _check_pi_c(pi, c)
-    denom = 1.0 - pi * c
-    return (pi - pi * c) / denom, (1.0 - pi) / denom

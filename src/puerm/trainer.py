@@ -160,7 +160,7 @@ def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
 
     def objective(model: MLPModel, grad: bool = True):
         _check_width(x, model, "batch")
-        fp = forward_pass(model, x, checked=True)
+        fp = forward_pass(model, x)
         comp = risk_components(fp.scores, lab_mask, pi, mode, loss, grad)
         value, upstream = comp.surrogate() if surrogate else comp.unbiased()
         return value, backward(model, fp, upstream) if grad else None
@@ -214,7 +214,7 @@ def train(
         truncated_batches = 0
         for b, rows in enumerate(batches):
             # PUDataset validated x, so its rows need no second scan
-            fp = forward_pass(model, x_epoch[rows], checked=True)
+            fp = forward_pass(model, x_epoch[rows])
             comp = risk_components(fp.scores, lab_epoch[rows], pi, mode, loss)
             nn_value, truncated = nnpu_risk(comp, beta)
             surrogate = is_nnpu and truncated
@@ -235,7 +235,7 @@ def train(
         test_acc = None
         if test is not None:
             # LabeledDataset validated test.x, and its width is checked above
-            preds = classify_scores(forward_pass(model, test.x, checked=True).scores)
+            preds = classify_scores(forward_pass(model, test.x).scores)
             test_acc = np.count_nonzero(preds == test.y) / test.n
         means = (s / n_batches for s in (sum_label, sum_dist, sum_corr, sum_objective))
         traces.append(EpochTrace(epoch, *means, truncated_batches / n_batches, test_acc))

@@ -11,6 +11,7 @@ measured values.
 import numpy as np
 import pytest
 
+from oracles import risk_decomposition_cc, risk_decomposition_ss
 from puerm import risk
 from puerm.datasets import SCENARIO_CC, SCENARIO_SS, gaussian_mixture
 from puerm.harness import DatasetSource, GridSpec, run_grid
@@ -45,9 +46,9 @@ def test_criterion_1_estimator_regrouping_identity():
         gu = r.normal(n - n_l, sd=4.0)
         pi = 0.05 + 0.9 * r.uniform(1)[0]
         labeled = np.arange(n) < n_l
-        pooled = risk.upu_risk(
-            risk.risk_components(np.concatenate([gl, gu]), labeled, pi, SCENARIO_SS)
-        )
+        pooled = risk.risk_components(
+            np.concatenate([gl, gu]), labeled, pi, SCENARIO_SS
+        ).unbiased()[0]
         regrouped = risk.empirical_risk_ss_regrouped(gl, gu, pi)
         worst = max(worst, abs(pooled - regrouped) / max(abs(pooled), abs(regrouped), 1e-300))
     ok = worst < 1e-12
@@ -197,7 +198,7 @@ def test_criterion_5_estimator_unbiasedness():
     g_pool = forward(model, pool.x)
 
     # case-control resamplings vs the prior-weighted decomposition
-    ref_cc = risk.risk_decomposition_cc(g_pool, pool.y, 0.5)
+    ref_cc = risk_decomposition_cc(g_pool, pool.y, 0.5)
     vals = []
     for i in range(1000):
         pu = case_control_sample(
@@ -205,9 +206,7 @@ def test_criterion_5_estimator_unbiasedness():
         )
         g = forward(model, pu.x)
         lab = pu.s == 1
-        vals.append(
-            risk.upu_risk(risk.risk_components(g, lab, 0.5, SCENARIO_CC))
-        )
+        vals.append(risk.risk_components(g, lab, 0.5, SCENARIO_CC).unbiased()[0])
     vals = np.asarray(vals)
     se_cc = float(vals.std(ddof=1) / np.sqrt(vals.size))
     z_cc = abs(float(vals.mean()) - ref_cc) / se_cc
@@ -215,16 +214,14 @@ def test_criterion_5_estimator_unbiasedness():
     # single-sample resamplings vs the depleted-mixture decomposition on
     # a corrupted copy of the same reference sample
     pu_ref = scar_label(pool, ScarConfig(c=0.5, n=pool.n), root.child(4))
-    ref_ss = risk.risk_decomposition_ss(g_pool, pu_ref.s, pu_ref.y_true, 0.5)
+    ref_ss = risk_decomposition_ss(g_pool, pu_ref.s, pu_ref.y_true, 0.5)
     vals = []
     for i in range(1000):
         idx = root.child(5000 + i).sample_without_replacement(pool.n, 1000)
         s = pu_ref.s[idx]
         g = g_pool[idx]
         lab = s == 1
-        vals.append(
-            risk.upu_risk(risk.risk_components(g, lab, 0.5, SCENARIO_SS))
-        )
+        vals.append(risk.risk_components(g, lab, 0.5, SCENARIO_SS).unbiased()[0])
     vals = np.asarray(vals)
     se_ss = float(vals.std(ddof=1) / np.sqrt(vals.size))
     z_ss = abs(float(vals.mean()) - ref_ss) / se_ss

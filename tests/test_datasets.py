@@ -91,6 +91,13 @@ def test_split_spec_validation():
         train_test_split(ds, 0.0, Rng(0))
     with pytest.raises(ParameterError):
         train_test_split(ds, 1.0, Rng(0))
+    # a fraction strictly inside (0, 1) can still round one side to no rows
+    with pytest.raises(ParameterError, match="40 training and 0 test rows"):
+        train_test_split(gaussian_mixture(40, 0.5, rng=Rng(0)), 0.99, Rng(0))
+    with pytest.raises(ParameterError, match="0 training and 10 test rows"):
+        train_test_split(ds, 0.01, Rng(0))
+    with pytest.raises(ParameterError, match="1 training and 0 test rows"):
+        train_test_split(gaussian_mixture(1, 0.5, rng=Rng(0)), 0.5, Rng(0))
 
 
 # ---------------------------------------------------------------------------

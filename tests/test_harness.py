@@ -106,7 +106,7 @@ def test_grid_spec_validation(tmp_path):
 
 
 def test_default_grid_spec_shape():
-    spec = default_grid_spec(out="r.csv")
+    spec = default_grid_spec()
     assert [d.name for d in spec.datasets] == ["gauss1d"]
     assert spec.scenarios == ["ss", "cc"]
     assert spec.methods == ["nnpu_ss", "nnpu_cc"]
@@ -218,6 +218,17 @@ def test_run_grid_unreadable_csv_source_fails_every_cell(tmp_path):
     assert (loaded, n_errors) == ([], 4)
     text = open(tmp_path / "results.csv").read()
     assert text.count(f"{path}: line 3: non-numeric value 'oops' in column f0") == 4
+
+
+def test_run_grid_empty_test_split_fails_every_cell(tmp_path):
+    # 40 rows at test_fraction 0.01 round to 40 training rows and no test rows
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(40, 0.5, rng=Rng(3)), path)
+    assert run_grid(_csv_grid(tmp_path, path, n=20, test_fraction=0.01)) == []
+    loaded, n_errors = load_results(tmp_path / "results.csv")
+    assert (loaded, n_errors) == ([], 4)
+    text = open(tmp_path / "results.csv").read()
+    assert text.count("gives 40 training and 0 test rows") == 4
 
 
 def test_run_grid_resumes_without_duplicates(tmp_path):

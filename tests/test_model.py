@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from puerm.errors import FormatError, ParameterError, ShapeError
+from oracles import copy_model, load_model
+from puerm.datasets import SCENARIO_CC
+from puerm.errors import ParameterError, ShapeError
 from puerm.model import (
     GradientBundle,
     MLPModel,
@@ -16,10 +18,10 @@ from puerm.model import (
     forward_pass,
     grad_check,
     init,
-    load_model,
     save_model,
 )
 from puerm.numerics import Rng
+from puerm.risk import risk_components
 
 
 def _linear_model(w, b):
@@ -93,10 +95,16 @@ def test_construction_checks_arrays_against_layer_dims(weights, biases):
 
 def test_models_and_gradient_bundles_compare_by_identity():
     m = init([1, 4, 1], "tanh", Rng(20))
-    copy_ = m.copy()
+    copy_ = copy_model(m)
     assert m == m and m != copy_
     g = GradientBundle.like(m)
     assert g == g and g != GradientBundle.like(m)
+    x = np.zeros((3, 1))
+    fp = forward_pass(m, x)
+    assert fp == fp and fp != forward_pass(m, x)
+    lab = np.array([True, False, False])
+    comp = risk_components(fp.scores, lab, 0.5, SCENARIO_CC)
+    assert comp == comp and comp != risk_components(fp.scores, lab, 0.5, SCENARIO_CC)
 
 
 def test_init_is_deterministic():
@@ -207,8 +215,6 @@ def test_pass_and_gradients_match_matmul_reference_bit_for_bit(dim, rows, activa
         assert _same_bits(got, want)
     for got, want in zip(grads.weights + grads.biases, gw + gb):
         assert _same_bits(got, want)
-    # a checked batch skips validation and changes nothing else
-    assert _same_bits(forward_pass(m, x, checked=True).scores, acts[-1][:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,129 +316,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.layer_dims == [3, 7, 1]
 
 
-def test_checkpoint_rejects_bad_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("this is not json{")
-    with pytest.raises(FormatError):
-        load_model(path)
-
-
-def test_checkpoint_rejects_mismatched_shapes(tmp_path):
-    import json
-
-    m = init([2, 4, 1], "tanh", Rng(10))
-    path = tmp_path / "model.json"
-    save_model(m, path)
-    doc = json.loads(path.read_text())
-    doc["layer_dims"] = [3, 4, 1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=r"model\.json: layer 0 of layer_dims \[3, 4, 1\]"):
-        load_model(path)
-
-
-def _drop_activation(doc):
-    del doc["activation"]
-
-
-def _extra_layer(doc):
-    doc["weights"].append([[1.0]])
-    doc["biases"].append([0.0])
-
-
-def _missing_layer(doc):
-    doc["weights"].pop()
-    doc["biases"].pop()
-
-
-def _nan_weight(doc):
-    doc["weights"][0][0][0] = float("nan")
-
-
-@pytest.mark.parametrize(
-    "tamper", [_drop_activation, _extra_layer, _missing_layer, _nan_weight]
-)
-def test_checkpoint_rejects_malformed_documents(tmp_path, tamper):
-    import json
-
-    path = tmp_path / "model.json"
-    save_model(init([1, 4, 1], "tanh", Rng(11)), path)
-    doc = json.loads(path.read_text())
-    tamper(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="model.json"):
-        load_model(path)
-
-
-def _top_level_array(doc):
-    return [doc]
-
-
-def _string_layer_size(doc):
-    doc["layer_dims"] = ["a", 1]
-    return doc
-
-
-def _null_layer_dims(doc):
-    doc["layer_dims"] = None
-    return doc
-
-
-def _float_layer_size(doc):
-    doc["layer_dims"] = [1, 4.0, 1]
-    return doc
-
-
-def _two_outputs(doc):
-    doc["layer_dims"] = [1, 4, 2]
-    doc["weights"][1].append(doc["weights"][1][0])
-    doc["biases"][1].append(0.0)
-    return doc
-
-
-def _null_weights(doc):
-    doc["weights"] = None
-    return doc
-
-
-def _string_biases(doc):
-    doc["biases"] = "0.0"
-    return doc
-
-
-def _numeric_string_weight(doc):
-    doc["weights"][0][0][0] = "0.5"
-    return doc
-
-
-def _ragged_weights(doc):
-    doc["weights"][0][0].append(1.0)
-    return doc
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        _top_level_array,
-        _string_layer_size,
-        _null_layer_dims,
-        _float_layer_size,
-        _two_outputs,
-        _null_weights,
-        _string_biases,
-        _numeric_string_weight,
-        _ragged_weights,
-    ],
-)
-def test_checkpoint_rejects_mistyped_documents(tmp_path, tamper):
-    import json
-
-    path = tmp_path / "model.json"
-    save_model(init([1, 4, 1], "tanh", Rng(12)), path)
-    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
-    with pytest.raises(FormatError, match="model.json"):
-        load_model(path)
-
-
 # ---------------------------------------------------------------------------
 # the flat parameter vector
 
@@ -457,7 +340,7 @@ def _built_models(tmp_path):
     return {
         "init": base,
         "load_model": load_model(path),
-        "copy": base.copy(),
+        "copy": copy_model(base),
         "replace": dataclasses.replace(base),
         "ints": ints,
         "fortran": fortran,

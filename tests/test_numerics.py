@@ -26,8 +26,6 @@ def test_as_matrix_shape_checks():
     with pytest.raises(ShapeError):
         as_matrix([1.0, 2.0])
     with pytest.raises(ShapeError):
-        as_matrix([[1.0, 2.0]], rows=2)
-    with pytest.raises(ShapeError):
         as_matrix([[1.0, 2.0]], cols=3)
     with pytest.raises(ParameterError):
         as_matrix([[np.inf, 0.0]])

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import risk_decomposition_cc, risk_decomposition_ss, true_risk
 from puerm.datasets import SCENARIO_CC, SCENARIO_SS
 from puerm.errors import DataError, ParameterError, ShapeError
 from puerm.numerics import Rng
 from puerm.risk import (
     LOGISTIC,
     SIGMOID,
-    cross_scenario_bias_gap,
     empirical_risk_ss_regrouped,
     get_loss,
     loss_logistic,
@@ -20,10 +20,6 @@ from puerm.risk import (
     loss_sigmoid_derivative,
     nnpu_risk,
     risk_components,
-    risk_decomposition_cc,
-    risk_decomposition_ss,
-    true_risk,
-    upu_risk,
 )
 
 
@@ -131,13 +127,13 @@ def test_upu_and_nnpu_hand_cases():
     comp = risk_components(*_batch([10.0], [10.0]), 0.5, SCENARIO_CC)
     # labeled losses ~0, unlabeled l(-10) ~10: negative part is large
     # and positive, so the two estimates agree
-    assert abs(upu_risk(comp) - nnpu_risk(comp)[0]) < 1e-12
+    assert abs(comp.unbiased()[0] - nnpu_risk(comp)[0]) < 1e-12
 
     # constructed components: r_label=0.3, r_dist=0.2, r_corr=0.4
     from puerm.risk import RiskComponents
 
     comp = RiskComponents(0.3, 0.2, 0.4, *np.zeros((3, 2)))
-    assert abs(upu_risk(comp) - 0.1) < 1e-15
+    assert abs(comp.unbiased()[0] - 0.1) < 1e-15
     value, truncated = nnpu_risk(comp)
     assert value == 0.3
     assert truncated
@@ -156,7 +152,7 @@ def test_nnpu_never_below_r_label():
     for _ in range(20):
         comp = risk_components(*_batch(rng.normal(30), rng.normal(50)), 0.4, SCENARIO_CC)
         assert nnpu_risk(comp)[0] >= comp.r_label - 1e-15
-        assert nnpu_risk(comp)[0] >= upu_risk(comp) - 1e-15
+        assert nnpu_risk(comp)[0] >= comp.unbiased()[0] - 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +192,7 @@ def test_ss_decomposition_matches_component_route():
     direct = risk_decomposition_ss(g, s, y, pi=0.5)
     lab = s == 1
     comp = risk_components(g, lab, 0.5, SCENARIO_SS)
-    assert abs(direct - upu_risk(comp)) < 1e-12
+    assert abs(direct - comp.unbiased()[0]) < 1e-12
 
 
 def test_ss_decomposition_validation():
@@ -215,7 +211,7 @@ def test_regrouped_form_equals_pooled_form():
         n_l = 1 + int(r.uniform(1)[0] * (n - 1))
         gl = r.normal(n_l) * 5.0
         gu = r.normal(n - n_l) * 5.0
-        pooled = upu_risk(risk_components(*_batch(gl, gu), 0.4, SCENARIO_SS))
+        pooled = risk_components(*_batch(gl, gu), 0.4, SCENARIO_SS).unbiased()[0]
         regrouped = empirical_risk_ss_regrouped(gl, gu, 0.4)
         assert abs(pooled - regrouped) <= 1e-12 * max(1.0, abs(pooled))
 
@@ -223,37 +219,6 @@ def test_regrouped_form_equals_pooled_form():
 def test_regrouped_form_needs_labeled_rows():
     with pytest.raises(DataError):
         empirical_risk_ss_regrouped([], [0.0], 0.5)
-
-
-# ---------------------------------------------------------------------------
-# cross-scenario bias gap
-
-
-def test_bias_gap_recomputed_with_masks():
-    rng = Rng(10)
-    g = rng.normal(200)
-    s = np.where(rng.bernoulli(0.3, 200), 1, -1)
-    gap = cross_scenario_bias_gap(g, s)
-    ell = np.logaddexp(0.0, g)
-    expected = ell[s == 1].mean() - ell[s == -1].mean()
-    assert abs(gap - expected) < 1e-14
-
-
-def test_bias_gap_positive_for_good_classifier_on_ss_data():
-    # labeled rows are positives; a good classifier scores them high, so
-    # their l(-g) is the large side of the gap
-    from puerm.datasets import gaussian_mixture
-    from puerm.sampling import ScarConfig, scar_label
-
-    pool = gaussian_mixture(20_000, 0.5, rng=Rng(11))
-    pu = scar_label(pool, ScarConfig(c=0.9, n=10_000), Rng(12))
-    g = 2.0 * pu.x[:, 0]  # monotone score aligned with the true boundary
-    assert cross_scenario_bias_gap(g, pu.s) > 1.0
-
-
-def test_bias_gap_needs_both_groups():
-    with pytest.raises(DataError):
-        cross_scenario_bias_gap([0.0, 1.0], [1, 1])
 
 
 def test_downward_bias_direction_at_high_c():

@@ -25,7 +25,6 @@ from puerm.risk import (
     empirical_risk_ss_regrouped,
     loss_logistic_derivative,
     risk_components,
-    upu_risk,
 )
 
 COMPONENTS = ("label", "dist", "corr")
@@ -73,7 +72,7 @@ def test_single_sample_upu_equals_regrouped_form(batch, loss):
     g, labeled, pi = batch
     assume(labeled.any())
     comp = risk_components(g, labeled, pi, SCENARIO_SS, loss)
-    pooled = upu_risk(comp)
+    pooled = comp.unbiased()[0]
     regrouped = empirical_risk_ss_regrouped(g[labeled], g[~labeled], pi, loss)
     # relative to the size of the terms, which bounds the rounding of both sums
     scale = comp.r_label + comp.r_dist + comp.r_corr

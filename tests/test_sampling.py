@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ss_unlabeled_mixture_weights
 from puerm.datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, gaussian_mixture
 from puerm.errors import DataError, ParameterError
 from puerm.numerics import Rng
@@ -17,7 +18,6 @@ from puerm.sampling import (
     case_control_sizes,
     corrupt,
     scar_label,
-    ss_unlabeled_mixture_weights,
     unlabeled_positive_fraction_ss,
 )
 
