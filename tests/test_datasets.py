@@ -180,6 +180,16 @@ def test_split_sizes_round_half_up():
     assert te.n == 7
 
 
+@pytest.mark.parametrize(
+    "n, fraction, n_train",
+    [(2, 0.5, 1), (10, 0.05, 1), (40, 0.02, 1), (40, 0.98, 39)],
+)
+def test_split_keeps_a_single_row_side(n, fraction, n_train):
+    # the empty-side check must not refuse a split that leaves one row
+    tr, te = train_test_split(gaussian_mixture(n, 0.5, rng=Rng(8)), fraction, Rng(0))
+    assert (tr.n, te.n) == (n_train, n - n_train)
+
+
 def test_split_deterministic_by_seed():
     ds = gaussian_mixture(50, 0.5, rng=Rng(9))
     tr1, _ = train_test_split(ds, 0.8, Rng(3))

@@ -12,6 +12,7 @@ from puerm.datasets import SCENARIO_CC
 from puerm.errors import ParameterError, ShapeError
 from puerm.model import (
     GradientBundle,
+    CHECKPOINT_FORMAT,
     MLPModel,
     backward,
     forward,
@@ -164,6 +165,33 @@ def test_forward_input_validation():
         forward(m, np.array([[1.0, 2.0, np.nan]]))
 
 
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        (np.zeros(3), ShapeError),
+        (np.zeros((2, 2, 3)), ShapeError),
+        (np.zeros((5, 4)), ShapeError),
+        (np.array([[0.0, -np.inf, 1.0]]), ParameterError),
+    ],
+    ids=["vector", "cube", "four_cols", "minus_inf"],
+)
+def test_forward_checks_the_batch_forward_pass_trusts(batch, error):
+    # forward_pass takes a validated matrix; forward is the checked entry
+    with pytest.raises(error):
+        forward(init([3, 4, 1], "tanh", Rng(3)), batch)
+
+
+@pytest.mark.parametrize(
+    "coerce",
+    [lambda x: x.tolist(), lambda x: np.asfortranarray(x), lambda x: x.astype(np.int64)],
+    ids=["lists", "fortran", "ints"],
+)
+def test_forward_coerces_before_forward_pass(coerce):
+    m = init([3, 5, 1], "relu", Rng(4))
+    x = np.arange(-6.0, 6.0).reshape(4, 3)
+    assert _same_bits(forward(m, coerce(x)), forward_pass(m, x).scores)
+
+
 def _matmul_reference(model, x, upstream):
     """Forward pass and gradients written with ``@``: the layer outputs,
     pre-activations and weight and bias gradients, in layer order."""
@@ -314,6 +342,37 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(forward(m, x), forward(loaded, x))
     assert loaded.activation == "relu"
     assert loaded.layer_dims == [3, 7, 1]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1, 1.0 / 3.0, 2.0**53 + 2.0],
+    ids=["minus_zero", "least_subnormal", "least_normal", "greatest", "minus_tenth", "third", "past_2_53"],
+)
+def test_checkpoint_round_trip_keeps_every_bit(tmp_path, value):
+    m = init([2, 3, 1], "tanh", Rng(14))
+    m.weights[0][1, 0] = value
+    m.biases[1][0] = -value
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    assert _same_bits(load_model(path).params, m.params)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dims", [[1, 1], [2, 4, 1], [3, 5, 4, 1]], ids=["linear", "one_hidden", "two_hidden"])
+def test_checkpoint_is_plain_json_of_the_whole_model(tmp_path, dims, activation):
+    import json
+
+    m = init(dims, activation, Rng(15))
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    # strict JSON: a non-finite parameter would need a NaN or Infinity token
+    doc = json.loads(path.read_text(), parse_constant=pytest.fail)
+    assert doc["format"] == CHECKPOINT_FORMAT
+    assert doc["layer_dims"] == dims and doc["activation"] == activation
+    loaded = load_model(path)
+    assert loaded.layer_dims == dims and loaded.activation == activation
+    assert _same_bits(loaded.params, m.params)
 
 
 # ---------------------------------------------------------------------------
