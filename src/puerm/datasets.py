@@ -8,13 +8,20 @@ reproduces every value bit for bit.
 
 ``save_csv`` formats every row from one template and writes the file
 atomically (a temporary file beside the target, then ``os.replace``).
-The loaders tokenize with ``csv.reader`` and convert a block of rows at
-a time, column by column, with ``float`` and a label lookup; only when
-that fails does a per-row loop run over the block, to find the first bad
-row and word its ``FormatError``. A cell that parses to a non-finite
-float is a ``FormatError`` too. Every ``FormatError`` names the file
-and, for a bad cell, its line and column; lines are lines of the file, so
-a quoted cell that holds a line break counts as more than one.
+A file in the plain form ``save_csv`` writes is read by numpy's C parser
+(``np.loadtxt``, with the label lookup as converters): a header line
+with no ``"`` and no CR, then a non-empty body of only the bytes
+``0-9 + - . e E , LF`` with no blank line. Any other file, and any file
+that parser refuses or reads to a non-finite feature, goes to the
+``csv.reader`` path. Both paths parse a float with the same C routine
+CPython's ``float`` uses, so the arrays and errors never depend on the
+path. The ``csv.reader`` path converts a block of rows at a time, column
+by column, with ``float`` and a label lookup; only when that fails does
+a per-row loop run over the block, to find the first bad row and word
+its ``FormatError``. A cell that parses to a non-finite float is a
+``FormatError`` too. Every ``FormatError`` names the file and, for a bad
+cell, its line and column; lines are lines of the file, so a quoted cell
+that holds a line break counts as more than one.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ _FLOAT_FMT = "{:.17g}"
 _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
 # Rows a loader tokenizes and converts at a time.
 _BLOCK_ROWS = 4096
+# The bytes a plain-form body may hold, and how many are checked at a time.
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+_PLAIN_CHUNK = 1 << 18
 
 
 def _as_labels(values, n: int, name: str) -> np.ndarray:
@@ -272,6 +282,47 @@ def _raise_row_error(path, header, rows, first_line, feat_names, col_index, labe
                 )
 
 
+def _read_plain(path, n_cols, feat_cols, label_cols):
+    """(x, {label name: labels}) read by ``np.loadtxt`` from a file in the
+    plain form, or None when the file is not in that form, the parser
+    refuses it, it does not read to one row of ``n_cols`` columns per
+    line or a feature reads as non-finite. ``feat_cols`` lists the
+    feature columns in order and ``label_cols`` maps each label name to
+    its column."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        # no body, or one that starts with a blank line: np.loadtxt warns
+        # on a body of blank lines
+        if b'"' in head or b"\r" in head or fh.peek(1)[:1] in (b"", b"\n"):
+            return None
+        body_start = fh.tell()
+        lines, last = 0, b""
+        while chunk := fh.read(_PLAIN_CHUNK):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            last = chunk
+        lines += not last.endswith(b"\n")
+        fh.seek(body_start)
+        # A file handle, not the path, which np.loadtxt would open by its
+        # suffix (.gz, a URL); an explicit encoding hands the converters str
+        # on every numpy >= 1.24.
+        converters = {j: _LABEL_CELLS.__getitem__ for j in label_cols.values()}
+        try:
+            a = np.loadtxt(
+                fh, delimiter=",", comments=None, converters=converters,
+                ndmin=2, encoding="utf-8",
+            )
+        except (ValueError, KeyError):
+            return None
+    if a.shape != (lines, n_cols):  # np.loadtxt skips blank lines
+        return None
+    x = a[:, feat_cols]
+    if not np.isfinite(x).all():
+        return None
+    return x, {name: a[:, j].astype(np.int64) for name, j in label_cols.items()}
+
+
 def _read_columns(path, want_y: bool, want_s: bool):
     """(x, y or None, s or None) from a file in the package CSV schema."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -292,6 +343,15 @@ def _read_columns(path, want_y: bool, want_s: bool):
             if wanted and name not in col_index:
                 raise FormatError(f"{path}: missing required column {name!r}")
         label_names = [name for name in ("y", "s") if name in col_index]
+        plain = _read_plain(
+            path,
+            len(header),
+            [col_index[name] for name in feat_names],
+            {name: col_index[name] for name in label_names},
+        )
+        if plain is not None:
+            x, labels = plain
+            return x, labels.get("y"), labels.get("s")
 
         # A block of rows at a time, converted column by column; any failure
         # hands the block to the row loop, which finds the first bad row and
@@ -352,7 +412,7 @@ def load_pu_csv(
 
     The CSV schema carries no distribution metadata, so the class prior
     and scenario tag must be supplied; if ``pi`` is omitted it is estimated
-    from the ``y`` column when present.
+    from the ``y`` column when present and the file has rows.
     """
     x, y, s = _read_columns(path, want_y=False, want_s=True)
     empirical = False
@@ -361,6 +421,8 @@ def load_pu_csv(
             raise FormatError(
                 f"{path}: no 'y' column and no pi supplied; cannot set the prior"
             )
+        if len(y) == 0:
+            raise FormatError(f"{path}: no rows and no pi supplied; cannot set the prior")
         pi = float(np.mean(y == 1))
         empirical = True
     return PUDataset(

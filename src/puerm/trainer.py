@@ -38,7 +38,7 @@ from operator import attrgetter
 import numpy as np
 
 from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _write_atomically
-from .errors import FormatError, ParameterError, ShapeError, TrainingError
+from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
 from .model import GradientBundle, MLPModel, backward, forward, forward_pass
 from .numerics import Rng, as_matrix, check_field_types
@@ -180,13 +180,16 @@ def train(
     first copied into ``params`` (``MLPModel.repack``), so the run never
     steps a vector the layers no longer read.
 
-    Raises TrainingError naming the epoch and batch if the objective goes
+    Raises DataError before any epoch for a test set with no rows, and
+    TrainingError naming the epoch and batch if the objective goes
     non-finite (divergence is reported, never clamped).
     """
     n = dataset.n
     _check_width(dataset.x, model, "dataset")
     if test is not None:
         _check_width(test.x, model, "test set")
+        if test.n == 0:
+            raise DataError("test set has no rows, so its accuracy is undefined")
     if cfg.batch_size > n:
         raise ParameterError(
             f"batch_size {cfg.batch_size} exceeds dataset size {n}"

@@ -5,6 +5,7 @@ import errno
 import math
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from puerm.datasets import (
     save_csv,
     train_test_split,
 )
-from puerm.errors import DataError, FormatError, ParameterError
+from puerm.errors import DataError, FormatError, ParameterError, PuermError
 from puerm.model import init, save_model
 from puerm.numerics import Rng
 from puerm.trainer import EpochTrace, save_trace
@@ -246,6 +247,17 @@ def test_pu_csv_empirical_prior_fallback(tmp_path):
     assert back.pi == 0.5  # 2 of 4 true positives
 
 
+def test_pu_csv_without_rows_or_pi_is_a_format_error(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("f0,y,s\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice"
+        with pytest.raises(FormatError) as err:
+            load_pu_csv(path)
+        assert str(err.value) == f"{path}: no rows and no pi supplied; cannot set the prior"
+        assert load_pu_csv(path, pi=0.5).n == 0
+
+
 def test_load_csv_reports_offending_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,y\n0.5,1\noops,1\n")
@@ -350,13 +362,28 @@ AWKWARD_FILES = {
     "two_newlines_in_quoted_cell": (
         'f0,y\n1,1\n"2\n\n",1\nnan,1\n', "line 6: non-finite value 'nan' in column f0"
     ),
+    # files in the plain form, which numpy's parser reads or hands back
+    "plain_exponents": ("f0,y\n1e-3,1\n-2.5E+2,-1\n", ([[1e-3], [-250.0]], [1, -1])),
+    "plain_label_first": ("y,f0\n1,1.5\n-1,-2\n", ([[1.5], [-2.0]], [1, -1])),
+    "plain_overflow": ("f0,y\n1.5,1\n1e999,-1\n", "line 3: non-finite value '1e999' in column f0"),
+    "plain_wide_rows": ("f0,y\n1.5,1,1\n-2,-1,1\n", "line 2: expected 2 cells, got 3"),
+    "plain_empty_cell": ("f0,y\n1.5,1\n,-1\n", "line 3: non-numeric value '' in column f0"),
+    "plain_bad_float": ("f0,y\n1.5,1\n1e+,-1\n", "line 3: non-numeric value '1e+' in column f0"),
+    "plain_zero_label": ("f0,y\n1.5,1\n-2,0\n", "line 3: column y must be -1 or 1, got '0'"),
+    "plain_blank_first_row": ("f0,y\n\n1.5,1\n", "line 2: expected 2 cells, got 0"),
+    "plain_blank_body": ("f0,y\n\n\n", "line 2: expected 2 cells, got 0"),
+    "plain_body_after_a_cr": ("f0,y\r1.5,1\n-2,-1\n", ([[1.5], [-2.0]], [1, -1])),
 }
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
+@pytest.mark.parametrize("numpy_reader", [True, False], ids=["numpy_first", "csv_only"])
 @pytest.mark.parametrize("block_rows", [1, 2, datasets._BLOCK_ROWS])
 @pytest.mark.parametrize("text, expected", AWKWARD_FILES.values(), ids=AWKWARD_FILES)
-def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, block_rows):
+def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, block_rows, numpy_reader):
     monkeypatch.setattr(datasets, "_BLOCK_ROWS", block_rows)
+    if not numpy_reader:  # every file goes to the csv.reader path
+        monkeypatch.setattr(datasets, "_read_plain", lambda *args: None)
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode())
     if isinstance(expected, str):
@@ -369,6 +396,92 @@ def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, block_row
     assert ds.x.shape == want_x.shape
     assert ds.x.tobytes() == want_x.tobytes()
     assert ds.y.tolist() == expected[1]
+
+
+def test_save_csv_files_take_the_numpy_path(tmp_path, monkeypatch):
+    read_plain = datasets._read_plain
+    taken = []
+
+    def spy(*args):
+        taken.append(read_plain(*args) is not None)
+        return None  # the csv.reader path then reads the file too
+
+    monkeypatch.setattr(datasets, "_read_plain", spy)
+    path = tmp_path / "d.csv"
+    for n in (1, 2 * datasets._BLOCK_ROWS + 3):
+        ds = gaussian_mixture(n, 0.5, dim=3, rng=Rng(n))
+        save_csv(ds, path)
+        load_csv(path)
+        pu = PUDataset(x=ds.x, s=-np.ones(n, dtype=np.int64), y_true=ds.y, pi=0.5,
+                       scenario=SCENARIO_SS, c=0.5)
+        save_csv(pu, path)
+        load_pu_csv(path, pi=0.5)
+        pu.y_true = None
+        save_csv(pu, path)
+        load_pu_csv(path, pi=0.5)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        load_pu_csv(path, pi=0.5)
+    assert taken == [True] * 8
+
+
+# The characters of a plain-form cell, and text that may throw a reader off.
+_PLAIN_CELL_CHARS = "0123456789+-.eE"
+_AWKWARD_TEXT = ['"', "\r", "\r\n", " ", "\t", "_", "nan", "inf", "#", "x", "\u00e9", ",", "\n", "\n\n"]
+
+
+def _cells(column):
+    """Mostly what save_csv writes in ``column``; one cell in ten is any
+    text from the plain alphabet."""
+    usual = (
+        st.sampled_from(["1", "-1", "+1"])
+        if column in ("y", "s")
+        else FINITE.map(datasets._FLOAT_FMT.format)
+    )
+    return st.integers(0, 9).flatmap(
+        lambda k: usual if k else st.text(_PLAIN_CELL_CHARS, max_size=5)
+    )
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header and rows of cells, with a few awkward strings put in anywhere."""
+    header = draw(st.sampled_from(["f0,y", "f0,f1,y", "f0,y,s", "y,f0,s", "f0,s", "f0,y,y"]))
+    rows = draw(st.lists(st.tuples(*map(_cells, header.split(","))), max_size=5))
+    text = header + "\n" + "\n".join(map(",".join, rows)) + draw(st.sampled_from(["", "\n"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_AWKWARD_TEXT)) + text[at:]
+    return text
+
+
+def _load_outcomes(path):
+    """What load_csv and load_pu_csv give for ``path``: the arrays' shapes
+    and bytes, or the error's type and text."""
+    out = []
+    for load in (load_csv, lambda p: load_pu_csv(p, pi=0.5)):
+        try:
+            ds = load(path)
+        except PuermError as exc:
+            out.append((type(exc), str(exc)))
+            continue
+        labels = (ds.y,) if isinstance(ds, LabeledDataset) else (ds.s, ds.y_true)
+        out.append((ds.x.shape, ds.x.tobytes(), *(a if a is None else a.tobytes() for a in labels)))
+    return out
+
+
+@pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts(), st.sampled_from([1, 2, 5, datasets._PLAIN_CHUNK]))
+@example("f0,y\n1.5,1\n\n-2,-1\n", 1)
+@example("f0,y\n1.5,1\n\n-2,-1\n", 5)
+def test_both_readers_give_the_same_arrays_or_errors(text, chunk):
+    with tempfile.TemporaryDirectory() as where, mock.patch.object(datasets, "_PLAIN_CHUNK", chunk):
+        path = os.path.join(where, "d.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        numpy_first = _load_outcomes(path)
+        with mock.patch.object(datasets, "_read_plain", lambda *args: None):
+            assert _load_outcomes(path) == numpy_first
 
 
 def test_csv_spanning_several_blocks(tmp_path):

@@ -943,6 +943,30 @@ def test_cli_missing_input_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_train_refuses_an_empty_test_set(tmp_path, capsys):
+    labeled, pu_csv = str(tmp_path / "labeled.csv"), str(tmp_path / "pu.csv")
+    assert cli_dispatch(["synth", "--n", "100", "--pi", "0.5", "--out", labeled]) == 0
+    argv = ["sample", "--scenario", "ss", "--c", "0.5", "--in", labeled, "--out", pu_csv]
+    assert cli_dispatch(argv) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("f0,y\n")
+    trace = tmp_path / "trace.csv"
+    capsys.readouterr()
+    argv = ["train", "--in", pu_csv, "--test", str(empty), "--epochs", "2", "--trace", str(trace)]
+    assert cli_dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert "error: test set has no rows" in err
+    assert "test: accuracy" not in out
+    assert not trace.exists()
+
+
+def test_cli_train_names_an_empty_pu_file_without_pi(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    path.write_text("f0,y,s\n")
+    assert cli_dispatch(["train", "--in", str(path)]) == 1
+    assert f"error: {path}: no rows and no pi supplied" in capsys.readouterr().err
+
+
 def test_cli_check_passes(capsys):
     assert cli_dispatch(["check"]) == 0
     out = capsys.readouterr().out

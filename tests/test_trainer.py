@@ -13,10 +13,11 @@ from oracles import copy_model
 from puerm.datasets import (
     SCENARIO_CC,
     SCENARIO_SS,
+    LabeledDataset,
     PUDataset,
     gaussian_mixture,
 )
-from puerm.errors import FormatError, ParameterError, ShapeError, TrainingError
+from puerm.errors import DataError, FormatError, ParameterError, ShapeError, TrainingError
 from puerm.model import MLPModel, backward, forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
 from puerm.risk import LOGISTIC, LossSpec, get_loss, nnpu_risk, risk_components
@@ -98,6 +99,16 @@ def test_test_set_of_another_width_rejected():
     test = gaussian_mixture(20, 0.5, dim=2, rng=Rng(4))
     with pytest.raises(ShapeError, match="test set has 2 features"):
         train(data, TrainerConfig(batch_size=10), init([1, 4, 1], "tanh", Rng(3)), test)
+
+
+def test_empty_test_set_rejected_before_any_epoch():
+    data = _small_ss_dataset(n=40)
+    model = init([1, 4, 1], "tanh", Rng(3))
+    before = model.params.tobytes()
+    empty = LabeledDataset(x=np.empty((0, 1)), y=np.empty(0, dtype=np.int64))
+    with pytest.raises(DataError, match="test set has no rows"):
+        train(data, TrainerConfig(batch_size=10), model, empty)
+    assert model.params.tobytes() == before
 
 
 def _count_as_matrix(monkeypatch):
