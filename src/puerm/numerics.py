@@ -16,8 +16,10 @@ byte-for-byte across platforms:
   finds too, so the sort is redone stably only on a tie (two equal
   neighbours in sorted order),
 * subset draws return the same indices as the first k steps of a
-  Fisher-Yates shuffle, computed with vectorised numpy work: one sort of
-  packed (swap target, step) keys and pointer doubling, no O(n) array.
+  Fisher-Yates shuffle, computed with vectorised numpy work and no O(n)
+  array: one sort of packed (swap target, step) keys, then a walk along
+  the chains of displaced values that only the steps with a repeated
+  swap target take.
 
 Child generators are derived with ``numpy.random.SeedSequence`` spawn keys,
 which makes sibling streams independent by construction.
@@ -163,10 +165,15 @@ class Rng:
         that the last earlier step with the same j displaced; a displaced
         value follows the same rule one step back. One sort of the unique
         keys (j[i] << b) | i, with b = (k - 1).bit_length(), puts the steps
-        in stable order of j and so finds those earlier steps; pointer
-        doubling resolves the chains, in O(k log k) time and O(k) memory.
-        The keys must fit in 63 bits, (n - 1).bit_length() + b <= 63, which
-        holds for every n below 2**31; larger draws raise ParameterError.
+        in stable order of j and so finds those earlier steps. Only the steps
+        whose j an earlier step already hit follow their chain of displaced
+        values, all together, one link a round. The cost is the O(k log k)
+        sort plus one round, of at most O(k) work, per link of the longest
+        walked chain, in O(k) memory. PCG64 uniforms give chains of a few
+        links; a crafted stream can force about k (steps i < k - 1 aiming at
+        i + 1, and the last step at k - 1 again). The keys must fit in 63
+        bits, (n - 1).bit_length() + b <= 63, which holds for every n below
+        2**31; larger draws raise ParameterError.
         """
         if k < 0 or k > n:
             raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -191,31 +198,38 @@ class Rng:
         order = sorted_j & ((1 << b) - 1)
         sorted_j >>= b
         same = sorted_j[1:] == sorted_j[:-1]
-        # prev[i]: the last step before i with the same j, or -1
-        prev = np.full(k, -1, dtype=np.int64)
-        prev[order[1:][same]] = order[:-1][same]
-        # the last step of each group of equal j
-        is_end = np.ones(k, dtype=bool)
-        is_end[:-1] = ~same
+        # step order[d + 1] aims where the earlier step order[d] aimed; every
+        # other step keeps its own j
+        dup = np.flatnonzero(same)
+        # the last step of each group of equal j. Only targets below k feed
+        # src, and they sort first: the first m keys. Key m - 1 always ends
+        # its group, as sorted_j[m] >= k when m < k.
+        m = int(sorted_j.searchsorted(k))
+        is_end = np.ones(m, dtype=bool)
+        np.logical_not(same[:m], out=is_end[: k - 1])
+        del same
         ends = np.flatnonzero(is_end)
-        del same, is_end
+        del is_end
         # src[t]: the last step aiming at position t, whose displaced value
         # t holds before step t; t itself when no step aimed at it. When
         # that step is t itself no later step reads w[t], since j[i] >= i.
-        target, last = sorted_j[ends], order[ends]
-        del sorted_j, order, ends
-        aimed = target < k
         src = np.arange(k)
-        src[target[aimed]] = last[aimed]
-        del target, last, aimed
-        # the value position t holds before step t is the start of the
-        # chain t -> src[t] -> ...; pointer doubling walks to it
-        while True:
-            nxt = src[src]
-            if np.array_equal(nxt, src):
-                break
-            src = nxt
-        np.copyto(j, src[prev], where=prev >= 0)
+        src[sorted_j[ends]] = order[ends]
+        del sorted_j, ends
+        steps, root = order[dup + 1], order[dup]
+        del order, dup
+        # steps[d] takes the value that step root[d] displaced: the value
+        # position root[d] held before that step, which is the end of the
+        # chain root[d] -> src[root[d]] -> ... (src[t] < t until src[t] == t).
+        # Each round moves only the walkers not yet at their chain's end.
+        live = np.arange(root.size)
+        while live.size:
+            at = root[live]
+            nxt = src[at]
+            moved = nxt != at
+            live = live[moved]
+            root[live] = nxt[moved]
+        j[steps] = root
         return j
 
     def integers(self, n: int, high: int) -> np.ndarray:

@@ -143,6 +143,11 @@ def _check_width(x: np.ndarray, model: MLPModel, what: str) -> None:
         )
 
 
+def _check_rows(test: LabeledDataset) -> None:
+    if test.n == 0:
+        raise DataError("test set has no rows, so its accuracy is undefined")
+
+
 def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
     """Objective factory for one batch and one branch of the update rule.
 
@@ -188,8 +193,7 @@ def train(
     _check_width(dataset.x, model, "dataset")
     if test is not None:
         _check_width(test.x, model, "test set")
-        if test.n == 0:
-            raise DataError("test set has no rows, so its accuracy is undefined")
+        _check_rows(test)
     if cfg.batch_size > n:
         raise ParameterError(
             f"batch_size {cfg.batch_size} exceeds dataset size {n}"
@@ -256,7 +260,8 @@ def classify_scores(g_values) -> np.ndarray:
 
 def evaluate(model: MLPModel, data: LabeledDataset) -> tuple[float, float, float, float]:
     """(accuracy, precision, recall, f1) in percent of the model's hard
-    predictions on a labeled set."""
+    predictions on a labeled set; DataError for a set with no rows."""
+    _check_rows(data)
     return scores(confusion(classify_scores(forward(model, data.x)), data.y))
 
 

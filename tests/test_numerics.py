@@ -1,5 +1,6 @@
 """Tests for the matrix helpers and the reproducible random stream."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,16 @@ def test_golden_values_frozen():
     cu = Rng(12345).child(7).uniform(2)
     assert np.allclose(
         cu, [0.9830252332964733, 0.6930299356569128], rtol=0, atol=0
+    )
+
+
+def test_check_draw_frozen():
+    # the first subset draw of ``puerm check``; frozen so that the sampler
+    # and its dense-loop oracle below cannot drift together
+    s = Rng(20240817).child(2100).sample_without_replacement(400_000, 200_000)
+    assert s.dtype == np.int64
+    assert hashlib.sha256(s.tobytes()).hexdigest() == (
+        "71ad406f55412ee0f7683543f1f22ece2f1e137b2a4e2bd1444f61a18e2c5404"
     )
 
 
@@ -249,6 +260,14 @@ def _aim(n, k, j):
     return (j - i + 0.5) / (n - i)
 
 
+def _chain_end(k):
+    """j[i] = i + 1, except that the last of k >= 2 steps repeats j[k - 2]."""
+    j = np.arange(1, k + 1)
+    if k >= 2:
+        j[-1] = j[-2]
+    return j
+
+
 # Crafted streams u(n, k) and, where it is simple, the draw they force.
 CRAFTED = {
     # j[i] = i: no step swaps anything
@@ -262,10 +281,13 @@ CRAFTED = {
         lambda n, k: _aim(n, k, np.maximum(np.arange(k), n - 1 - (7 * np.arange(k)) % 5)),
         None,
     ),
-    # j[i] = i + 1 carries value 0 forward through every step, so each
-    # displaced value ends a chain as long as k: the most rounds of
-    # pointer doubling
+    # j[i] = i + 1 carries value 0 forward through every step; no target
+    # repeats, so every step keeps its own j and nothing is walked
     "chain": (lambda n, k: _aim(n, k, np.arange(1, k + 1)), lambda n, k: np.arange(1, k + 1)),
+    # the same, except that the last step aims where the step before it
+    # aimed: that repeated target walks a chain about k links long, back
+    # to value 0
+    "chain-end": (lambda n, k: _aim(n, k, _chain_end(k)), None),
 }
 
 

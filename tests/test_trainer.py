@@ -586,6 +586,15 @@ def test_evaluate_scores_hard_predictions_in_percent():
     assert all(0.0 <= v <= 100.0 for v in want)
 
 
+def test_evaluate_rejects_empty_set():
+    from puerm.datasets import LabeledDataset
+
+    model = init([1, 4, 1], "tanh", Rng(22))
+    empty = LabeledDataset(x=np.empty((0, 1)), y=np.empty(0, dtype=np.int64))
+    with pytest.raises(DataError, match="test set has no rows"):
+        evaluate(model, empty)
+
+
 def test_integration_accuracy_on_easy_mixture():
     root = Rng(20)
     pool = gaussian_mixture(2000, 0.5, rng=root.child(0))
