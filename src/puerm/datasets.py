@@ -15,13 +15,13 @@ with no ``"`` and no CR, then a non-empty body of only the bytes
 that parser refuses or reads to a non-finite feature, goes to the
 ``csv.reader`` path. Both paths parse a float with the same C routine
 CPython's ``float`` uses, so the arrays and errors never depend on the
-path. The ``csv.reader`` path converts a block of rows at a time, column
-by column, with ``float`` and a label lookup; only when that fails does
-a per-row loop run over the block, to find the first bad row and word
-its ``FormatError``. A cell that parses to a non-finite float is a
-``FormatError`` too. Every ``FormatError`` names the file and, for a bad
-cell, its line and column; lines are lines of the file, so a quoted cell
-that holds a line break counts as more than one.
+path. The ``csv.reader`` path is one loop over the rows: it checks each
+row's cell count, parses each feature with ``float`` and looks up each
+label; the first bad cell raises its ``FormatError`` there. A cell that
+parses to a non-finite float is a ``FormatError`` too, reported once
+every cell has parsed. Every ``FormatError`` names the file and, for a
+bad cell, its line and column; lines are lines of the file, so a quoted
+cell that holds a line break counts as more than one.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import csv
 import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -47,8 +47,6 @@ SCENARIOS = (SCENARIO_SS, SCENARIO_CC)
 _FLOAT_FMT = "{:.17g}"
 # Accepted label cells and the label each one stands for.
 _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
-# Rows a loader tokenizes and converts at a time.
-_BLOCK_ROWS = 4096
 # The bytes a plain-form body may hold, and how many are checked at a time.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _PLAIN_CHUNK = 1 << 18
@@ -248,40 +246,6 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     )
 
 
-def _row_lines(rows, first_line):
-    """Yield (line, row) for a block of rows whose first row starts on line
-    ``first_line`` of the file. A line break inside a quoted cell (CR LF, a
-    lone CR or a lone LF, as the file iterator splits lines) moves every
-    later row down one line."""
-    for row in rows:
-        yield first_line, row
-        first_line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-
-
-def _raise_row_error(path, header, rows, first_line, feat_names, col_index, label_names):
-    """Raise the ``FormatError`` for the first malformed row of ``rows``,
-    whose first row starts on line ``first_line`` of the file."""
-    for line, row in _row_lines(rows, first_line):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
-            )
-        for name in feat_names:
-            cell = row[col_index[name]]
-            try:
-                float(cell)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line}: non-numeric value {cell!r} in column {name}"
-                ) from None
-        for name in label_names:
-            cell = row[col_index[name]]
-            if cell not in _LABEL_CELLS:
-                raise FormatError(
-                    f"{path}: line {line}: column {name} must be -1 or 1, got {cell!r}"
-                )
-
-
 def _read_plain(path, n_cols, feat_cols, label_cols):
     """(x, {label name: labels}) read by ``np.loadtxt`` from a file in the
     plain form, or None when the file is not in that form, the parser
@@ -353,47 +317,48 @@ def _read_columns(path, want_y: bool, want_s: bool):
             x, labels = plain
             return x, labels.get("y"), labels.get("s")
 
-        # A block of rows at a time, converted column by column; any failure
-        # hands the block to the row loop, which finds the first bad row and
-        # words the error. Blocks bound the memory the text cells take.
-        xs = [np.empty((0, d))]
-        labels = {name: [np.empty(0, dtype=np.int64)] for name in label_names}
-        first_line = reader.line_num + 1  # of the block's first row
-        non_finite = None  # reported only once every cell has parsed
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            n = len(rows)
-            try:
-                if set(map(len, rows)) - {len(header)}:
-                    raise ValueError("ragged rows")
-                x = np.empty((n, d))
-                for j, name in enumerate(feat_names):
-                    cells = map(itemgetter(col_index[name]), rows)
-                    x[:, j] = np.fromiter(map(float, cells), dtype=np.float64, count=n)
-                for name in label_names:
-                    cells = map(itemgetter(col_index[name]), rows)
-                    labels[name].append(
-                        np.fromiter(map(_LABEL_CELLS.__getitem__, cells), np.int64, n)
-                    )
-            except (ValueError, KeyError):
-                _raise_row_error(
-                    path, header, rows, first_line, feat_names, col_index, label_names
+        # One row at a time: the first bad cell raises its FormatError at
+        # once; a non-finite feature is reported once every cell has parsed.
+        features = [(col_index[name], name) for name in feat_names]
+        labels = [(col_index[name], name, array("q")) for name in label_names]
+        x = array("d")  # row-major, 8 bytes a cell
+        n, non_finite = 0, None
+        line = reader.line_num + 1  # the first file line of the next row
+        for row in reader:
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
                 )
-                raise
-            bad = np.argwhere(~np.isfinite(x))
-            if len(bad) and non_finite is None:
-                r, j = bad[0]
-                name = feat_names[j]
-                line, row = next(itertools.islice(_row_lines(rows, first_line), r, None))
-                non_finite = (
-                    f"{path}: line {line}: non-finite value "
-                    f"{row[col_index[name]]!r} in column {name}"
+            for j, name in features:
+                try:
+                    x.append(float(row[j]))
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {line}: non-numeric value {row[j]!r} in column {name}"
+                    ) from None
+            for j, name, values in labels:
+                try:
+                    values.append(_LABEL_CELLS[row[j]])
+                except KeyError:
+                    raise FormatError(
+                        f"{path}: line {line}: column {name} must be -1 or 1, got {row[j]!r}"
+                    ) from None
+            # a finite row can still sum to inf, so look at each cell then
+            if non_finite is None and not math.isfinite(sum(x[n * d:])):
+                non_finite = next(
+                    (
+                        f"{path}: line {line}: non-finite value {row[j]!r} in column {name}"
+                        for (j, name), v in zip(features, x[n * d:])
+                        if not math.isfinite(v)
+                    ),
+                    None,
                 )
-            xs.append(x)
-            first_line = reader.line_num + 1
+            n += 1
+            line = reader.line_num + 1
     if non_finite:
         raise FormatError(non_finite)
-    labels = {name: np.concatenate(parts) for name, parts in labels.items()}
-    return np.concatenate(xs), labels.get("y"), labels.get("s")
+    labels = {name: np.frombuffer(values, np.int64) for _, name, values in labels}
+    return np.frombuffer(x).reshape(n, d), labels.get("y"), labels.get("s")
 
 
 def load_csv(path) -> LabeledDataset:

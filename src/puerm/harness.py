@@ -120,6 +120,11 @@ class GridSpec:
                 type(v) is int and v >= low for v in values
             ):
                 raise ParameterError(f"{name} must be a list of integers >= {low}")
+        # a repeated value would run the same cells twice
+        for name in ("scenarios", "methods", "c_values", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ParameterError(f"{name} must not repeat a value, got {values}")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(f"activation must be one of {ACTIVATIONS}")
         if self.n < 10:
@@ -424,6 +429,13 @@ def parse_grid_config(doc: dict, base_dir: str = ".") -> GridSpec:
         raise FormatError(f"unknown grid config keys: {sorted(unknown)}")
     if "datasets" not in doc:
         raise FormatError("grid config needs a 'datasets' list")
+    trainer = doc.get("trainer", {})
+    for key, axis in (("method", "methods"), ("seed", "seeds")):
+        if isinstance(trainer, dict) and key in trainer:
+            raise FormatError(
+                f"trainer.{key} is not a grid setting: each cell takes it from "
+                f"the grid's {axis!r} list"
+            )
     try:
         sources = []
         for entry in doc["datasets"]:
@@ -432,7 +444,7 @@ def parse_grid_config(doc: dict, base_dir: str = ".") -> GridSpec:
             if path and not os.path.isabs(path):
                 entry["path"] = os.path.join(base_dir, path)
             sources.append(DatasetSource(**entry))
-        trainer = TrainerConfig(**doc.get("trainer", {}))
+        trainer = TrainerConfig(**trainer)
         kwargs = {k: v for k, v in doc.items() if k not in ("datasets", "trainer")}
         return GridSpec(datasets=sources, trainer=trainer, **kwargs)
     except (TypeError, ValueError) as exc:

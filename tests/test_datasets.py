@@ -297,19 +297,15 @@ def _saved_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_saved_sets(), st.booleans(), st.sampled_from([1, 7, datasets._BLOCK_ROWS]))
+@given(_saved_sets(), st.booleans())
 @example(
     (np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]]),
      np.array([1]), np.array([1])),
     True,
-    datasets._BLOCK_ROWS,
 )
-def test_csv_round_trip_is_bit_exact_for_any_finite_float(data, with_y_true, block_rows):
+def test_csv_round_trip_is_bit_exact_for_any_finite_float(data, with_y_true):
     x, y, s = data
-    with (
-        tempfile.TemporaryDirectory() as where,
-        mock.patch.object(datasets, "_BLOCK_ROWS", block_rows),
-    ):
+    with tempfile.TemporaryDirectory() as where:
         path = os.path.join(where, "d.csv")
         save_csv(LabeledDataset(x=x, y=y), path)
         back = load_csv(path)
@@ -373,15 +369,14 @@ AWKWARD_FILES = {
     "plain_blank_first_row": ("f0,y\n\n1.5,1\n", "line 2: expected 2 cells, got 0"),
     "plain_blank_body": ("f0,y\n\n\n", "line 2: expected 2 cells, got 0"),
     "plain_body_after_a_cr": ("f0,y\r1.5,1\n-2,-1\n", ([[1.5], [-2.0]], [1, -1])),
+    "zero_features_crlf": ("y\r\n1\r\n-1\r\n", (np.zeros((2, 0)), [1, -1])),
 }
 
 
 @pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
 @pytest.mark.parametrize("numpy_reader", [True, False], ids=["numpy_first", "csv_only"])
-@pytest.mark.parametrize("block_rows", [1, 2, datasets._BLOCK_ROWS])
 @pytest.mark.parametrize("text, expected", AWKWARD_FILES.values(), ids=AWKWARD_FILES)
-def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, block_rows, numpy_reader):
-    monkeypatch.setattr(datasets, "_BLOCK_ROWS", block_rows)
+def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, numpy_reader):
     if not numpy_reader:  # every file goes to the csv.reader path
         monkeypatch.setattr(datasets, "_read_plain", lambda *args: None)
     path = tmp_path / "d.csv"
@@ -408,7 +403,7 @@ def test_save_csv_files_take_the_numpy_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(datasets, "_read_plain", spy)
     path = tmp_path / "d.csv"
-    for n in (1, 2 * datasets._BLOCK_ROWS + 3):
+    for n in (1, 8195):
         ds = gaussian_mixture(n, 0.5, dim=3, rng=Rng(n))
         save_csv(ds, path)
         load_csv(path)
@@ -485,7 +480,7 @@ def test_both_readers_give_the_same_arrays_or_errors(text, chunk):
 
 
 def test_csv_spanning_several_blocks(tmp_path):
-    n = 2 * datasets._BLOCK_ROWS + 3
+    n = 8195
     ds = gaussian_mixture(n, 0.5, dim=2, rng=Rng(13))
     path = tmp_path / "d.csv"
     save_csv(ds, path)

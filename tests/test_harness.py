@@ -105,6 +105,31 @@ def test_grid_spec_validation(tmp_path):
         _tiny_spec(tmp_path, test_fraction=1.0)
 
 
+@pytest.mark.parametrize(
+    "axis, values",
+    [
+        ("seeds", [0, 1, 0]),
+        ("c_values", [0.3, 0.3]),
+        ("methods", ["nnpu_ss", "nnpu_ss"]),
+        ("scenarios", ["ss", "ss"]),
+    ],
+)
+def test_grid_spec_rejects_a_repeated_axis_value(tmp_path, axis, values):
+    # a repeated value would run its cells twice and weigh them double in report
+    with pytest.raises(ParameterError, match=f"{axis} must not repeat a value"):
+        _tiny_spec(tmp_path, **{axis: values})
+    assert _tiny_spec(tmp_path, hidden_dims=[4, 4]).hidden_dims == [4, 4]
+
+
+def test_grid_command_with_a_repeated_seed_runs_nothing(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["grid", "--seeds", "0,0", "--c-values", "0.9", "--scenarios", "ss",
+            "--methods", "nnpu_ss", "--epochs", "1", "--out", str(out), "--quiet"]
+    assert cli_dispatch(argv) == 1
+    assert "seeds must not repeat a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_grid_spec_shape():
     spec = default_grid_spec()
     assert [d.name for d in spec.datasets] == ["gauss1d"]
@@ -593,7 +618,7 @@ def test_parse_grid_config_round_trip():
         "methods": ["upu_ss", "upu_cc"],
         "c_values": [0.2, 0.8],
         "seeds": [0, 1, 2],
-        "trainer": {"method": "upu_ss", "epochs": 7, "eta": 0.05},
+        "trainer": {"epochs": 7, "eta": 0.05},
         "n": 300,
         "hidden_dims": [16, 16],
         "activation": "tanh",
@@ -616,6 +641,16 @@ def test_parse_grid_config_rejects_unknown_keys():
         parse_grid_config({"datasets": [{"name": "g", "rows": 5}]})
     with pytest.raises(FormatError):
         parse_grid_config({"datasets": [{"name": "g"}], "trainer": {"lr": 0.1}})
+
+
+@pytest.mark.parametrize(
+    "key, value, axis", [("method", "upu_ss", "methods"), ("seed", 3, "seeds")]
+)
+def test_parse_grid_config_rejects_trainer_fields_each_cell_sets(key, value, axis):
+    # run_cell sets both in every cell, so a value here would be ignored
+    doc = {"datasets": [{"name": "g"}], "trainer": {key: value}}
+    with pytest.raises(FormatError, match=f"trainer.{key} .* the grid's '{axis}' list"):
+        parse_grid_config(doc)
 
 
 def test_parse_grid_config_resolves_relative_paths():
