@@ -1,9 +1,11 @@
 """Tests for dataset containers, the synthetic generator, and CSV I/O."""
 
 import builtins
+import csv
 import errno
 import math
 import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -373,10 +375,29 @@ AWKWARD_FILES = {
 }
 
 
+def _with_good_rows_first(text, expected, k):
+    """``text`` with ``k`` valid rows put right after its header, each ended
+    like the header line, and what loading that file gives: ``k`` rows of
+    0.25 features and label -1 first, or the error ``k`` lines further down."""
+    header, eol = re.match(r"([^\r\n]*)(\r\n|\r|\n)", text).groups()
+    names = next(csv.reader([header]))
+    row = ",".join("-1" if name in ("y", "s") else "0.25" for name in names) + eol
+    text = header + eol + row * k + text[len(header) + len(eol):]
+    if isinstance(expected, str):
+        return text, re.sub(r"^line (\d+)", lambda m: f"line {int(m[1]) + k}", expected)
+    x = np.asarray(expected[0], dtype=np.float64)
+    return text, (np.vstack([np.full((k, x.shape[1]), 0.25), x]), [-1] * k + expected[1])
+
+
 @pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
 @pytest.mark.parametrize("numpy_reader", [True, False], ids=["numpy_first", "csv_only"])
+@pytest.mark.parametrize("good_rows_first", [0, 1, 2])
 @pytest.mark.parametrize("text, expected", AWKWARD_FILES.values(), ids=AWKWARD_FILES)
-def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, numpy_reader):
+def test_load_csv_awkward_files(tmp_path, monkeypatch, text, expected, good_rows_first,
+                                numpy_reader):
+    # good rows before the awkward ones check that the row loop's line
+    # numbers and its per-row non-finite check follow the row it is on
+    text, expected = _with_good_rows_first(text, expected, good_rows_first)
     if not numpy_reader:  # every file goes to the csv.reader path
         monkeypatch.setattr(datasets, "_read_plain", lambda *args: None)
     path = tmp_path / "d.csv"
