@@ -13,9 +13,10 @@ per row. So a training step runs the network forward once:
 upstream, out=grads)``. Both take their matrix products with ``np.dot``,
 which hands each one to BLAS; ``@`` sends a product with an inner
 dimension of 1 (one input feature, or the (n, 1) output layer) to a loop
-several times slower, for the same bits. ``grad_check`` verifies any
-objective's analytic gradient against central finite differences of its
-value, which it asks for without the gradient.
+several times slower, for the same bits. ``grad_check`` verifies the
+gradients of an objective that returns ``(values, bundles)``, lists of
+floats and ``GradientBundle`` in the same order (None for the bundles
+when asked for values alone), against central differences of the values.
 
 Each hidden activation is written over its fresh pre-activation, and
 ``backward`` takes the activation's derivative from the output (relu:
@@ -254,29 +255,31 @@ def backward(
 def grad_check(model: MLPModel, objective, h: float = 1e-5) -> float:
     """Largest relative disagreement between analytic and numeric gradients.
 
-    ``objective(model, grad)`` must return (value, GradientBundle) when
-    ``grad`` is True and may return (value, None) when it is False. The
-    gradient is asked for once, at the unperturbed parameters; every
-    parameter is then perturbed by +-h for a central difference of the
-    value alone. The result is max over parameters of |analytic - numeric|
-    divided by max(|analytic| + |numeric|, 1e-8).
+    ``objective(model, grad)`` returns (values, bundles), one entry per
+    objective; ``bundles`` may be None when ``grad`` is False. The
+    gradients are asked for once, at the unperturbed parameters; each
+    +-h perturbation of a parameter takes one value-only call. The result
+    is max over entries and parameters of |analytic - numeric| divided by
+    max(|analytic| + |numeric|, 1e-8); a NaN error counts as inf, so a
+    non-finite gradient or value passes no tolerance.
     """
-    if h <= 0:
-        raise ParameterError(f"h must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError(f"h must be finite and > 0, got {h}")
     model.repack()
-    _, analytic = objective(model, grad=True)
-    flat, gflat = model.params, analytic.flat
+    _, bundles = objective(model, grad=True)
+    flat, gflats = model.params, [b.flat.tolist() for b in bundles]
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up, _ = objective(model, grad=False)
+        ups, _ = objective(model, grad=False)
         flat[i] = orig - h
-        down, _ = objective(model, grad=False)
+        downs, _ = objective(model, grad=False)
         flat[i] = orig
-        numeric = (up - down) / (2.0 * h)
-        err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
-        worst = max(worst, err)
+        for gflat, up, down in zip(gflats, ups, downs):
+            numeric = (up - down) / (2.0 * h)
+            err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
+            worst = max(worst, math.inf if math.isnan(err) else err)
     return worst
 
 

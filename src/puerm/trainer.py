@@ -18,6 +18,9 @@ writes every batch's gradient into it. The step works on whole vectors:
 plain SGD scales that buffer in place and subtracts it from the model's
 flat ``params``, and ``optimizer="adam-style"`` keeps its adaptive moments
 as two more vectors of the same layout. Per-epoch sums are Python floats.
+``batch_objective`` gives several (mode, branch) objectives of one batch
+from one pass as ``(values, bundles)``, the form ``grad_check`` takes, so
+one finite-difference sweep verifies them all.
 
 Per-epoch traces (``EpochTrace``, one trace-file row each; the file's
 columns are its field names) record the mean components, the mean
@@ -37,7 +40,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _write_atomically
+from .datasets import (
+    SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _as_labels, _write_atomically,
+)
 from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
 from .model import GradientBundle, MLPModel, backward, forward, forward_pass
@@ -148,27 +153,33 @@ def _check_rows(test: LabeledDataset) -> None:
         raise DataError("test set has no rows, so its accuracy is undefined")
 
 
-def batch_objective(x, s, pi: float, mode: str, loss, surrogate: bool):
-    """Objective factory for one batch and one branch of the update rule.
+def batch_objective(x, s, pi: float, loss, branches):
+    """Objective factory for one batch and several branches of the update rule.
 
-    Returns a callable ``objective(model, grad=True)`` giving (value,
-    GradientBundle), or (value, None) without the per-row risk gradients
-    or ``backward`` when ``grad`` is False. The value is the quantity the
-    branch actually descends: the unbiased objective r_label + r_dist -
-    r_corr when ``surrogate`` is False, the surrogate r_corr - r_dist when
-    True. Used by finite-difference gradient verification (``grad_check``)
-    and by the self-check command. ``x`` is validated here once, not on
-    every call.
+    ``branches`` is a sequence of (mode, surrogate) pairs. The returned
+    ``objective(model, grad=True)`` gives (values, bundles), one entry per
+    pair in order; ``bundles`` is None, and no per-row risk gradient or
+    ``backward`` is computed, when ``grad`` is False. Each value is what its
+    branch descends: r_label + r_dist - r_corr (unbiased) or r_corr -
+    r_dist (surrogate). A call runs the network once and
+    ``risk_components`` once per distinct mode. ``x`` and ``s`` (+-1
+    labels, one per row) are validated here once, not on every call.
     """
     x = as_matrix(x)
-    lab_mask = np.asarray(s, dtype=np.int64) == 1
+    lab_mask = _as_labels(s, x.shape[0], "s") == 1
+    branches = list(branches)
+    if not branches:
+        raise ParameterError("branches must name at least one (mode, surrogate) pair")
+    modes = dict.fromkeys(mode for mode, _ in branches)
 
     def objective(model: MLPModel, grad: bool = True):
         _check_width(x, model, "batch")
         fp = forward_pass(model, x)
-        comp = risk_components(fp.scores, lab_mask, pi, mode, loss, grad)
-        value, upstream = comp.surrogate() if surrogate else comp.unbiased()
-        return value, backward(model, fp, upstream) if grad else None
+        comps = {m: risk_components(fp.scores, lab_mask, pi, m, loss, grad) for m in modes}
+        picked = [comps[m].surrogate() if surrogate else comps[m].unbiased()
+                  for m, surrogate in branches]
+        values = [value for value, _ in picked]
+        return values, [backward(model, fp, u) for _, u in picked] if grad else None
 
     return objective
 

@@ -9,7 +9,7 @@ import pytest
 
 from puerm import harness
 from puerm.cli import cli_dispatch
-from puerm.datasets import gaussian_mixture, load_csv, save_csv
+from puerm.datasets import SCENARIOS, gaussian_mixture, load_csv, save_csv
 from puerm.errors import FormatError, ParameterError, PuermError
 from puerm.harness import (
     RESULTS_COLUMNS,
@@ -27,8 +27,9 @@ from puerm.harness import (
     run_grid,
     run_self_checks,
 )
+from puerm.model import grad_check
 from puerm.numerics import Rng
-from puerm.trainer import TrainerConfig, load_trace
+from puerm.trainer import TrainerConfig, batch_objective, load_trace
 
 
 def _tiny_spec(tmp_path, **overrides):
@@ -784,6 +785,39 @@ def test_self_check_sampler_lines_are_pinned():
         ("single-sample unlabeled mix (c=0.9)", "fraction 0.09118 vs 0.09091 (3 sigma = 0.00260)"),
         ("case-control unlabeled mix (c=0.9)", "fraction 0.49808 vs 0.5 (3 sigma = 0.00787)"),
     ]
+
+
+def test_self_check_gradient_sweep_equals_the_single_branch_sweeps(monkeypatch):
+    built, compared = [], []
+
+    def recording_objective(*args):
+        built.append(args)
+        return batch_objective(*args)
+
+    def recording_check(model, objective, h):
+        worst = grad_check(model, objective, h=h)
+        x, s, pi, loss, branches = built[-1]
+        singles = [
+            grad_check(model, batch_objective(x, s, pi, loss, [branch]), h=h)
+            for branch in branches
+        ]
+        compared.append((model.activation, worst, max(singles)))
+        return worst
+
+    monkeypatch.setattr(harness, "batch_objective", recording_objective)
+    monkeypatch.setattr(harness, "grad_check", recording_check)
+    details = {name: detail for name, _, detail in run_self_checks()}
+    # one objective over every (mode, branch) pair, one sweep per activation
+    assert len(built) == 1
+    assert sorted(built[0][4]) == sorted(
+        (mode, surrogate) for mode in SCENARIOS for surrogate in (False, True)
+    )
+    assert [activation for activation, *_ in compared] == ["tanh", "relu"]
+    for activation, worst, single_max in compared:
+        assert worst == single_max
+        assert details[f"gradient check ({activation})"].startswith(
+            f"max relative error {worst:.3e} "
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def test_grad_check_accepts_exact_gradients():
 
     def objective(model, grad=True):
         fp = forward_pass(model, x)
-        return float(np.dot(u, fp.scores)), backward(model, fp, u)
+        return [float(np.dot(u, fp.scores))], [backward(model, fp, u)]
 
     assert grad_check(m, objective) < 1e-6
 
@@ -323,9 +323,70 @@ def test_grad_check_flags_tampered_gradients():
         value = float(np.dot(u, forward(model, x)))
         grads = backward(model, forward_pass(model, x), u)
         grads.weights[0][0, 0] += 0.5
-        return value, grads
+        return [value], [grads]
 
     assert grad_check(m, objective) > 1e-2
+
+
+def _two_entry_objective(x, u, tamper=None, value_of_second=None):
+    """Objective with entries sum(u * g) and sum(-u * g); ``tamper`` edits
+    the second entry's gradient, ``value_of_second`` replaces its value."""
+
+    def objective(model, grad=True):
+        fp = forward_pass(model, x)
+        values = [float(np.dot(u, fp.scores)), float(np.dot(-u, fp.scores))]
+        if value_of_second is not None:
+            values[1] = value_of_second
+        if not grad:
+            return values, None
+        bundles = [backward(model, fp, u), backward(model, fp, -u)]
+        if tamper is not None:
+            tamper(bundles[1])
+        return values, bundles
+
+    return objective
+
+
+def test_grad_check_takes_the_worst_entry():
+    rng = Rng(9)
+    m = init([2, 5, 1], "tanh", rng)
+    x = rng.normal(2 * 6).reshape(6, 2)
+    u = rng.normal(6)
+    assert grad_check(m, _two_entry_objective(x, u)) < 1e-6
+
+    def tamper(bundle):
+        bundle.biases[0][1] += 0.5
+
+    # only the second entry is wrong, and the sweep still sees it
+    assert grad_check(m, _two_entry_objective(x, u, tamper)) > 1e-2
+
+
+def test_grad_check_fails_a_nan_gradient_or_value():
+    rng = Rng(10)
+    m = init([2, 5, 1], "tanh", rng)
+    x = rng.normal(2 * 6).reshape(6, 2)
+    u = rng.normal(6)
+
+    def nan_gradient(bundle):
+        bundle.weights[1][0, 2] = np.nan
+
+    for objective in (
+        _two_entry_objective(x, u, tamper=nan_gradient),
+        _two_entry_objective(x, u, value_of_second=math.nan),
+    ):
+        err = grad_check(m, objective)
+        assert err == math.inf
+        assert not err < 1e300  # below no tolerance
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(h):
+    rng = Rng(11)
+    m = init([2, 5, 1], "tanh", rng)
+    x = rng.normal(2 * 6).reshape(6, 2)
+    u = rng.normal(6)
+    with pytest.raises(ParameterError, match="h must be finite and > 0"):
+        grad_check(m, _two_entry_objective(x, u), h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +556,6 @@ def test_training_repacks_a_rebound_layer():
 
     def objective(model, grad=True):
         fp = forward_pass(model, x)
-        return float(np.dot(u, fp.scores)), backward(model, fp, u) if grad else None
+        return [float(np.dot(u, fp.scores))], [backward(model, fp, u)] if grad else None
 
     assert grad_check(stale, objective) < 1e-6

@@ -434,24 +434,41 @@ def test_batch_objective_values_match_component_route():
     model = init([1, 4, 1], "tanh", Rng(18))
     from puerm.risk import LOGISTIC
 
-    obj = batch_objective(data.x, data.s, data.pi, "ss", LOGISTIC, surrogate=False)
-    value, grads = obj(model)
+    obj = batch_objective(data.x, data.s, data.pi, LOGISTIC, [("ss", False)])
+    (value,), (grads,) = obj(model)
     g = forward(model, data.x)
     lab = data.s == 1
     comp = risk_components(g, lab, data.pi, "ss")
     assert abs(value - comp.unbiased()[0]) < 1e-14
     assert len(grads.weights) == 2
 
-    surr = batch_objective(data.x, data.s, data.pi, "ss", LOGISTIC, surrogate=True)
-    value_s, _ = surr(model)
+    surr = batch_objective(data.x, data.s, data.pi, LOGISTIC, [("ss", True)])
+    (value_s,), _ = surr(model)
     assert abs(value_s - (comp.r_corr - comp.r_dist)) < 1e-14
+
+
+def test_batch_objective_entries_are_the_single_branch_bits():
+    data = _small_ss_dataset(n=80, seed=17)
+    model = init([1, 4, 1], "tanh", Rng(18))
+    branches = [(SCENARIO_CC, True), (SCENARIO_SS, False), (SCENARIO_CC, False), (SCENARIO_SS, True)]
+    obj = batch_objective(data.x, data.s, data.pi, LOGISTIC, branches)
+    values, bundles = obj(model)
+    assert obj(model, grad=False) == (values, None)
+    assert len(values) == len(bundles) == 4
+    assert len({id(b) for b in bundles}) == 4  # no bundle is shared
+    for branch, value, bundle in zip(branches, values, bundles):
+        (single_value,), (single,) = batch_objective(
+            data.x, data.s, data.pi, LOGISTIC, [branch]
+        )(model)
+        assert value == single_value
+        assert np.array_equal(bundle.flat, single.flat)
 
 
 def test_batch_objective_validates_its_batch_once(monkeypatch):
     from puerm.risk import LOGISTIC
 
     data = _small_ss_dataset(n=40, seed=19)
-    obj = batch_objective(data.x, data.s, data.pi, "ss", LOGISTIC, surrogate=False)
+    obj = batch_objective(data.x, data.s, data.pi, LOGISTIC, [("ss", False)])
     calls = _count_as_matrix(monkeypatch)
     model = init([1, 4, 1], "tanh", Rng(20))
     for _ in range(3):
@@ -461,9 +478,30 @@ def test_batch_objective_validates_its_batch_once(monkeypatch):
     with pytest.raises(ShapeError, match="batch has 1 features, model expects 2"):
         obj(init([2, 4, 1], "tanh", Rng(21)))
     with pytest.raises(ShapeError):
-        batch_objective([1.0, 2.0], [1, -1], 0.5, "ss", LOGISTIC, surrogate=False)
+        batch_objective([1.0, 2.0], [1, -1], 0.5, LOGISTIC, [("ss", False)])
     with pytest.raises(ParameterError):
-        batch_objective([[np.nan]], [1], 0.5, "ss", LOGISTIC, surrogate=False)
+        batch_objective([[np.nan]], [1], 0.5, LOGISTIC, [("ss", False)])
+
+
+@pytest.mark.parametrize(
+    "s,match",
+    [
+        ([1.7, 2, -1], "entries must be -1 or \\+1"),
+        ([1, 0, -1], "entries must be -1 or \\+1"),
+        ([1, -1], "must have length 3"),
+        ([1, -1, -1, 1], "must have length 3"),
+        ([[1, -1, -1]], "must have length 3"),
+    ],
+)
+def test_batch_objective_validates_its_labels_when_built(s, match):
+    x = np.linspace(-1.0, 1.0, 3)[:, None]
+    with pytest.raises(DataError, match=match):
+        batch_objective(x, s, 0.5, LOGISTIC, [(SCENARIO_SS, False)])
+
+
+def test_batch_objective_needs_a_branch():
+    with pytest.raises(ParameterError, match="at least one"):
+        batch_objective(np.zeros((2, 1)), [1, -1], 0.5, LOGISTIC, [])
 
 
 def _counting_loss(spec, counts):
@@ -487,7 +525,7 @@ def test_value_only_objective_makes_no_derivative_call(mode, surrogate):
     model = init([1, 4, 1], "tanh", Rng(24))
     counts = {"value": 0, "derivative": 0}
     obj = batch_objective(
-        data.x, data.s, data.pi, mode, _counting_loss(LOGISTIC, counts), surrogate
+        data.x, data.s, data.pi, _counting_loss(LOGISTIC, counts), [(mode, surrogate)]
     )
     value, grads = obj(model, grad=False)
     assert grads is None
@@ -512,18 +550,19 @@ def test_training_makes_one_value_and_one_derivative_call_per_batch(monkeypatch,
 
 
 def _grad_check_computing_every_gradient(model, objective, h=1e-5):
-    """``grad_check`` as it was when every objective call, the +-h ones
-    included, ran ``backward`` too: the reference for the value-only calls."""
-    _, analytic = objective(model)
+    """``grad_check`` of a one-branch objective as it was when every
+    objective call, the +-h ones included, ran ``backward`` too: the
+    reference for the value-only calls."""
+    _, (analytic,) = objective(model)
     worst = 0.0
     for array, grad in zip(model.weights + model.biases, analytic.weights + analytic.biases):
         flat, gflat = array.ravel(), grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = objective(model)
+            (up,), _ = objective(model)
             flat[i] = orig - h
-            down, _ = objective(model)
+            (down,), _ = objective(model)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-8)
@@ -542,7 +581,7 @@ def test_grad_check_asks_for_one_gradient(monkeypatch, activation, mode, surroga
     x = rng.normal(12, sd=1.5).reshape(6, 2)
     s = np.array([1, 1, -1, -1, -1, -1])
     model = init([2, 8, 8, 1], activation, rng.child(1))
-    obj = batch_objective(x, s, 0.5, mode, LOGISTIC, surrogate)
+    obj = batch_objective(x, s, 0.5, LOGISTIC, [(mode, surrogate)])
     value, _ = obj(model)
     assert obj(model, grad=False) == (value, None)
     backward_calls = []
@@ -562,6 +601,43 @@ def test_grad_check_asks_for_one_gradient(monkeypatch, activation, mode, surroga
     assert len(backward_calls) == 1
     # the +-h values, and so the error, are the bits the full calls give
     assert err == _grad_check_computing_every_gradient(model, obj)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_grad_check_sweeps_every_branch_with_one_pass_per_point(monkeypatch, activation):
+    from puerm import trainer
+
+    rng = Rng(22)
+    x = rng.normal(12, sd=1.5).reshape(6, 2)
+    s = np.array([1, 1, -1, -1, -1, -1])
+    model = init([2, 8, 8, 1], activation, rng.child(1))
+    branches = [(SCENARIO_SS, False), (SCENARIO_CC, True), (SCENARIO_SS, True), (SCENARIO_CC, False)]
+    singles = max(
+        grad_check(model, batch_objective(x, s, 0.5, LOGISTIC, [branch]))
+        for branch in branches
+    )
+    obj = batch_objective(x, s, 0.5, LOGISTIC, branches)
+    log = []
+
+    def logged(name, entry):
+        real = getattr(trainer, name)
+        monkeypatch.setattr(trainer, name, lambda *a: log.append(entry(a)) or real(*a))
+
+    logged("forward_pass", lambda a: "forward")
+    logged("risk_components", lambda a: ("risk", a[3], a[5]))  # mode, grad
+    logged("backward", lambda a: "backward")
+
+    def counted(m, grad=True):
+        log.append(("call", grad))
+        return obj(m, grad=grad)
+
+    err = grad_check(model, counted)
+    n_params = model.params.size
+    first = [("call", True), "forward", ("risk", "ss", True), ("risk", "cc", True)]
+    point = [("call", False), "forward", ("risk", "ss", False), ("risk", "cc", False)]
+    assert log == first + ["backward"] * 4 + point * (2 * n_params)
+    # one sweep over four branches has the bits of four one-branch sweeps
+    assert err == singles
 
 
 # ---------------------------------------------------------------------------
