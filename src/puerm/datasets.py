@@ -7,7 +7,9 @@ Floats are written with 17 significant digits so a save/load round trip
 reproduces every value bit for bit.
 
 ``save_csv`` formats every row from one template and writes the file
-atomically (a temporary file beside the target, then ``os.replace``).
+atomically (a temporary file beside the target, then ``os.replace``), in
+blocks of ``_SAVE_BLOCK`` rows, so the text it holds at once does not grow
+with the file.
 A file in the plain form ``save_csv`` writes is read by numpy's C parser
 (``np.loadtxt``, with the label lookup as converters): a header line
 with no ``"`` and no CR, then a non-empty body of only the bytes
@@ -45,6 +47,7 @@ SCENARIO_CC = "cc"
 SCENARIOS = (SCENARIO_SS, SCENARIO_CC)
 
 _FLOAT_FMT = "{:.17g}"
+_SAVE_BLOCK = 2048  # rows save_csv formats and writes at a time
 # Accepted label cells and the label each one stands for.
 _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
 # The bytes a plain-form body may hold, and how many are checked at a time.
@@ -168,10 +171,10 @@ def gaussian_mixture(
     if n < 0:
         raise ParameterError("n must be >= 0")
     rng = rng if rng is not None else Rng(0)
-    y = np.where(rng.bernoulli(pi, n), 1, -1).astype(np.int64)
-    z = rng.normal(n * dim).reshape(n, dim)
-    mu = np.where(y == 1, mu_pos, mu_neg).astype(np.float64)
-    x = mu[:, None] + sd * z
+    y = np.where(rng.bernoulli(pi, n), 1, -1)
+    x = rng.normal(n * dim).reshape(n, dim)
+    x *= sd
+    x += np.where(y == 1, mu_pos, mu_neg)[:, None]
     return LabeledDataset(x=x, y=y, pi=pi)
 
 
@@ -240,10 +243,15 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     d = dataset.x.shape[1]
     header = ",".join(_feature_header(d) + list(labels)) + "\n"
     row = ",".join([_FLOAT_FMT] * d + ["{:d}"] * len(labels)) + "\n"
-    columns = [*dataset.x.T.tolist(), *(col.tolist() for col in labels.values())]
-    _write_atomically(
-        path, itertools.chain([header], itertools.starmap(row.format, zip(*columns)))
-    )
+    columns = [*dataset.x.T, *labels.values()]
+
+    def blocks():
+        yield header
+        for i in range(0, dataset.n, _SAVE_BLOCK):
+            cells = [col[i:i + _SAVE_BLOCK].tolist() for col in columns]
+            yield "".join(itertools.starmap(row.format, zip(*cells)))
+
+    _write_atomically(path, blocks())
 
 
 def _read_plain(path, n_cols, feat_cols, label_cols):

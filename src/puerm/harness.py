@@ -542,6 +542,7 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
             unl = pu.s == -1
             frac = float(np.mean(pu.y_true[unl] == 1))
             sigma = math.sqrt(want * (1.0 - want) / int(np.sum(unl)))
+            del pu, unl  # free this draw before the next one runs
             checks.append(
                 (
                     f"{label} unlabeled mix (c={c})",

@@ -21,8 +21,10 @@ byte-for-byte across platforms:
   the chains of displaced values that only the steps with a repeated
   swap target take.
 
-Child generators are derived with ``numpy.random.SeedSequence`` spawn keys,
-which makes sibling streams independent by construction.
+The draws work in place on arrays they allocate and only read the array
+``uniform`` returns. Child generators are derived with
+``numpy.random.SeedSequence`` spawn keys, which makes sibling streams
+independent by construction.
 """
 
 from __future__ import annotations
@@ -126,14 +128,17 @@ class Rng:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
-        theta = 2.0 * np.pi * u2
+        r = np.sqrt(-2.0 * np.log1p(-self.uniform(m)))  # 1 - u1 in (0, 1], no log(0)
+        theta = 2.0 * np.pi * self.uniform(m)
         z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return mean + sd * z[:n]
+        np.cos(theta, out=z[0::2])
+        z[0::2] *= r
+        np.sin(theta, out=theta)
+        np.multiply(theta, r, out=z[1::2])
+        z = z[:n]
+        z *= sd
+        z += mean
+        return z
 
     def bernoulli(self, p: float, n: int) -> np.ndarray:
         """Boolean array of ``n`` independent coin flips with P(True) = p."""
@@ -186,16 +191,20 @@ class Rng:
                 f"(k - 1).bit_length() must be <= 63"
             )
         # float64 times an int below 2**53 is exact, and astype truncates
-        # like int(), so j matches the scalar loop bit for bit
-        j = (self.uniform(k) * np.arange(n, n - k, -1)).astype(np.int64)
-        j += np.arange(k)
+        # like int(), so j matches the scalar loop bit for bit. A float64
+        # arange multiplies faster than an int one, which numpy casts.
+        j = (np.arange(n, n - k, -1, dtype=np.float64) * self.uniform(k)).astype(np.int64)
+        # the step numbers i, in a buffer that later takes the sorted order;
+        # int32 holds every index, as k <= 2**31 by the guard above
+        order = np.arange(k, dtype=np.int32)
+        j += order
         np.minimum(j, n - 1, out=j)  # u*(n-i) may round up to n-i
         # the keys (j[i] << b) | i are unique, so an unstable sort of them
         # gives the stable order of j; the low b bits decode to that order
         sorted_j = j << b
-        sorted_j |= np.arange(k)
+        sorted_j |= order
         sorted_j.sort()
-        order = sorted_j & ((1 << b) - 1)
+        np.bitwise_and(sorted_j, (1 << b) - 1, out=order, casting="unsafe")
         sorted_j >>= b
         same = sorted_j[1:] == sorted_j[:-1]
         # step order[d + 1] aims where the earlier step order[d] aimed; every
@@ -213,9 +222,11 @@ class Rng:
         # src[t]: the last step aiming at position t, whose displaced value
         # t holds before step t; t itself when no step aimed at it. When
         # that step is t itself no later step reads w[t], since j[i] >= i.
-        src = np.arange(k)
-        src[sorted_j[ends]] = order[ends]
-        del sorted_j, ends
+        targets = sorted_j[ends]
+        del sorted_j  # before src is built: the largest array but j
+        src = np.arange(k, dtype=np.int32)
+        src[targets] = order[ends]
+        del targets, ends
         steps, root = order[dup + 1], order[dup]
         del order, dup
         # steps[d] takes the value that step root[d] displaced: the value

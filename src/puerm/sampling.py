@@ -83,12 +83,13 @@ def scar_label(source: LabeledDataset, cfg: ScarConfig, rng: Rng) -> PUDataset:
             f"only {source.n}"
         )
     idx = rng.sample_without_replacement(source.n, cfg.n)
-    y = source.y[idx]
+    x, y = source.x[idx], source.y[idx]
+    del idx  # before the labels are drawn
     flips = rng.bernoulli(cfg.c, cfg.n)
-    s = np.where((y == 1) & flips, 1, -1).astype(np.int64)
+    s = np.where((y == 1) & flips, 1, -1)
     pi = source.pi if source.pi is not None else source.empirical_prior()
     return PUDataset(
-        x=source.x[idx],
+        x=x,
         s=s,
         y_true=y,
         pi=pi,
@@ -144,16 +145,16 @@ def case_control_sample(
             return rng.sample_without_replacement(pool_size, k)
         return rng.integers(k, pool_size)
 
-    lab = pos_idx[draw(pos_idx.size, n_labeled)]
-    unl = draw(source.n, n_unlabeled)
-    idx = np.concatenate([lab, unl])
-    s = np.concatenate(
-        [np.ones(n_labeled, dtype=np.int64), -np.ones(n_unlabeled, dtype=np.int64)]
-    )
+    # labeled rows first; each part is freed once joined
+    idx = np.concatenate([pos_idx[draw(pos_idx.size, n_labeled)], draw(source.n, n_unlabeled)])
+    x, y = source.x[idx], source.y[idx]
+    del idx  # before s is built
+    s = np.full(cfg.n, -1, dtype=np.int64)
+    s[:n_labeled] = 1
     return PUDataset(
-        x=source.x[idx],
+        x=x,
         s=s,
-        y_true=source.y[idx],
+        y_true=y,
         pi=cfg.pi,
         scenario=SCENARIO_CC,
         c=cfg.c,

@@ -6,11 +6,13 @@ criterion 5). ``ss_unlabeled_mixture_weights`` is the closed form of the
 single-sample unlabeled mixture. ``load_model`` reads a checkpoint that
 ``puerm.model.save_model`` wrote back into a model, without validating it,
 for the bit-exact round-trip tests; ``copy_model`` copies a model into its
-own parameter vector.
+own parameter vector. ``peak_traced_bytes`` measures the most memory a call
+holds at once, as ``tracemalloc`` sees it (numpy reports its buffers there).
 """
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -121,3 +123,15 @@ def load_model(path) -> MLPModel:
 def copy_model(model: MLPModel) -> MLPModel:
     """The same model in a parameter vector of its own."""
     return dataclasses.replace(model, layer_dims=list(model.layer_dims))
+
+
+def peak_traced_bytes(fn):
+    """(``fn()``, the peak bytes traced while it ran, less those held before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

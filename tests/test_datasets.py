@@ -3,6 +3,8 @@
 import builtins
 import csv
 import errno
+import hashlib
+import itertools
 import math
 import os
 import re
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import peak_traced_bytes
 from puerm import datasets
 from puerm.datasets import (
     SCENARIO_SS,
@@ -160,6 +163,28 @@ def test_mixture_deterministic_given_rng():
     assert np.array_equal(a.y, b.y)
 
 
+def _sha256(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_mixture_frozen():
+    # the pool of ``puerm check``; frozen so that the in-place transform and
+    # shift keep every bit of the draw
+    ds = gaussian_mixture(400_000, 0.5, rng=Rng(20240817).child(2000))
+    assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+    assert _sha256(ds.x) == "957d240bf04ae6e6edc628300a7a0d99762296c6fd291f0054849980a7d5d149"
+    assert _sha256(ds.y) == "38e6230c016e66ecd4fb98eaee20a5050822f7c989eeba737f5316f3e7d1310b"
+    ds = gaussian_mixture(2_001, 0.3, mu_pos=1.5, mu_neg=-0.5, sd=2.5, dim=3, rng=Rng(8))
+    assert hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest() == (
+        "eab944eb246e59f10f2a4ad17ed48f93210e9504cb14d0dbd9f85a2e1615d1b4"
+    )
+
+
+def test_mixture_holds_at_most_twice_its_output():
+    ds, peak = peak_traced_bytes(lambda: gaussian_mixture(400_000, 0.5, rng=Rng(3)))
+    assert peak <= 2 * (ds.x.nbytes + ds.y.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # train_test_split
 
@@ -231,6 +256,39 @@ def test_pu_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.s, ds.s)
     assert np.array_equal(back.y_true, ds.y_true)
     assert not back.pi_is_empirical
+
+
+def _one_shot_csv(dataset) -> bytes:
+    """The file ``save_csv`` writes, formatted in one pass over all rows."""
+    labels = {"y": dataset.y} if isinstance(dataset, LabeledDataset) else {
+        "y": dataset.y_true, "s": dataset.s}
+    labels = {name: col for name, col in labels.items() if col is not None}
+    d = dataset.x.shape[1]
+    header = ",".join([f"f{i}" for i in range(d)] + list(labels)) + "\n"
+    row = ",".join(["{:.17g}"] * d + ["{:d}"] * len(labels)) + "\n"
+    columns = [*dataset.x.T.tolist(), *(col.tolist() for col in labels.values())]
+    return (header + "".join(itertools.starmap(row.format, zip(*columns)))).encode()
+
+
+def test_save_csv_in_blocks_writes_the_one_shot_bytes(tmp_path):
+    b = datasets._SAVE_BLOCK
+    path = tmp_path / "d.csv"
+    for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+        ds = gaussian_mixture(n, 0.5, dim=2, rng=Rng(n))
+        pu = PUDataset(x=ds.x, s=np.where(np.arange(n) % 3 == 0, ds.y, -1), y_true=ds.y,
+                       pi=0.5, scenario=SCENARIO_SS, c=0.5)
+        bare = PUDataset(x=ds.x, s=pu.s, y_true=None, pi=0.5, scenario=SCENARIO_SS, c=0.5)
+        for dataset in (ds, pu, bare):
+            save_csv(dataset, path)
+            assert path.read_bytes() == _one_shot_csv(dataset)
+
+
+@pytest.mark.parametrize("n", [20_000, 60_000])
+def test_save_csv_holds_a_bounded_amount_of_text(tmp_path, n):
+    # one block of text at a time, whatever the size of the file
+    ds = gaussian_mixture(n, 0.5, dim=10, rng=Rng(1))
+    _, peak = peak_traced_bytes(lambda: save_csv(ds, tmp_path / "d.csv"))
+    assert peak <= 3 * 2**20
 
 
 def test_pu_csv_empirical_prior_fallback(tmp_path):
@@ -555,7 +613,11 @@ def test_non_finite_cell_is_a_format_error(tmp_path, text, where):
 
 
 class _DiskFillsUp:
-    """A file that takes a few lines, then fails as a full disk would."""
+    """A file that takes its first item (a CSV header), then at most
+    ``BUDGET`` more characters: it writes the part of an item that fits and
+    fails as a full disk would."""
+
+    BUDGET = 100
 
     def __init__(self, fh):
         self.fh = fh
@@ -567,11 +629,15 @@ class _DiskFillsUp:
         self.fh.close()
 
     def writelines(self, lines):
-        for i, line in enumerate(lines):
-            if i == 5:
+        lines = iter(lines)
+        self.fh.write(next(lines, ""))
+        budget = self.BUDGET
+        for line in lines:
+            self.fh.write(line[:budget])
+            if len(line) > budget:
                 self.fh.flush()
                 raise OSError(errno.ENOSPC, "No space left on device")
-            self.fh.write(line)
+            budget -= len(line)
 
 
 def test_save_csv_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):

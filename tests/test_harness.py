@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import peak_traced_bytes
 from puerm import harness
 from puerm.cli import cli_dispatch
 from puerm.datasets import SCENARIOS, gaussian_mixture, load_csv, save_csv
@@ -771,6 +772,12 @@ def test_self_checks_all_pass():
     assert len(checks) >= 6
     for name, ok, detail in checks:
         assert ok, f"self check failed: {name}: {detail}"
+
+
+def test_self_checks_hold_at_most_17_mib():
+    # the 400,000-row pool, then one 200,000-row PU draw at a time
+    _, peak = peak_traced_bytes(run_self_checks)
+    assert peak <= 17 * 2**20
 
 
 def test_self_check_sampler_lines_are_pinned():

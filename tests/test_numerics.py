@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import peak_traced_bytes
 from puerm.errors import ParameterError, ShapeError
 from puerm.numerics import Rng, as_matrix
 
@@ -140,6 +141,37 @@ def test_normal_recomputed_from_uniform_stream():
     expected[0::2] = r * np.cos(theta)
     expected[1::2] = r * np.sin(theta)
     assert np.array_equal(z, expected[:n])
+
+
+def test_normal_frozen():
+    # odd n, mean != 0 and sd != 1: every step of the in-place transform
+    z = Rng(31).normal(100_001, mean=-1.25, sd=2.5)
+    assert z.shape == (100_001,) and z.dtype == np.float64
+    assert hashlib.sha256(z.tobytes()).hexdigest() == (
+        "c8e939404eaee094865a2cdd2870f7d3b4fbc93fde79894b13f50fef0ef0b593"
+    )
+
+
+def test_normal_holds_at_most_three_times_its_output():
+    z, peak = peak_traced_bytes(lambda: Rng(1).normal(400_000))
+    assert peak <= 3 * z.nbytes
+
+
+def test_draws_never_write_the_uniforms(monkeypatch):
+    uniform = Rng.uniform
+
+    def read_only(self, count):
+        u = uniform(self, count)
+        u.flags.writeable = False
+        return u
+
+    monkeypatch.setattr(Rng, "uniform", read_only)
+    rng = Rng(3)
+    rng.normal(1001, mean=1.0, sd=2.0)
+    rng.sample_without_replacement(1000, 600)
+    rng.sample_without_replacement(100, 100)
+    rng.integers(50, 7)
+    rng.bernoulli(0.5, 10)
 
 
 def test_normal_moments():

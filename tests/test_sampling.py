@@ -1,5 +1,6 @@
 """Tests for the single-sample and case-control corruption samplers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -225,6 +226,28 @@ def test_cc_deterministic(source):
     a = case_control_sample(source, CaseControlConfig(c=0.3, pi=0.5), Rng(14))
     b = case_control_sample(source, CaseControlConfig(c=0.3, pi=0.5), Rng(14))
     assert np.array_equal(a.x, b.x)
+
+
+def _sha256(pu) -> str:
+    return hashlib.sha256(pu.x.tobytes() + pu.s.tobytes() + pu.y_true.tobytes()).hexdigest()
+
+
+def test_sampler_draws_frozen():
+    # draws of the sizes ``puerm check`` makes, and a case-control draw that
+    # falls back to replacement; frozen so that freeing the index arrays early
+    # keeps every row and label
+    pool = gaussian_mixture(400_000, 0.5, rng=Rng(20240817).child(2000))
+    ss = scar_label(pool, ScarConfig(c=0.5, n=200_000), Rng(20240817).child(2101))
+    assert ss.s.dtype == ss.y_true.dtype == np.int64
+    assert _sha256(ss) == "3a5f46d11aee1a89a264bb6d416b54df1378866c2c4ed7a8074785563b40450c"
+    cc = case_control_sample(
+        pool, CaseControlConfig(c=0.5, pi=0.5, n=200_000), Rng(20240817).child(2201)
+    )
+    assert cc.s.dtype == cc.y_true.dtype == np.int64
+    assert _sha256(cc) == "647d3ecd1ad7ccefeadaf0553cb654d2b06de71f85688ebe54e10487fa2f02d4"
+    small = gaussian_mixture(300, 0.2, rng=Rng(3))
+    cc = case_control_sample(small, CaseControlConfig(c=0.9, pi=0.2, n=2_000), Rng(4))
+    assert _sha256(cc) == "f8365c2e7a9a57c3539b31e13488de51c7025f2a7744601e308161bb94e44621"
 
 
 # ---------------------------------------------------------------------------
