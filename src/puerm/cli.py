@@ -17,7 +17,6 @@ from dataclasses import asdict, fields, replace
 from .datasets import (
     SCENARIO_SS,
     SCENARIOS,
-    LabeledDataset,
     gaussian_mixture,
     load_csv,
     load_pu_csv,
@@ -100,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="known class prior (default: empirical from the y column)",
     )
-    p.add_argument(
-        "--c",
-        type=float,
-        default=0.0,
-        help="label frequency the file was generated with (metadata only)",
-    )
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, help="clamped to the number of rows")
     p.add_argument("--eta", type=float)
@@ -153,9 +146,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    source = load_csv(args.inp)
-    if args.pi is not None:
-        source = LabeledDataset(x=source.x, y=source.y, pi=args.pi)
+    source = load_csv(args.inp, args.pi)
     budget = args.n if args.n is not None else source.n
     pu = corrupt(source, args.scenario, args.c, budget, Rng(args.seed))
     save_csv(pu, args.out)
@@ -168,7 +159,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = TrainerConfig(**{f.name: getattr(args, f.name) for f in fields(TrainerConfig)})
-    pu = load_pu_csv(args.inp, args.pi, cfg.mode, args.c)
+    pu = load_pu_csv(args.inp, args.pi, cfg.mode)
     if pu.pi_is_empirical:
         print(f"note: using empirical prior pi={pu.pi:.6g} from the y column")
     test = load_csv(args.test) if args.test else None

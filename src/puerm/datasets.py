@@ -18,12 +18,12 @@ that parser refuses or reads to a non-finite feature, goes to the
 ``csv.reader`` path. Both paths parse a float with the same C routine
 CPython's ``float`` uses, so the arrays and errors never depend on the
 path. The ``csv.reader`` path is one loop over the rows: it checks each
-row's cell count, parses each feature with ``float`` and looks up each
-label; the first bad cell raises its ``FormatError`` there. A cell that
-parses to a non-finite float is a ``FormatError`` too, reported once
-every cell has parsed. Every ``FormatError`` names the file and, for a
-bad cell, its line and column; lines are lines of the file, so a quoted
-cell that holds a line break counts as more than one.
+row's cell count, parses each feature with ``float``, looks up each label
+and checks that the row's features are finite; the first bad cell, a
+non-finite one too, raises its ``FormatError`` when its row is read.
+Every ``FormatError`` names the file and, for a bad cell, its line and
+column; lines are lines of the file, so a quoted cell that holds a line
+break counts as more than one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .numerics import Rng, as_matrix
+from .numerics import Rng, _check_pi, as_matrix
 
 # The two ways a PU sample can be drawn: single-sample and case-control.
 SCENARIO_SS = "ss"
@@ -71,7 +71,7 @@ class LabeledDataset:
     """Feature matrix ``x`` (n x d) with true class labels ``y`` in {-1, +1}.
 
     ``pi`` optionally records the known positive-class prior (set by the
-    synthetic generator); when absent, consumers fall back to the
+    synthetic generator); when absent, ``prior`` falls back to the
     empirical fraction.
     """
 
@@ -82,8 +82,8 @@ class LabeledDataset:
     def __post_init__(self):
         self.x = as_matrix(self.x)
         self.y = _as_labels(self.y, self.x.shape[0], "y")
-        if self.pi is not None and not 0.0 < self.pi < 1.0:
-            raise ParameterError(f"pi must be in (0, 1), got {self.pi}")
+        if self.pi is not None:
+            _check_pi(self.pi)
 
     @property
     def n(self) -> int:
@@ -99,10 +99,14 @@ class LabeledDataset:
         ``y`` must not change after that."""
         return np.flatnonzero(self.y == 1)
 
-    def empirical_prior(self) -> float:
+    def prior(self) -> tuple[float, bool]:
+        """(pi, estimated): the known prior and False, or else the fraction
+        of rows with y = +1 and True."""
+        if self.pi is not None:
+            return self.pi, False
         if self.n == 0:
             raise DataError("empirical prior of an empty dataset is undefined")
-        return float(np.mean(self.y == 1))
+        return float(np.mean(self.y == 1)), True
 
 
 @dataclass
@@ -129,8 +133,7 @@ class PUDataset:
             self.y_true = _as_labels(self.y_true, self.x.shape[0], "y_true")
             if np.any((self.s == 1) & (self.y_true == -1)):
                 raise DataError("a row with s=+1 must have y_true=+1")
-        if not 0.0 < self.pi < 1.0:
-            raise ParameterError(f"pi must be in (0, 1), got {self.pi}")
+        _check_pi(self.pi)
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}")
         if not 0.0 <= self.c <= 1.0:
@@ -162,8 +165,7 @@ def gaussian_mixture(
     (means +-2, unit variance, pi given) are the standard well-separated
     univariate configuration.
     """
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must be in (0, 1), got {pi}")
+    _check_pi(pi)
     if sd <= 0:
         raise ParameterError(f"sd must be > 0, got {sd}")
     if dim < 1:
@@ -325,12 +327,11 @@ def _read_columns(path, want_y: bool, want_s: bool):
             x, labels = plain
             return x, labels.get("y"), labels.get("s")
 
-        # One row at a time: the first bad cell raises its FormatError at
-        # once; a non-finite feature is reported once every cell has parsed.
+        # One row at a time: the first bad cell raises its FormatError at once.
         features = [(col_index[name], name) for name in feat_names]
         labels = [(col_index[name], name, array("q")) for name in label_names]
         x = array("d")  # row-major, 8 bytes a cell
-        n, non_finite = 0, None
+        n = 0
         line = reader.line_num + 1  # the first file line of the next row
         for row in reader:
             if len(row) != len(header):
@@ -352,27 +353,23 @@ def _read_columns(path, want_y: bool, want_s: bool):
                         f"{path}: line {line}: column {name} must be -1 or 1, got {row[j]!r}"
                     ) from None
             # a finite row can still sum to inf, so look at each cell then
-            if non_finite is None and not math.isfinite(sum(x[n * d:])):
-                non_finite = next(
-                    (
-                        f"{path}: line {line}: non-finite value {row[j]!r} in column {name}"
-                        for (j, name), v in zip(features, x[n * d:])
-                        if not math.isfinite(v)
-                    ),
-                    None,
-                )
+            if not math.isfinite(sum(x[n * d:])):
+                for (j, name), v in zip(features, x[n * d:]):
+                    if not math.isfinite(v):
+                        raise FormatError(
+                            f"{path}: line {line}: non-finite value {row[j]!r} in column {name}"
+                        )
             n += 1
             line = reader.line_num + 1
-    if non_finite:
-        raise FormatError(non_finite)
     labels = {name: np.frombuffer(values, np.int64) for _, name, values in labels}
     return np.frombuffer(x).reshape(n, d), labels.get("y"), labels.get("s")
 
 
-def load_csv(path) -> LabeledDataset:
-    """Read a fully labeled dataset (requires the ``y`` column)."""
+def load_csv(path, pi: float | None = None) -> LabeledDataset:
+    """Read a fully labeled dataset (requires the ``y`` column), with the
+    known prior ``pi`` when one is given."""
     x, y, _ = _read_columns(path, want_y=True, want_s=False)
-    return LabeledDataset(x=x, y=y)
+    return LabeledDataset(x=x, y=y, pi=pi)
 
 
 def load_pu_csv(
@@ -385,7 +382,8 @@ def load_pu_csv(
 
     The CSV schema carries no distribution metadata, so the class prior
     and scenario tag must be supplied; if ``pi`` is omitted it is estimated
-    from the ``y`` column when present and the file has rows.
+    from the ``y`` column, as ``LabeledDataset.prior`` does, when the file
+    has that column and rows.
     """
     x, y, s = _read_columns(path, want_y=False, want_s=True)
     empirical = False
@@ -396,8 +394,7 @@ def load_pu_csv(
             )
         if len(y) == 0:
             raise FormatError(f"{path}: no rows and no pi supplied; cannot set the prior")
-        pi = float(np.mean(y == 1))
-        empirical = True
+        pi, empirical = LabeledDataset(x=x, y=y).prior()
     return PUDataset(
         x=x, s=s, y_true=y, pi=pi, scenario=scenario, c=c, pi_is_empirical=empirical
     )

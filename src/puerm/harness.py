@@ -170,14 +170,6 @@ def cell_seed(seed: int, dataset: str, scenario: str, method: str, c: float) -> 
     return int.from_bytes(digest[:8], "big")
 
 
-def _load_source(source: DatasetSource) -> LabeledDataset:
-    """A ``csv`` source's rows, with the source's ``pi`` when it sets one."""
-    data = load_csv(source.path)
-    if source.pi is not None:
-        data = LabeledDataset(x=data.x, y=data.y, pi=source.pi)
-    return data
-
-
 def _build_source_data(
     source: DatasetSource, spec: GridSpec, rng: Rng, data: LabeledDataset | None
 ) -> tuple[LabeledDataset, LabeledDataset]:
@@ -194,7 +186,7 @@ def _build_source_data(
         )
         return pool, test
     if data is None:
-        data = _load_source(source)
+        data = load_csv(source.path, source.pi)
     return train_test_split(data, 1.0 - spec.test_fraction, rng)
 
 
@@ -334,7 +326,7 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
                 continue
             try:
                 if source.kind == "csv" and source.name not in loaded:
-                    loaded[source.name] = _load_source(source)
+                    loaded[source.name] = load_csv(source.path, source.pi)
                 r = run_cell(source, scenario, method, c, seed, spec, loaded.get(source.name))
             except (PuermError, OSError) as exc:
                 writer.writerow(_result_row(key, None, str(exc)))

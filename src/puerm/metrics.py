@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .datasets import _as_labels
+from .errors import ShapeError
 
 
 @dataclass
@@ -27,23 +28,16 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _as_label_vector(values, name: str) -> np.ndarray:
-    a = np.asarray(values, dtype=np.int64)
-    if a.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isin(a, (-1, 1))):
-        raise DataError(f"{name} entries must be -1 or +1")
-    return a
-
-
 def confusion(predicted, actual) -> ConfusionCounts:
-    """Standard counts with +1 as the positive class."""
-    p = _as_label_vector(predicted, "predicted")
-    a = _as_label_vector(actual, "actual")
-    if p.shape != a.shape:
+    """Standard counts with +1 as the positive class, from two 1-D label
+    vectors of one length (ShapeError) holding only -1 and +1 (DataError)."""
+    p, a = np.asarray(predicted), np.asarray(actual)
+    if p.ndim != 1 or p.shape != a.shape:
         raise ShapeError(
-            f"length mismatch: predicted {p.shape} vs actual {a.shape}"
+            f"predicted and actual must be 1-D of one length, got {p.shape} and {a.shape}"
         )
+    p = _as_labels(p, p.size, "predicted")
+    a = _as_labels(a, p.size, "actual")
     return ConfusionCounts(
         tp=int(np.sum((p == 1) & (a == 1))),
         fp=int(np.sum((p == 1) & (a == -1))),

@@ -3,9 +3,10 @@
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order with
 dtype float64; the helpers here validate that convention and keep results
 finite. ``check_field_types`` type-checks the scalar fields of a config
-dataclass against their annotations. ``Rng`` wraps numpy's PCG64 bit
-generator so that every random stream in the package is reproducible
-byte-for-byte across platforms:
+dataclass against their annotations, and ``_check_pi`` is the one check of
+a class prior. ``Rng`` wraps numpy's PCG64 bit generator so that every
+random stream in the package is reproducible byte-for-byte across
+platforms:
 
 * uniforms come straight from PCG64's 64-bit output via the standard
   ``(word >> 11) * 2**-53`` conversion (numpy's ``Generator.random``),
@@ -29,6 +30,7 @@ independent by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -58,9 +60,17 @@ def is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _check_pi(pi: float) -> float:
+    """``pi`` as a float; ParameterError unless 0 < pi < 1, which NaN is not."""
+    if not 0.0 < pi < 1.0:
+        raise ParameterError(f"pi must be in (0, 1), got {pi}")
+    return float(pi)
+
+
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),  # not a bool, not 50.0
-    "float": ("a number", is_real),
+    # not NaN or infinity; unlike math.isfinite, no int is too large for it
+    "float": ("a finite number", lambda v: is_real(v) and -math.inf < v < math.inf),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -71,7 +81,8 @@ def check_field_types(obj) -> None:
 
     Fields annotated ``int``, ``float`` or ``str``, optionally ``| None``,
     are checked; others are left to their owner. An ``int`` field takes an
-    int and nothing else, a ``float`` field an int or a float but no bool.
+    int and nothing else, a ``float`` field an int or a finite float but no
+    bool, NaN or infinity.
     The annotations are read as the strings that ``from __future__ import
     annotations`` leaves in the owner's module.
     """

@@ -36,6 +36,7 @@ import numpy as np
 
 from .datasets import SCENARIO_CC, SCENARIOS
 from .errors import DataError, ParameterError, ShapeError
+from .numerics import _check_pi
 
 
 def _sigmoid(t):
@@ -142,12 +143,6 @@ def _as_scores(values, name: str) -> np.ndarray:
     if a.ndim != 1:
         raise ShapeError(f"{name} must be a 1-D sequence of scores, got ndim={a.ndim}")
     return a
-
-
-def _check_pi(pi: float) -> float:
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must be in (0, 1), got {pi}")
-    return float(pi)
 
 
 def risk_components(

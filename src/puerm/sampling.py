@@ -28,7 +28,7 @@ import numpy as np
 
 from .datasets import SCENARIO_CC, SCENARIO_SS, SCENARIOS, LabeledDataset, PUDataset
 from .errors import DataError, ParameterError
-from .numerics import Rng
+from .numerics import Rng, _check_pi
 
 
 @dataclass
@@ -87,7 +87,7 @@ def scar_label(source: LabeledDataset, cfg: ScarConfig, rng: Rng) -> PUDataset:
     del idx  # before the labels are drawn
     flips = rng.bernoulli(cfg.c, cfg.n)
     s = np.where((y == 1) & flips, 1, -1)
-    pi = source.pi if source.pi is not None else source.empirical_prior()
+    pi, estimated = source.prior()
     return PUDataset(
         x=x,
         s=s,
@@ -95,7 +95,7 @@ def scar_label(source: LabeledDataset, cfg: ScarConfig, rng: Rng) -> PUDataset:
         pi=pi,
         scenario=SCENARIO_SS,
         c=cfg.c,
-        pi_is_empirical=source.pi is None,
+        pi_is_empirical=estimated,
     )
 
 
@@ -110,8 +110,7 @@ def case_control_sizes(n: int, pi: float, c: float) -> tuple[int, int]:
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must be in (0, 1), got {pi}")
+    _check_pi(pi)
     if not 0.0 <= c < 1.0:
         raise ParameterError(f"c must be in [0, 1) (c=1 leaves no unlabeled rows), got {c}")
     a = 1.0 / (1.0 - c * (1.0 - pi))
@@ -168,14 +167,16 @@ def corrupt(
     """PU sample of budget ``n`` drawn from ``source`` under ``scenario``.
 
     Single-sample runs ``scar_label``; case-control runs
-    ``case_control_sample`` at the source's prior, or at its empirical
-    prior when the source carries none.
+    ``case_control_sample`` at ``source.prior()``. Either way the sample's
+    ``pi_is_empirical`` says whether that prior was estimated.
     """
     if scenario == SCENARIO_SS:
         return scar_label(source, ScarConfig(c=c, n=n), rng)
     if scenario == SCENARIO_CC:
-        pi = source.pi if source.pi is not None else source.empirical_prior()
-        return case_control_sample(source, CaseControlConfig(c=c, pi=pi, n=n), rng)
+        pi, estimated = source.prior()
+        pu = case_control_sample(source, CaseControlConfig(c=c, pi=pi, n=n), rng)
+        pu.pi_is_empirical = estimated
+        return pu
     raise ParameterError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
 
@@ -187,8 +188,7 @@ def unlabeled_positive_fraction_ss(pi: float, c: float) -> float:
     case-control counterpart is simply pi (its unlabeled component follows
     the full marginal), so no separate function is provided for it.
     """
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must be in (0, 1), got {pi}")
+    _check_pi(pi)
     if not 0.0 <= c <= 1.0:
         raise ParameterError(f"c must be in [0, 1], got {c}")
     return pi * (1.0 - c) / (1.0 - pi * c)

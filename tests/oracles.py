@@ -18,7 +18,8 @@ import numpy as np
 
 from puerm.errors import DataError, ParameterError, ShapeError
 from puerm.model import MLPModel
-from puerm.risk import LOGISTIC, LossSpec, _as_scores, _check_pi
+from puerm.numerics import _check_pi
+from puerm.risk import LOGISTIC, LossSpec, _as_scores
 
 
 def true_risk(g_values, y_true, loss: LossSpec = LOGISTIC) -> float:

@@ -43,7 +43,8 @@ def test_labeled_dataset_basics():
     ds = LabeledDataset(x=[[0.0], [1.0], [2.0], [3.0]], y=[1, -1, 1, 1])
     assert ds.n == 4
     assert ds.dim == 1
-    assert ds.empirical_prior() == 0.75
+    assert ds.prior() == (0.75, True)
+    assert LabeledDataset(x=ds.x, y=ds.y, pi=0.5).prior() == (0.5, False)
 
 
 def test_positive_rows_index_is_cached():
@@ -121,7 +122,8 @@ def test_mixture_prior_within_binomial_bound():
     n = 100_000
     ds = gaussian_mixture(n, 0.3, rng=Rng(2))
     se = math.sqrt(0.3 * 0.7 / n)
-    assert abs(ds.empirical_prior() - 0.3) < 4 * se
+    pi, estimated = LabeledDataset(x=ds.x, y=ds.y).prior()
+    assert estimated and abs(pi - 0.3) < 4 * se
 
 
 def test_mixture_cluster_means():
@@ -402,9 +404,12 @@ AWKWARD_FILES = {
     "ragged_row": ("f0,y\n1.5,1\n-2\n", "line 3: expected 2 cells, got 1"),
     "header_only": ("f0,y\n", (np.zeros((0, 1)), [])),
     "non_numeric": ("f0,y\n0.5,1\noops,1\n", "line 3: non-numeric value 'oops' in column f0"),
-    # the parse error wins over an earlier non-finite cell, as before
+    # the first bad row wins, a non-finite one too
     "nan_then_non_numeric": (
-        "f0,y\nnan,1\noops,-1\n", "line 3: non-numeric value 'oops' in column f0"
+        "f0,y\nnan,1\noops,-1\n", "line 2: non-finite value 'nan' in column f0"
+    ),
+    "inf_then_bad_label": (
+        "f0,y\n1.5,1\n-inf,1\n-2,0\n", "line 3: non-finite value '-inf' in column f0"
     ),
     # a line break inside a quoted cell moves the later rows down a line
     "newline_in_quoted_cell": (
@@ -567,13 +572,14 @@ def test_csv_spanning_several_blocks(tmp_path):
     assert back.x.tobytes() == ds.x.tobytes()
     assert back.y.tobytes() == ds.y.tobytes()
     lines = path.read_text().splitlines(keepends=True)
-    # a non-finite cell in the first block, a bad label in the last row
+    # a non-finite cell in the first block, a bad label in the last row:
+    # the first bad row is reported
     lines[1] = "nan," + lines[1].split(",", 1)[1]
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ",2\n"
     path.write_text("".join(lines))
     with pytest.raises(FormatError) as err:
         load_csv(path)
-    assert str(err.value) == f"{path}: line {n + 1}: column y must be -1 or 1, got '2'"
+    assert str(err.value) == f"{path}: line 2: non-finite value 'nan' in column f0"
     # with the label mended, the first of two non-finite cells is reported
     lines[-1] = "inf," + lines[-1].split(",", 1)[1].rsplit(",", 1)[0] + ",1\n"
     path.write_text("".join(lines))

@@ -1,6 +1,7 @@
 """Tests for the grid runner, results persistence, reports, and the CLI."""
 
 import json
+import math
 import os
 import re
 
@@ -220,9 +221,9 @@ def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch):
     save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
     loads = []
 
-    def counting_load_csv(p):
+    def counting_load_csv(p, pi):
         loads.append(p)
-        return load_csv(p)
+        return load_csv(p, pi)
 
     monkeypatch.setattr(harness, "load_csv", counting_load_csv)
     spec = _csv_grid(tmp_path, path)
@@ -614,6 +615,25 @@ def test_emit_report_validates_arguments(tmp_path):
 # grid config files
 
 
+# A float setting of each config class, set to ``value`` by keyword.
+FLOAT_SETTINGS = {
+    "trainer-beta": lambda v: TrainerConfig(beta=v),
+    "trainer-eta": lambda v: TrainerConfig(eta=v),
+    "dataset-mu-pos": lambda v: DatasetSource(name="g", mu_pos=v),
+    "dataset-sd": lambda v: DatasetSource(name="g", sd=v),
+    "grid-test-fraction": lambda v: GridSpec(
+        datasets=[DatasetSource(name="g")], test_fraction=v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", FLOAT_SETTINGS.values(), ids=FLOAT_SETTINGS)
+def test_float_settings_must_be_finite(build, value):
+    with pytest.raises(ParameterError, match="must be a finite number"):
+        build(value)
+
+
 def test_parse_grid_config_round_trip():
     doc = {
         "datasets": [{"name": "g", "kind": "synthetic", "pi": 0.4}],
@@ -696,6 +716,8 @@ def test_load_grid_config_from_file(tmp_path):
         {"datasets": [{"name": "g"}], "trainer": {"seed": 1.5}},
         {"datasets": [{"name": "g", "sd": 0}]},
         {"datasets": [{"name": "g", "dim": 0}]},
+        {"datasets": [{"name": "g"}], "trainer": {"beta": float("nan")}},
+        {"datasets": [{"name": "g", "mu_pos": float("inf")}]},
     ],
     ids=[
         "datasets-int",
@@ -714,6 +736,8 @@ def test_load_grid_config_from_file(tmp_path):
         "trainer-seed-float",
         "sd-zero",
         "dim-zero",
+        "beta-nan",
+        "mu-pos-infinity",
     ],
 )
 def test_load_grid_config_rejects_mistyped_values(tmp_path, doc):
@@ -1033,6 +1057,17 @@ def test_cli_train_refuses_an_empty_test_set(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "error: test set has no rows" in err
     assert "test: accuracy" not in out
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--eta", "inf")])
+def test_cli_train_refuses_a_non_finite_setting(tmp_path, capsys, flag, value):
+    path = tmp_path / "pu.csv"
+    path.write_text("f0,y,s\n0.5,1,1\n-0.5,-1,-1\n")
+    trace = tmp_path / "trace.csv"
+    argv = ["train", "--in", str(path), "--epochs", "1", flag, value, "--trace", str(trace)]
+    assert cli_dispatch(argv) == 1
+    assert f"error: {flag[2:]} must be a finite number, got {value}" in capsys.readouterr().err
     assert not trace.exists()
 
 

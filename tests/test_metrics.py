@@ -39,6 +39,8 @@ def test_confusion_validation():
         confusion([1, -1], [1, -1, 1])
     with pytest.raises(DataError):
         confusion([1, 0], [1, -1])
+    with pytest.raises(DataError):  # checked before any cast to int
+        confusion([1.7, -1], [1, -1])
     with pytest.raises(ShapeError):
         confusion([[1], [-1]], [1, -1])
 

@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ss_unlabeled_mixture_weights
-from puerm.datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, gaussian_mixture
+from puerm.datasets import (
+    SCENARIO_CC,
+    SCENARIO_SS,
+    LabeledDataset,
+    PUDataset,
+    gaussian_mixture,
+    load_csv,
+    load_pu_csv,
+)
 from puerm.errors import DataError, ParameterError
-from puerm.numerics import Rng
+from puerm.numerics import Rng, _check_pi
+from puerm.risk import empirical_risk_ss_regrouped, risk_components
 from puerm.sampling import (
     CaseControlConfig,
     ScarConfig,
@@ -261,13 +270,53 @@ def test_corrupt_dispatches_on_the_scenario_name():
     assert np.array_equal(ss.x, want.x) and np.array_equal(ss.s, want.s)
     # case-control uses the source's prior, or the empirical one without it
     no_prior = LabeledDataset(x=source.x, y=source.y)
-    for src, prior in ((source, 0.4), (no_prior, source.empirical_prior())):
+    for src, prior in ((source, 0.4), (no_prior, no_prior.prior()[0])):
         cc = corrupt(src, SCENARIO_CC, 0.5, 300, Rng(17))
         want = case_control_sample(src, CaseControlConfig(c=0.5, pi=prior, n=300), Rng(17))
         assert cc.pi == prior
         assert np.array_equal(cc.x, want.x) and np.array_equal(cc.s, want.s)
     with pytest.raises(ParameterError):
         corrupt(source, "single_sample", 0.5, 300, Rng(18))
+
+
+def test_corrupt_flags_an_estimated_prior_under_both_scenarios():
+    known = gaussian_mixture(400, 0.4, rng=Rng(15))
+    no_prior = LabeledDataset(x=known.x, y=known.y)
+    ss = corrupt(no_prior, SCENARIO_SS, 0.5, 300, Rng(16))
+    cc = corrupt(no_prior, SCENARIO_CC, 0.5, 300, Rng(17))
+    assert ss.pi_is_empirical and cc.pi_is_empirical
+    assert ss.pi == cc.pi == no_prior.prior()[0]
+    for scenario in (SCENARIO_SS, SCENARIO_CC):
+        assert not corrupt(known, scenario, 0.5, 300, Rng(18)).pi_is_empirical
+
+
+# Every function or class that takes a class prior, called with ``pi`` and a
+# file holding one labeled row.
+PI_ENTRY_POINTS = {
+    "check_pi": lambda pi, path: _check_pi(pi),
+    "LabeledDataset": lambda pi, path: LabeledDataset(x=[[0.5]], y=[1], pi=pi),
+    "PUDataset": lambda pi, path: PUDataset(
+        x=[[0.5]], s=[1], y_true=None, pi=pi, scenario=SCENARIO_SS, c=0.5
+    ),
+    "gaussian_mixture": lambda pi, path: gaussian_mixture(10, pi),
+    "load_csv": lambda pi, path: load_csv(path, pi),
+    "load_pu_csv": lambda pi, path: load_pu_csv(path, pi),
+    "case_control_sizes": lambda pi, path: case_control_sizes(100, pi, 0.5),
+    "CaseControlConfig": lambda pi, path: CaseControlConfig(c=0.5, pi=pi),
+    "unlabeled_positive_fraction_ss": lambda pi, path: unlabeled_positive_fraction_ss(pi, 0.5),
+    "risk_components": lambda pi, path: risk_components([0.5], [True], pi, SCENARIO_SS),
+    "empirical_risk_ss_regrouped": lambda pi, path: empirical_risk_ss_regrouped([0.5], [], pi),
+}
+
+
+@pytest.mark.parametrize("pi", [0.0, 1.0, math.nan], ids=["zero", "one", "nan"])
+@pytest.mark.parametrize("entry", PI_ENTRY_POINTS.values(), ids=PI_ENTRY_POINTS)
+def test_every_pi_entry_point_refuses_pi_outside_0_1(tmp_path, entry, pi):
+    path = tmp_path / "d.csv"
+    path.write_text("f0,y,s\n0.5,1,1\n")
+    with pytest.raises(ParameterError) as err:
+        entry(pi, path)
+    assert str(err.value) == f"pi must be in (0, 1), got {pi}"
 
 
 # ---------------------------------------------------------------------------
