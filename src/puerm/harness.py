@@ -531,10 +531,11 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
             )
         ):
             pu = corrupt(pool, scenario, c, n, rng.child(2100 + 100 * k + j))
-            unl = pu.s == -1
-            frac = float(np.mean(pu.y_true[unl] == 1))
-            sigma = math.sqrt(want * (1.0 - want) / int(np.sum(unl)))
-            del pu, unl  # free this draw before the next one runs
+            # unlabeled positives are the rows with y_true = +1 > s = -1
+            n_unl = pu.n - pu.n_labeled
+            frac = float(np.count_nonzero(pu.y_true > pu.s) / n_unl)
+            sigma = math.sqrt(want * (1.0 - want) / n_unl)
+            del pu  # free this draw before the next one runs
             checks.append(
                 (
                     f"{label} unlabeled mix (c={c})",

@@ -37,6 +37,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
+_TIE_BLOCK = 1 << 13  # sorted uniforms the permutation's tie test reads at a time
+
 
 def as_matrix(data, cols: int | None = None) -> np.ndarray:
     """Coerce ``data`` to a C-ordered float64 2-D array and validate it.
@@ -131,7 +133,7 @@ class Rng:
         Consumes 2 * ceil(n / 2) uniforms: pairs (u1, u2) map to
         r = sqrt(-2 ln(1 - u1)) and the pair (r cos(2 pi u2), r sin(2 pi u2)).
         """
-        if sd <= 0:
+        if not sd > 0:  # NaN too
             raise ParameterError(f"sd must be > 0, got {sd}")
         if n < 0:
             raise ParameterError("n must be >= 0")
@@ -161,13 +163,17 @@ class Rng:
         """Uniform permutation of range(n), as the stable argsort of n uniforms.
 
         Distinct uniforms have one sorted order, which any sort finds, so
-        the stable sort runs only when a tie needs it.
+        the stable sort runs only when a tie needs it. The tie test reads
+        the sorted uniforms ``_TIE_BLOCK`` at a time, each block starting
+        at the last entry of the one before.
         """
         u = self.uniform(n)
         order = u.argsort()
-        s = u[order]
-        if (s[1:] == s[:-1]).any():
-            order = u.argsort(kind="stable")
+        for lo in range(1, n, _TIE_BLOCK):
+            s = u[order[lo - 1 : lo + _TIE_BLOCK]]
+            if (s[1:] == s[:-1]).any():
+                del order, s  # before the stable sort allocates its own
+                return u.argsort(kind="stable")
         return order
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
@@ -243,14 +249,15 @@ class Rng:
         # steps[d] takes the value that step root[d] displaced: the value
         # position root[d] held before that step, which is the end of the
         # chain root[d] -> src[root[d]] -> ... (src[t] < t until src[t] == t).
-        # Each round moves only the walkers not yet at their chain's end.
-        live = np.arange(root.size)
+        # Each round moves only the walkers not yet at their chain's end; in
+        # the first, every walker is live and stands at its own root.
+        live, at = np.arange(root.size), root
         while live.size:
-            at = root[live]
             nxt = src[at]
             moved = nxt != at
             live = live[moved]
             root[live] = nxt[moved]
+            at = root[live]
         j[steps] = root
         return j
 

@@ -158,6 +158,21 @@ def test_mixture_validation():
         gaussian_mixture(10, 0.5, dim=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sd": math.nan}, "sd must be > 0, got nan"),
+        ({"mu_pos": math.inf}, "mu_pos must be finite, got inf"),
+        ({"mu_neg": -math.inf}, "mu_neg must be finite, got -inf"),
+        ({"mu_neg": math.nan}, "mu_neg must be finite, got nan"),
+    ],
+)
+@pytest.mark.parametrize("n", [0, 10])
+def test_mixture_refuses_non_finite_settings(n, kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        gaussian_mixture(n, 0.5, **kwargs)
+
+
 def test_mixture_deterministic_given_rng():
     a = gaussian_mixture(100, 0.5, rng=Rng(6))
     b = gaussian_mixture(100, 0.5, rng=Rng(6))
@@ -179,6 +194,16 @@ def test_mixture_frozen():
     ds = gaussian_mixture(2_001, 0.3, mu_pos=1.5, mu_neg=-0.5, sd=2.5, dim=3, rng=Rng(8))
     assert hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest() == (
         "eab944eb246e59f10f2a4ad17ed48f93210e9504cb14d0dbd9f85a2e1615d1b4"
+    )
+
+
+def test_mixture_with_integer_means_frozen():
+    # integer means once made an int64 mean column; the float table must
+    # shift every row by the same value
+    ds = gaussian_mixture(3_001, 0.4, mu_pos=3, mu_neg=-1, sd=0.5, dim=2, rng=Rng(9))
+    assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+    assert hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest() == (
+        "a46b408043211d5719a12d11efe69e41a2761ce6426c798ab1c83ab0c0a49a5b"
     )
 
 

@@ -1071,6 +1071,23 @@ def test_cli_train_refuses_a_non_finite_setting(tmp_path, capsys, flag, value):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "n, flag, value, message",
+    [
+        ("0", "--sd", "nan", "sd must be > 0, got nan"),
+        ("10", "--sd", "nan", "sd must be > 0, got nan"),
+        ("10", "--mu-pos", "inf", "mu_pos must be finite, got inf"),
+        ("10", "--mu-neg", "nan", "mu_neg must be finite, got nan"),
+    ],
+)
+def test_cli_synth_refuses_a_non_finite_setting(tmp_path, capsys, n, flag, value, message):
+    out = tmp_path / "x.csv"
+    argv = ["synth", "--n", n, "--pi", "0.5", flag, value, "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_train_names_an_empty_pu_file_without_pi(tmp_path, capsys):
     path = tmp_path / "e.csv"
     path.write_text("f0,y,s\n")

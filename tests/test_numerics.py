@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import peak_traced_bytes
 from puerm.errors import ParameterError, ShapeError
-from puerm.numerics import Rng, as_matrix
+from puerm.numerics import _TIE_BLOCK, Rng, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,12 @@ def test_normal_frozen():
     )
 
 
+@pytest.mark.parametrize("sd", [0.0, -1.0, math.nan])
+def test_normal_refuses_a_scale_that_is_not_positive(sd):
+    with pytest.raises(ParameterError, match="sd must be > 0"):
+        Rng(0).normal(3, sd=sd)
+
+
 def test_normal_holds_at_most_three_times_its_output():
     z, peak = peak_traced_bytes(lambda: Rng(1).normal(400_000))
     assert peak <= 3 * z.nbytes
@@ -210,6 +216,15 @@ def _one_pair(n):
     return u
 
 
+def _ties_at_block_ends(n):
+    """Distinct uniforms in shuffled order, but for a tie between sorted
+    positions b - 1 and b at each multiple b of the tie-test block."""
+    v = np.arange(n) / n
+    for b in range(_TIE_BLOCK, n, _TIE_BLOCK):
+        v[b] = v[b - 1]
+    return v[Rng(7).permutation(n)]
+
+
 # Uniform streams with ties. Equal uniforms must keep index order, which an
 # unstable sort alone need not do.
 TIED_STREAMS = {
@@ -218,11 +233,12 @@ TIED_STREAMS = {
     "spread-pairs": lambda n: np.tile(Rng(7).uniform((n + 1) // 2), 2)[:n],
     "few-values": lambda n: np.floor(Rng(7).uniform(n) * 8) / 8,
     "one-pair": _one_pair,
+    "block-ends": _ties_at_block_ends,
 }
 
 
 @pytest.mark.parametrize("stream", [None, *TIED_STREAMS])
-@pytest.mark.parametrize("n", [0, 1, 2, 1000, 4000])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 4000, 4 * _TIE_BLOCK + 5])
 def test_permutation_is_the_stable_argsort_of_its_uniforms(monkeypatch, n, stream):
     if stream is None:
         u = Rng(n).uniform(n)
@@ -230,6 +246,13 @@ def test_permutation_is_the_stable_argsort_of_its_uniforms(monkeypatch, n, strea
         u = TIED_STREAMS[stream](n)
         monkeypatch.setattr(Rng, "uniform", lambda self, count: u[:count])
     assert np.array_equal(Rng(n).permutation(n), np.argsort(u, kind="stable"))
+
+
+def test_permutation_holds_at_most_2_1_times_its_output():
+    # the uniforms and the order, plus one block of the tie test
+    rng = Rng(2)
+    p, peak = peak_traced_bytes(lambda: rng.permutation(400_000))
+    assert peak <= 2.1 * p.nbytes
 
 
 def test_sample_without_replacement_properties():

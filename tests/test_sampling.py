@@ -259,6 +259,30 @@ def test_sampler_draws_frozen():
     assert _sha256(cc) == "f8365c2e7a9a57c3539b31e13488de51c7025f2a7744601e308161bb94e44621"
 
 
+@pytest.mark.parametrize(
+    "c, n_labeled, digest",
+    [
+        (0.0, 0, "2674015ba5d95174103fc6627e4c8c32dcdf85424426cfd078e253d04181be26"),
+        (1.0, 1155, "9103348a9a68367aa181a62cb07792eaaf8a5822145c9f64d1f939ad07e759be"),
+    ],
+)
+def test_scar_label_at_the_ends_of_c_frozen(c, n_labeled, digest):
+    # no positive labeled, then every one: the in-place label build at both ends
+    source = gaussian_mixture(5_000, 0.3, rng=Rng(10))
+    pu = scar_label(source, ScarConfig(c=c, n=4_000), Rng(11))
+    assert pu.s.dtype == np.int64
+    assert pu.n_labeled == n_labeled == c * np.count_nonzero(pu.y_true == 1)
+    assert _sha256(pu) == digest
+
+
+def test_case_control_draw_of_wide_rows_frozen():
+    # the row gather on 10 features, as in the benchmark's data pipeline
+    source = gaussian_mixture(20_000, 0.5, dim=10, rng=Rng(12))
+    pu = case_control_sample(source, CaseControlConfig(c=0.5, pi=0.5, n=10_000), Rng(13))
+    assert pu.x.shape == (10_000, 10) and pu.x.flags.c_contiguous
+    assert _sha256(pu) == "2f5d53dd2192ec40fe836a8b9541caf5f4cd5986f678e662aebcf127a0d2cd88"
+
+
 # ---------------------------------------------------------------------------
 # corrupt
 
