@@ -27,9 +27,12 @@ break counts as more than one.
 
 ``gaussian_mixture`` and ``sampling.scar_label`` build +-1 labels from a
 boolean mask in place (``_signs``), and ``gaussian_mixture`` takes each
-row's mean from a two-entry ``np.take`` table: at 4 * 10^5 rows both give
-``np.where``'s bytes about 4x faster. Per-batch code, at about a thousand entries, keeps
-``np.where``, which is as fast there.
+row's mean from a two-entry ``np.take`` table. From about 10^4 rows on,
+as in a ``synth`` of 2 * 10^4 rows or the 2 * 10^5-row draws of
+``puerm check``, both give ``np.where``'s bytes about 4x faster; the
+check's 4 * 10^5-row label pool is built with ``_signs`` too. At a few
+thousand rows, a grid cell's pool, they are as fast as ``np.where``, which
+per-batch code, at about a thousand entries, keeps.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .numerics import Rng, _check_pi, as_matrix
+from .numerics import Rng, _check_finite, _check_pi, _check_sd, as_matrix
 
 # The two ways a PU sample can be drawn: single-sample and case-control.
 SCENARIO_SS = "ss"
@@ -180,11 +183,9 @@ def gaussian_mixture(
     univariate configuration.
     """
     _check_pi(pi)
-    if not sd > 0:  # NaN too
-        raise ParameterError(f"sd must be > 0, got {sd}")
-    for name, mu in (("mu_pos", mu_pos), ("mu_neg", mu_neg)):
-        if not -math.inf < mu < math.inf:
-            raise ParameterError(f"{name} must be finite, got {mu}")
+    _check_sd(sd)
+    _check_finite("mu_pos", mu_pos)
+    _check_finite("mu_neg", mu_neg)
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     if n < 0:

@@ -34,6 +34,7 @@ from .datasets import (
     SCENARIO_SS,
     SCENARIOS,
     LabeledDataset,
+    _signs,
     gaussian_mixture,
     load_csv,
     train_test_split,
@@ -120,9 +121,11 @@ class GridSpec:
                 type(v) is int and v >= low for v in values
             ):
                 raise ParameterError(f"{name} must be a list of integers >= {low}")
-        # a repeated value would run the same cells twice
+        # an empty axis would run no cells, a repeated value the same cells twice
         for name in ("scenarios", "methods", "c_values", "seeds"):
             values = getattr(self, name)
+            if not values:
+                raise ParameterError(f"grid needs at least one value in {name}")
             if len(set(values)) != len(values):
                 raise ParameterError(f"{name} must not repeat a value, got {values}")
         if self.activation not in ACTIVATIONS:
@@ -461,6 +464,13 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
     Covers the estimator regrouping identity, the logistic margin
     identity, finite-difference gradient verification on both update
     branches, and the closed-form sampler proportions.
+
+    The sampler checks draw from a 400,000-row pool of labels plus one
+    all-zero feature column. The proportions read only labels, and the
+    labels are the ones ``gaussian_mixture`` would draw first from the same
+    stream, so every line matches a Gaussian pool's without drawing its
+    400,000 unread features. Both samplers still gather the rows, and the
+    zero column takes no resident pages until they do.
     """
     checks: list[tuple[str, bool, str]] = []
     rng = Rng(20240817)
@@ -521,7 +531,9 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
 
     # Sampler proportions against the closed forms.
     n = 200000
-    pool = gaussian_mixture(2 * n, 0.5, rng=rng.child(2000))
+    # the labels gaussian_mixture(2 * n, 0.5, rng=rng.child(2000)) draws first
+    labels = _signs(rng.child(2000).bernoulli(0.5, 2 * n))
+    pool = LabeledDataset(np.zeros((2 * n, 1)), labels, 0.5)
     for j, c in enumerate((0.1, 0.5, 0.9)):
         target = unlabeled_positive_fraction_ss(0.5, c)
         for k, (scenario, label, want, shown) in enumerate(

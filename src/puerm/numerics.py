@@ -3,8 +3,9 @@
 Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order with
 dtype float64; the helpers here validate that convention and keep results
 finite. ``check_field_types`` type-checks the scalar fields of a config
-dataclass against their annotations, and ``_check_pi`` is the one check of
-a class prior. ``Rng`` wraps numpy's PCG64 bit generator so that every
+dataclass against their annotations; ``_check_pi`` is the one check of a
+class prior, ``_check_sd`` of a standard deviation and ``_check_finite`` of
+a mean. ``Rng`` wraps numpy's PCG64 bit generator so that every
 random stream in the package is reproducible byte-for-byte across
 platforms:
 
@@ -67,6 +68,20 @@ def _check_pi(pi: float) -> float:
     if not 0.0 < pi < 1.0:
         raise ParameterError(f"pi must be in (0, 1), got {pi}")
     return float(pi)
+
+
+def _check_finite(name: str, v: float) -> float:
+    """``v`` as a float; ParameterError naming ``name`` for NaN or infinity."""
+    if not -math.inf < v < math.inf:
+        raise ParameterError(f"{name} must be finite, got {v}")
+    return float(v)
+
+
+def _check_sd(sd: float) -> float:
+    """``sd`` as a float; ParameterError unless 0 < sd < inf, which NaN is not."""
+    if not sd > 0:
+        raise ParameterError(f"sd must be > 0, got {sd}")
+    return _check_finite("sd", sd)
 
 
 _FIELD_TYPES = {
@@ -133,8 +148,8 @@ class Rng:
         Consumes 2 * ceil(n / 2) uniforms: pairs (u1, u2) map to
         r = sqrt(-2 ln(1 - u1)) and the pair (r cos(2 pi u2), r sin(2 pi u2)).
         """
-        if not sd > 0:  # NaN too
-            raise ParameterError(f"sd must be > 0, got {sd}")
+        _check_sd(sd)
+        _check_finite("mean", mean)
         if n < 0:
             raise ParameterError("n must be >= 0")
         n = int(n)
@@ -262,8 +277,8 @@ class Rng:
         return j
 
     def integers(self, n: int, high: int) -> np.ndarray:
-        """``n`` integers uniform on [0, high), via floor(u * high)."""
-        if high <= 0:
-            raise ParameterError("high must be > 0")
+        """``n`` integers uniform on [0, high), via floor(u * high), for an int high >= 1."""
+        if isinstance(high, bool) or not isinstance(high, (int, np.integer)) or high < 1:
+            raise ParameterError(f"high must be an integer >= 1, got {high!r}")
         v = np.floor(self.uniform(n) * high).astype(np.int64)
         return np.minimum(v, high - 1)

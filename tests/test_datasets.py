@@ -162,6 +162,7 @@ def test_mixture_validation():
     "kwargs, message",
     [
         ({"sd": math.nan}, "sd must be > 0, got nan"),
+        ({"sd": math.inf}, "sd must be finite, got inf"),
         ({"mu_pos": math.inf}, "mu_pos must be finite, got inf"),
         ({"mu_neg": -math.inf}, "mu_neg must be finite, got -inf"),
         ({"mu_neg": math.nan}, "mu_neg must be finite, got nan"),

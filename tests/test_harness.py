@@ -124,6 +124,30 @@ def test_grid_spec_rejects_a_repeated_axis_value(tmp_path, axis, values):
     assert _tiny_spec(tmp_path, hidden_dims=[4, 4]).hidden_dims == [4, 4]
 
 
+@pytest.mark.parametrize("axis", ["scenarios", "methods", "c_values", "seeds"])
+def test_grid_spec_rejects_an_empty_axis(tmp_path, axis):
+    # an empty axis has no cells: the run would write a results file of only
+    # the tag and the header
+    with pytest.raises(ParameterError, match=f"grid needs at least one value in {axis}"):
+        _tiny_spec(tmp_path, **{axis: []})
+
+
+def test_grid_command_with_no_seeds_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--seeds", ",", "--out", str(out), "--quiet"]) == 1
+    assert "error: grid needs at least one value in seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_config_with_no_seeds_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"datasets": [{"name": "g"}], "seeds": []}))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert "grid needs at least one value in seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_command_with_a_repeated_seed_runs_nothing(tmp_path, capsys):
     out = tmp_path / "r.csv"
     argv = ["grid", "--seeds", "0,0", "--c-values", "0.9", "--scenarios", "ss",
@@ -804,6 +828,21 @@ def test_self_checks_hold_at_most_17_mib():
     assert peak <= 17 * 2**20
 
 
+def test_self_checks_draw_no_features_for_the_sampler_pool(monkeypatch):
+    # the proportions read only labels, so the 400,000-row pool draws no
+    # Gaussian features; the other checks draw 26,275 normals in all
+    drawn = []
+    normal = Rng.normal
+
+    def counting(self, n, *args, **kwargs):
+        drawn.append(n)
+        return normal(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "normal", counting)
+    assert all(ok for _, ok, _ in run_self_checks())
+    assert sum(drawn) < 100_000
+
+
 def test_self_check_sampler_lines_are_pinned():
     # single-sample rows are checked against pi (1 - c) / (1 - pi c) at
     # pi = 0.5, case-control rows against pi itself
@@ -1076,6 +1115,7 @@ def test_cli_train_refuses_a_non_finite_setting(tmp_path, capsys, flag, value):
     [
         ("0", "--sd", "nan", "sd must be > 0, got nan"),
         ("10", "--sd", "nan", "sd must be > 0, got nan"),
+        ("10", "--sd", "inf", "sd must be finite, got inf"),
         ("10", "--mu-pos", "inf", "mu_pos must be finite, got inf"),
         ("10", "--mu-neg", "nan", "mu_neg must be finite, got nan"),
     ],

@@ -158,6 +158,19 @@ def test_normal_refuses_a_scale_that_is_not_positive(sd):
         Rng(0).normal(3, sd=sd)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sd": math.inf}, "sd must be finite, got inf"),
+        ({"mean": math.nan}, "mean must be finite, got nan"),
+        ({"mean": -math.inf}, "mean must be finite, got -inf"),
+    ],
+)
+def test_normal_refuses_a_non_finite_setting(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        Rng(0).normal(3, **kwargs)
+
+
 def test_normal_holds_at_most_three_times_its_output():
     z, peak = peak_traced_bytes(lambda: Rng(1).normal(400_000))
     assert peak <= 3 * z.nbytes
@@ -427,3 +440,10 @@ def test_integers_bounds_and_coverage():
     assert draws.min() >= 0
     assert draws.max() <= 6
     assert set(draws.tolist()) == set(range(7))
+    assert Rng(13).integers(5, np.int64(7)).dtype == np.int64
+
+
+@pytest.mark.parametrize("high", [2.5, 3.0, math.inf, math.nan, 0, -1, True, "3"])
+def test_integers_refuses_a_high_that_is_not_a_positive_integer(high):
+    with pytest.raises(ParameterError, match="high must be an integer >= 1"):
+        Rng(0).integers(5, high)
