@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .numerics import Rng, _check_finite, _check_pi, _check_sd, as_matrix
+from .numerics import Rng, _check_count, _check_finite, _check_pi, _check_sd, as_matrix
 
 # The two ways a PU sample can be drawn: single-sample and case-control.
 SCENARIO_SS = "ss"
@@ -186,10 +186,8 @@ def gaussian_mixture(
     _check_sd(sd)
     _check_finite("mu_pos", mu_pos)
     _check_finite("mu_neg", mu_neg)
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if n < 0:
-        raise ParameterError("n must be >= 0")
+    _check_count("dim", dim, low=1)
+    _check_count("n", n)
     rng = rng if rng is not None else Rng(0)
     positive = rng.bernoulli(pi, n)  # drawn before the features
     x = rng.normal(n * dim).reshape(n, dim)

@@ -1,4 +1,4 @@
-"""Experiment grid runner, results persistence, report tables, self-checks.
+"""Experiment grid runner, results persistence, the summary report, self-checks.
 
 A grid is the cross product (dataset x scenario x method x c x seed). Each
 cell derives its own 64-bit seed by hashing the cell coordinates, so the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -152,6 +151,8 @@ class ExperimentResult:
     trace_path: str = ""
 
     def __post_init__(self):
+        if self.scenario not in SCENARIOS or self.method not in METHODS:
+            raise ParameterError(f"unknown scenario {self.scenario!r} or method {self.method!r}")
         for name in REPORT_METRICS:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
@@ -350,58 +351,60 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     return results
 
 
-def emit_report(results_path, metric: str = "f1", scenario: str = "ss") -> str:
-    """Per-c blocks of method means over seeds, datasets as columns.
+def summarize(results, metric: str) -> list[dict]:
+    """One row per (scenario, dataset, c, family) of ``results``, in that order.
 
-    Each block carries one row per method plus a difference row per
-    estimator family present in both variants: the scenario-appropriate
-    variant's mean minus the cross-applied one's. Missing cells print
-    blank and emit a warning on stderr.
+    A family (``nnpu`` or ``upu``) has a matched variant, built for the
+    row's scenario (``nnpu_ss`` on ``ss`` data), and a mismatched one. A row
+    holds each variant's seed count ``n_*`` and mean ``metric``, ``delta`` =
+    matched - mismatched, and its unpaired standard error ``se`` =
+    sqrt(s_m^2 / n_m + s_x^2 / n_x). A mean is None without results,
+    ``delta`` unless both sides have some and ``se`` unless both have 2+.
     """
     if metric not in REPORT_METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
-    if scenario not in SCENARIOS:
-        raise ParameterError(f"unknown scenario {scenario!r}")
+    groups: dict[tuple, tuple[list, list]] = {}  # (matched, mismatched) values
+    for r in results:
+        family, mode = r.method.split("_")
+        key = (SCENARIOS.index(r.scenario), r.dataset, r.c, family)
+        groups.setdefault(key, ([], []))[mode != r.scenario].append(getattr(r, metric))
+    rows = []
+    for (k, dataset, c, family), sides in sorted(groups.items()):
+        row = {"scenario": SCENARIOS[k], "dataset": dataset, "c": c, "family": family}
+        for name, v in zip(("matched", "mismatched"), sides):
+            row[f"n_{name}"], row[name] = len(v), float(np.mean(v)) if v else None
+        row["delta"] = row["matched"] - row["mismatched"] if all(sides) else None
+        spread = min(map(len, sides)) >= 2
+        row["se"] = math.sqrt(sum(np.var(v, ddof=1) / len(v) for v in sides)) if spread else None
+        rows.append(row)
+    return rows
+
+
+# each report column: its summarize key and how a value other than None prints
+_REPORT_COLUMNS = {
+    "scenario": "{}", "dataset": "{}", "c": "{!r}", "family": "{}", "n_matched": "{}",
+    "matched": "{:.2f}", "n_mismatched": "{}", "mismatched": "{:.2f}", "delta": "{:.2f}",
+    "se": "{:.2f}",
+}
+
+
+def emit_report(results_path, metric: str = "f1") -> str:
+    """The ``summarize`` rows of a results file as one table, None as a blank
+    cell; error rows and a file without results are reported on stderr."""
     results, n_errors = load_results(results_path)
+    rows = summarize(results, metric)
     if n_errors:
         print(f"warning: {n_errors} error rows skipped", file=sys.stderr)
-    out = io.StringIO()
-    title = f"{metric} (percent), scenario {scenario}, mean over seeds"
-    print(title, file=out)
-    print("=" * len(title), file=out)
-    by_cell: dict[tuple, list[float]] = {}
-    for r in results:
-        if r.scenario == scenario:
-            by_cell.setdefault((r.dataset, r.method, r.c), []).append(getattr(r, metric))
-    if not by_cell:
-        print("warning: no results for this scenario", file=sys.stderr)
-    means = {cell: float(np.mean(values)) for cell, values in by_cell.items()}
-    datasets = sorted({d for d, _, _ in by_cell})
-    methods = sorted({m for _, m, _ in by_cell})
-    other = SCENARIO_CC if scenario == SCENARIO_SS else SCENARIO_SS
-    label_width = max(map(len, ["method", "delta_nnpu", "delta_upu", *methods]))
-    col_width = max([8] + [len(d) for d in datasets]) + 2
-    header = "method".ljust(label_width) + "".join(d.rjust(col_width) for d in datasets)
-    for c in sorted({c for _, _, c in by_cell}):
-        print(f"\nc = {repr(c)}", file=out)
-        print(header, file=out)
-        table = {m: [means.get((d, m, c)) for d in datasets] for m in methods}
-        for family in ("nnpu", "upu"):
-            matched = table.get(f"{family}_{scenario}")
-            crossed = table.get(f"{family}_{other}")
-            if matched is not None and crossed is not None:
-                table[f"delta_{family}"] = [
-                    None if a is None or b is None else a - b
-                    for a, b in zip(matched, crossed)
-                ]
-        for name, values in table.items():
-            cells = ""
-            for d, v in zip(datasets, values):
-                if v is None:
-                    print(f"warning: no results for {d}/{name}/c={repr(c)}", file=sys.stderr)
-                cells += ("" if v is None else f"{v:.2f}").rjust(col_width)
-            print(name.ljust(label_width) + cells, file=out)
-    return out.getvalue()
+    if not rows:
+        print("warning: no results", file=sys.stderr)
+    title = f"{metric} (percent), mean over seeds; delta = matched - mismatched, unpaired se"
+    table = [list(_REPORT_COLUMNS)] + [
+        ["" if row[k] is None else fmt.format(row[k]) for k, fmt in _REPORT_COLUMNS.items()]
+        for row in rows
+    ]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(map(str.rjust, cells, widths)).rstrip() for cells in table]
+    return "\n".join([title, "=" * len(title), *lines]) + "\n"
 
 
 def default_grid_spec() -> GridSpec:

@@ -4,10 +4,10 @@ Matrices are plain 2-D ``numpy.ndarray`` objects in C (row-major) order with
 dtype float64; the helpers here validate that convention and keep results
 finite. ``check_field_types`` type-checks the scalar fields of a config
 dataclass against their annotations; ``_check_pi`` is the one check of a
-class prior, ``_check_sd`` of a standard deviation and ``_check_finite`` of
-a mean. ``Rng`` wraps numpy's PCG64 bit generator so that every
-random stream in the package is reproducible byte-for-byte across
-platforms:
+class prior, ``_check_sd`` of a standard deviation, ``_check_finite`` of
+a mean and ``_check_count`` of a draw count. ``Rng`` wraps numpy's PCG64
+bit generator so that every random stream in the package is reproducible
+byte-for-byte across platforms:
 
 * uniforms come straight from PCG64's 64-bit output via the standard
   ``(word >> 11) * 2**-53`` conversion (numpy's ``Generator.random``),
@@ -84,6 +84,13 @@ def _check_sd(sd: float) -> float:
     return _check_finite("sd", sd)
 
 
+def _check_count(name: str, v, low: int = 0) -> int:
+    """``v`` as an int; ParameterError unless an int or numpy integer >= low."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),  # not a bool, not 50.0
     # not NaN or infinity; unlike math.isfinite, no int is too large for it
@@ -138,9 +145,7 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""
-        if n < 0:
-            raise ParameterError("n must be >= 0")
-        return self._gen.random(int(n))
+        return self._gen.random(_check_count("n", n))
 
     def normal(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         """``n`` draws from N(mean, sd^2) via the Box-Muller transform.
@@ -150,9 +155,7 @@ class Rng:
         """
         _check_sd(sd)
         _check_finite("mean", mean)
-        if n < 0:
-            raise ParameterError("n must be >= 0")
-        n = int(n)
+        n = _check_count("n", n)
         if n == 0:
             return np.empty(0, dtype=np.float64)
         m = (n + 1) // 2
@@ -212,8 +215,8 @@ class Rng:
         bits, (n - 1).bit_length() + b <= 63, which holds for every n below
         2**31; larger draws raise ParameterError.
         """
-        if k < 0 or k > n:
-            raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
+        if _check_count("k", k) > _check_count("n", n):
+            raise ParameterError(f"need k <= n, got k={k}, n={n}")
         if k == n:
             return self.permutation(n)
         b = int(k - 1).bit_length()
@@ -278,7 +281,6 @@ class Rng:
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """``n`` integers uniform on [0, high), via floor(u * high), for an int high >= 1."""
-        if isinstance(high, bool) or not isinstance(high, (int, np.integer)) or high < 1:
-            raise ParameterError(f"high must be an integer >= 1, got {high!r}")
+        _check_count("high", high, low=1)
         v = np.floor(self.uniform(n) * high).astype(np.int64)
         return np.minimum(v, high - 1)

@@ -184,6 +184,7 @@ def batch_objective(x, s, pi: float, loss, branches):
     return objective
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite checks report divergence
 def train(
     dataset: PUDataset,
     cfg: TrainerConfig,
@@ -269,6 +270,7 @@ def classify_scores(g_values) -> np.ndarray:
     return np.where(g >= 0, 1, -1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # classify_scores reports divergence
 def evaluate(model: MLPModel, data: LabeledDataset) -> tuple[float, float, float, float]:
     """(accuracy, precision, recall, f1) in percent of the model's hard
     predictions on a labeled set; DataError for a set with no rows."""

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import peak_traced_bytes
+from oracles import load_model, peak_traced_bytes
 from puerm import harness
 from puerm.cli import cli_dispatch
 from puerm.datasets import SCENARIOS, gaussian_mixture, load_csv, save_csv
@@ -28,8 +28,9 @@ from puerm.harness import (
     run_cell,
     run_grid,
     run_self_checks,
+    summarize,
 )
-from puerm.model import grad_check
+from puerm.model import grad_check, init
 from puerm.numerics import Rng
 from puerm.trainer import TrainerConfig, batch_objective, load_trace
 
@@ -403,7 +404,7 @@ def test_run_grid_retries_a_failed_cell_and_keeps_its_error_row(tmp_path, capsys
     loaded, n_errors = load_results(spec.out)
     assert sorted(r.seed for r in loaded) == [0, 1]
     assert n_errors == 1
-    emit_report(spec.out, metric="f1", scenario="ss")
+    emit_report(spec.out, metric="f1")
     assert "1 error rows skipped" in capsys.readouterr().err
     # a done cell is never run again, so a third run appends nothing
     before = open(spec.out, "rb").read()
@@ -455,10 +456,15 @@ _TRACE_HEADER = "epoch,r_label,r_dist,r_corr,objective,truncation_fraction,test_
         (load_results, _RESULTS_PREAMBLE + "g,ss,nnpu_ss,0.5,0,abc,0,0,0,\n", 3),
         (load_results, _RESULTS_PREAMBLE + "g,ss,nnpu_ss,0.5,0,101.0,0,0,0,\n", 3),
         (load_results, _RESULTS_PREAMBLE + _GOOD_RESULT + "g,ss,nnpu_ss,0.5,x,1,1,1,1,\n", 4),
+        (load_results, _RESULTS_PREAMBLE + _GOOD_RESULT + "g,ss,nnpu,0.5,1,1,1,1,1,\n", 4),
+        (load_results, _RESULTS_PREAMBLE + "g,pn,nnpu_ss,0.5,0,1,1,1,1,\n", 3),
         (load_trace, _TRACE_HEADER + "x,0.1,0.2,0.3,0.05,0.25,\n", 2),
         (load_trace, _TRACE_HEADER + "0,0.1,0.2,0.3,0.05,0.25,\n1,0.1,?,0.3,0.05,0.25,\n", 3),
     ],
-    ids=["results-text", "results-range", "results-seed", "trace-epoch", "trace-float"],
+    ids=[
+        "results-text", "results-range", "results-seed", "results-method", "results-scenario",
+        "trace-epoch", "trace-float",
+    ],
 )
 def test_malformed_files_name_the_file_and_line(tmp_path, loader, text, line):
     p = tmp_path / "file.csv"
@@ -479,7 +485,50 @@ def _write_results(path, rows):
             fh.write(",".join(row) + "\n")
 
 
-def test_emit_report_means_and_difference_row(tmp_path):
+def _report_title(metric):
+    """The report's title and its rule."""
+    title = f"{metric} (percent), mean over seeds; delta = matched - mismatched, unpaired se"
+    return f"{title}\n{'=' * len(title)}\n"
+
+
+# the column header when c prints as 0.x and no se value is set; each
+# column is as wide as its widest cell
+_REPORT_HEADER = (
+    "scenario  dataset    c  family  n_matched  matched  n_mismatched  mismatched  delta  se\n"
+)
+
+
+def test_summarize_rows_are_pinned(tmp_path):
+    # a row with spread on both sides, a missing variant and an error row
+    p = tmp_path / "r.csv"
+    p.write_text(
+        _RESULTS_PREAMBLE
+        + "g,cc,upu_ss,0.5,0,55.0,0,0,50.0,\n"
+        + "g,ss,nnpu_ss,0.5,0,90.0,0,0,80.0,\n"
+        + "g,ss,nnpu_ss,0.5,1,92.0,0,0,84.0,\n"
+        + "g,ss,nnpu_cc,0.5,0,70.0,0,0,60.0,\n"
+        + "g,ss,nnpu_cc,0.5,1,74.0,0,0,62.0,\n"
+        + "g,ss,nnpu_cc,0.5,2,,,,,error: boom\n"
+    )
+    results, n_errors = load_results(p)
+    assert n_errors == 1
+    # ss rows sort before cc rows; se = sqrt(8 / 2 + 2 / 2)
+    assert summarize(results, "f1") == [
+        {
+            "scenario": "ss", "dataset": "g", "c": 0.5, "family": "nnpu",
+            "n_matched": 2, "matched": 82.0, "n_mismatched": 2, "mismatched": 61.0,
+            "delta": 21.0, "se": math.sqrt(5.0),
+        },
+        {
+            "scenario": "cc", "dataset": "g", "c": 0.5, "family": "upu",
+            "n_matched": 0, "matched": None, "n_mismatched": 1, "mismatched": 50.0,
+            "delta": None, "se": None,
+        },
+    ]
+    assert summarize([], "f1") == []
+
+
+def test_emit_report_means_and_difference_row(tmp_path, capsys):
     p = tmp_path / "r.csv"
     _write_results(
         p,
@@ -490,19 +539,22 @@ def test_emit_report_means_and_difference_row(tmp_path):
             ["g", "ss", "nnpu_cc", "0.5", "1", "81.5", "0", "0", "81.5", ""],
         ],
     )
-    text = emit_report(p, metric="accuracy", scenario="ss")
-    assert "c = 0.5" in text
-    lines = {ln.split()[0]: ln.split()[1] for ln in text.splitlines() if ln and " " in ln and not ln.startswith(("accuracy", "="))}
-    assert lines["nnpu_ss"] == "91.00"
-    assert lines["nnpu_cc"] == "81.00"
-    # the difference row equals the printed means' difference
-    assert float(lines["delta_nnpu"]) == pytest.approx(
-        float(lines["nnpu_ss"]) - float(lines["nnpu_cc"]), abs=0.005
+    text = emit_report(p, metric="accuracy")
+    # se = sqrt(2 / 2 + 0.5 / 2)
+    assert text == _report_title("accuracy") + (
+        "scenario  dataset    c  family  n_matched  matched  n_mismatched  mismatched"
+        "  delta    se\n"
+        "      ss        g  0.5    nnpu          2    91.00             2"
+        "       81.00  10.00  1.12\n"
     )
-    assert lines["delta_nnpu"] == "10.00"
+    assert capsys.readouterr().err == ""
+    # the difference equals the printed means' difference
+    cells = text.splitlines()[-1].split()
+    matched, mismatched, delta = (float(cells[i]) for i in (5, 7, 8))
+    assert delta == pytest.approx(matched - mismatched, abs=0.005)
 
 
-def test_emit_report_blank_cells_warn(tmp_path, capsys):
+def test_emit_report_missing_variant_reads_n_0(tmp_path, capsys):
     p = tmp_path / "r.csv"
     _write_results(
         p,
@@ -512,20 +564,22 @@ def test_emit_report_blank_cells_warn(tmp_path, capsys):
             ["d2", "ss", "nnpu_ss", "0.5", "0", "88.0", "0", "0", "88.0", ""],
         ],
     )
-    text = emit_report(p, metric="f1", scenario="ss")
-    err = capsys.readouterr().err
-    assert "warning: no results for d2/nnpu_cc" in err
-    assert "warning: no results for d2/delta_nnpu" in err
-    # d1 column still fully populated
-    assert "10.00" in text
+    text = emit_report(p, metric="f1")
+    # the missing d2/nnpu_cc cell is its n column reading 0, with no warning
+    assert text == _report_title("f1") + _REPORT_HEADER + (
+        "      ss       d1  0.5    nnpu          1    90.00             1       80.00  10.00\n"
+        "      ss       d2  0.5    nnpu          1    88.00             0\n"
+    )
+    assert capsys.readouterr().err == ""
 
 
-def test_emit_report_empty_scenario_warns(tmp_path, capsys):
+def test_emit_report_empty_results_warn(tmp_path, capsys):
     p = tmp_path / "r.csv"
     _write_results(p, [])
-    text = emit_report(p, metric="f1", scenario="cc")
-    assert "scenario cc" in text
-    assert "warning: no results" in capsys.readouterr().err
+    assert emit_report(p, metric="f1") == _report_title("f1") + (
+        "scenario  dataset  c  family  n_matched  matched  n_mismatched  mismatched  delta  se\n"
+    )
+    assert capsys.readouterr().err == "warning: no results\n"
 
 
 def test_emit_report_counts_error_rows(tmp_path, capsys):
@@ -537,7 +591,7 @@ def test_emit_report_counts_error_rows(tmp_path, capsys):
             ["g", "ss", "nnpu_ss", "0.5", "1", "", "", "", "", "error: boom"],
         ],
     )
-    emit_report(p, metric="f1", scenario="ss")
+    emit_report(p, metric="f1")
     assert "1 error rows skipped" in capsys.readouterr().err
 
 
@@ -565,65 +619,44 @@ d2,cc,nnpu_cc,0.3,0,75.0,0,0,74.0,
 d2,cc,nnpu_ss,0.3,0,77.0,0,0,76.0,
 """
 
-_REPORT_SS_F1 = """\
-f1 (percent), scenario ss, mean over seeds
-==========================================
+_REPORT_F1 = _report_title("f1") + _REPORT_HEADER + """\
+      ss       d1  0.3    nnpu          2    90.50             1       85.00   5.50
+      ss       d1  0.3     upu          1    88.00             1       86.50   1.50
+      ss       d1  0.9    nnpu          1    95.00             1       50.00  45.00
+      ss       d1  0.9     upu          1    93.00             1       55.00  38.00
+      ss       d2  0.3    nnpu          1    70.25             1       60.00  10.25
+      ss       d2  0.3     upu          1    65.00             0
+      ss       d2  0.9    nnpu          1    80.00             1       40.00  40.00
+      ss       d2  0.9     upu          1    78.00             1       45.00  33.00
+      cc       d1  0.3    nnpu          1    88.00             1       83.00   5.00
+      cc       d2  0.3    nnpu          1    74.00             1       76.00  -2.00
+"""
 
-c = 0.3
-method            d1        d2
-nnpu_cc        85.00     60.00
-nnpu_ss        90.50     70.25
-upu_cc         86.50{blank}
-upu_ss         88.00     65.00
-delta_nnpu      5.50     10.25
-delta_upu       1.50{blank}
-
-c = 0.9
-method            d1        d2
-nnpu_cc        50.00     40.00
-nnpu_ss        95.00     80.00
-upu_cc         55.00     45.00
-upu_ss         93.00     78.00
-delta_nnpu     45.00     40.00
-delta_upu      38.00     33.00
-""".format(blank=" " * 10)  # a missing cell prints as blank padding
-
-_REPORT_CC_ACCURACY = """\
-accuracy (percent), scenario cc, mean over seeds
-================================================
-
-c = 0.3
-method            d1        d2
-nnpu_cc        89.00     75.00
-nnpu_ss        84.00     77.00
-delta_nnpu      5.00     -2.00
+_REPORT_ACCURACY = _report_title("accuracy") + _REPORT_HEADER + """\
+      ss       d1  0.3    nnpu          2    91.50             1       86.00   5.50
+      ss       d1  0.3     upu          1    89.00             1       87.50   1.50
+      ss       d1  0.9    nnpu          1    96.00             1       51.00  45.00
+      ss       d1  0.9     upu          1    94.00             1       56.00  38.00
+      ss       d2  0.3    nnpu          1    71.25             1       61.00  10.25
+      ss       d2  0.3     upu          1    66.00             0
+      ss       d2  0.9    nnpu          1    81.00             1       41.00  40.00
+      ss       d2  0.9     upu          1    79.00             1       46.00  33.00
+      cc       d1  0.3    nnpu          1    89.00             1       84.00   5.00
+      cc       d2  0.3    nnpu          1    75.00             1       77.00  -2.00
 """
 
 
 @pytest.mark.parametrize(
-    "metric, scenario, text, warnings",
-    [
-        (
-            "f1",
-            "ss",
-            _REPORT_SS_F1,
-            [
-                "1 error rows skipped",
-                "no results for d2/upu_cc/c=0.3",
-                "no results for d2/delta_upu/c=0.3",
-            ],
-        ),
-        ("accuracy", "cc", _REPORT_CC_ACCURACY, ["1 error rows skipped"]),
-    ],
-    ids=["ss-f1", "cc-accuracy"],
+    "metric, text", [("f1", _REPORT_F1), ("accuracy", _REPORT_ACCURACY)], ids=["f1", "accuracy"]
 )
-def test_emit_report_text_is_pinned(tmp_path, capsys, metric, scenario, text, warnings):
-    # two datasets, all four methods, one missing cell (d2/upu_cc at c=0.3)
-    # and one error row; the table text and the stderr lines are exact
+def test_emit_report_text_is_pinned(tmp_path, capsys, metric, text):
+    # two datasets, both scenarios, all four methods, one missing cell
+    # (d2/upu_cc at c=0.3) and one error row; the table text and the
+    # stderr lines are exact
     p = tmp_path / "r.csv"
     p.write_text(_RESULTS_PREAMBLE + _REPORT_ROWS)
-    assert emit_report(p, metric=metric, scenario=scenario) == text
-    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+    assert emit_report(p, metric=metric) == text
+    assert capsys.readouterr().err == "warning: 1 error rows skipped\n"
 
 
 def test_emit_report_validates_arguments(tmp_path):
@@ -632,7 +665,10 @@ def test_emit_report_validates_arguments(tmp_path):
     with pytest.raises(ParameterError):
         emit_report(p, metric="auc")
     with pytest.raises(ParameterError):
-        emit_report(p, scenario="pn")
+        summarize([], "auc")
+    # both scenarios print together; there is no scenario switch
+    with pytest.raises(TypeError):
+        emit_report(p, scenario="ss")
 
 
 # ---------------------------------------------------------------------------
@@ -1040,9 +1076,14 @@ def test_cli_grid_and_report(tmp_path, capsys):
     assert "0 new results" in capsys.readouterr().out
 
     assert cli_dispatch(["report", "--results", results, "--metric", "accuracy"]) == 0
+    (r,), _ = load_results(results)
     out = capsys.readouterr().out
-    assert "accuracy (percent), scenario ss" in out
-    assert "nnpu_ss" in out
+    assert out.startswith(_report_title("accuracy") + _REPORT_HEADER)
+    row = ["ss", "gauss1d", "0.5", "nnpu", "1", f"{r.accuracy:.2f}", "0"]
+    assert out.splitlines()[3].split() == row
+    # the scenario filter is gone: the table shows both scenarios
+    assert cli_dispatch(["report", "--results", results, "--scenario", "ss"]) == 2
+    assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
 
 def test_cli_grid_rejects_invalid_combination(tmp_path, capsys):
@@ -1097,6 +1138,21 @@ def test_cli_train_refuses_an_empty_test_set(tmp_path, capsys):
     assert "error: test set has no rows" in err
     assert "test: accuracy" not in out
     assert not trace.exists()
+
+
+def test_cli_train_draws_weights_from_a_child_stream(tmp_path, capsys):
+    # the weights take child stream 2 of the seed, as in a grid cell, so the
+    # shuffles, drawn from the seed's own stream, do not reuse their uniforms
+    labeled, pu_csv = str(tmp_path / "labeled.csv"), str(tmp_path / "pu.csv")
+    assert cli_dispatch(["synth", "--n", "100", "--pi", "0.5", "--out", labeled]) == 0
+    argv = ["sample", "--scenario", "ss", "--c", "0.5", "--in", labeled, "--out", pu_csv]
+    assert cli_dispatch(argv) == 0
+    model_out = tmp_path / "m.json"
+    argv = ["train", "--in", pu_csv, "--epochs", "0", "--seed", "7", "--hidden", "4,4"]
+    assert cli_dispatch(argv + ["--model-out", str(model_out)]) == 0
+    capsys.readouterr()
+    want = init([1, 4, 4, 1], "relu", Rng(7).child(2))
+    assert np.array_equal(load_model(model_out).params, want.params)
 
 
 @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--eta", "inf")])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import peak_traced_bytes
+from puerm.datasets import gaussian_mixture
 from puerm.errors import ParameterError, ShapeError
 from puerm.numerics import _TIE_BLOCK, Rng, as_matrix
 
@@ -447,3 +448,36 @@ def test_integers_bounds_and_coverage():
 def test_integers_refuses_a_high_that_is_not_a_positive_integer(high):
     with pytest.raises(ParameterError, match="high must be an integer >= 1"):
         Rng(0).integers(5, high)
+
+
+@pytest.mark.parametrize(
+    "draw, name",
+    [
+        (lambda r: r.uniform(2.5), "n"),
+        (lambda r: r.uniform(True), "n"),
+        (lambda r: r.normal(2.5), "n"),
+        (lambda r: r.normal(-2), "n"),
+        (lambda r: r.bernoulli(0.5, 2.5), "n"),
+        (lambda r: r.integers(2.5, 3), "n"),
+        (lambda r: r.permutation(2.5), "n"),
+        (lambda r: r.sample_without_replacement(10, 2.5), "k"),
+        (lambda r: r.sample_without_replacement(10, -1), "k"),
+        (lambda r: r.sample_without_replacement(10.0, 2), "n"),
+        (lambda r: gaussian_mixture(2.5, 0.5, rng=r), "n"),
+        (lambda r: gaussian_mixture(4, 0.5, dim=1.5, rng=r), "dim"),
+    ],
+    ids=[
+        "uniform", "uniform-bool", "normal", "normal-negative", "bernoulli", "integers",
+        "permutation", "subset-k", "subset-negative-k", "subset-n", "mixture-n", "mixture-dim",
+    ],
+)
+def test_draw_counts_must_be_integers(draw, name):
+    # 2.5 draws is a caller's mistake, not 2 draws and not a raw numpy error
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+        draw(Rng(0))
+
+
+def test_draw_counts_take_numpy_integers():
+    assert Rng(0).uniform(np.int64(3)).shape == (3,)
+    picked = Rng(0).sample_without_replacement(np.int64(10), np.int32(4))
+    assert np.array_equal(picked, Rng(0).sample_without_replacement(10, 4))

@@ -304,6 +304,22 @@ def test_divergence_raises_naming_epoch_and_batch():
     assert "batch 0" in str(err.value)
 
 
+def test_divergence_is_an_error_under_a_warnings_filter():
+    # numpy's overflow warnings, raised as errors here, must not preempt the
+    # finite checks that report the divergence
+    data = _small_ss_dataset(n=50, seed=14)
+    test = gaussian_mixture(20, 0.5, rng=Rng(15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg = TrainerConfig(method="upu_cc", epochs=5, batch_size=10, eta=1e300)
+        with pytest.raises(TrainingError, match="non-finite objective"):
+            train(data, cfg, init([1, 8, 1], "relu", Rng(16)), test)
+        huge = init([1, 8, 1], "relu", Rng(16))
+        huge.params *= 1e300
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            evaluate(huge, test)
+
+
 class _PerArrayAdam:
     """Adaptive moments stepped one parameter array at a time: the reference
     for ``train``'s adam-style step on the flat parameter vector."""
