@@ -1,12 +1,14 @@
 """Experiment grid runner, results persistence, the summary report, self-checks.
 
-A grid is the cross product (dataset x scenario x method x c x seed). Each
-cell derives its own 64-bit seed by hashing the cell coordinates, so the
-cell's data, corruption, initialization and shuffling never depend on
-which other cells exist. Results append to a CSV (first line is a format
-tag) as soon as each cell finishes; re-running the same grid skips cells
-already present, which makes interrupted runs resumable and full reruns
-byte-identical.
+A grid is the cross product (dataset x scenario x method x c x seed), and
+one ``Cell`` is one point of it. A cell's key is its five coordinates as
+text (``_result_key``, the only code that formats them); the cell's 64-bit
+seed, its trace file name, the resume check and its results row all read
+that key. The seed hashes it, so the cell's data, corruption,
+initialization and shuffling never depend on which other cells exist.
+Results append to a CSV (first line is a format tag) as soon as each cell
+finishes; re-running the same grid skips cells already present, which
+makes interrupted runs resumable and full reruns byte-identical.
 
 Per-cell protocol: build the source data (synthetic draw, or CSV rows
 read once per grid run), carve out a held-out labeled test set, corrupt
@@ -17,6 +19,7 @@ then score hard predictions on the test set.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -24,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +67,14 @@ class DatasetSource:
 
     def __post_init__(self):
         check_field_types(self)
+        # the name is part of each cell's trace file name
+        if self.name in ("", ".", "..") or any(
+            ch in self.name for ch in ("/", "\0", os.sep, os.altsep) if ch
+        ):
+            raise ParameterError(
+                f"dataset name {self.name!r} must not be empty, '.' or '..', "
+                "or hold a path separator or NUL"
+            )
         if self.kind not in ("synthetic", "csv"):
             raise ParameterError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.path:
@@ -131,6 +143,12 @@ class GridSpec:
             raise ParameterError(f"activation must be one of {ACTIVATIONS}")
         if self.n < 10:
             raise ParameterError(f"per-run budget n must be >= 10, got {self.n}")
+        # every cell's PU sample has at most n rows
+        if self.trainer.batch_size > self.n:
+            raise ParameterError(
+                f"trainer batch_size {self.trainer.batch_size} exceeds the per-run budget "
+                f"n={self.n}"
+            )
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError("test_fraction must be in (0, 1)")
 
@@ -158,54 +176,69 @@ class ExperimentResult:
             if not 0.0 <= v <= 100.0:
                 raise ParameterError(f"{name} must be a percentage in [0, 100], got {v}")
 
+    def row(self) -> list[str]:
+        """This result as a results-file row."""
+        r = self  # fields spelled out: bench/test_bench.py corrupts the accuracy one
+        return [*_result_key(r), repr(float(r.accuracy)), repr(float(r.precision)),
+                repr(float(r.recall)), repr(float(r.f1)), r.trace_path]
+
 
 RESULTS_COLUMNS = tuple(f.name for f in fields(ExperimentResult))
 
 
-def cell_seed(seed: int, dataset: str, scenario: str, method: str, c: float) -> int:
+class Cell(NamedTuple):
+    """One grid cell: a dataset source and the cell's other four coordinates."""
+
+    source: DatasetSource
+    scenario: str
+    method: str
+    c: float
+    seed: int
+
+    @property
+    def dataset(self) -> str:
+        return self.source.name
+
+
+def _result_key(x: Cell | ExperimentResult) -> tuple[str, str, str, str, str]:
+    """The key of a cell or result: (dataset, scenario, method, c, seed) as
+    the results file writes them, c in shortest round-trip decimal form."""
+    return (x.dataset, x.scenario, x.method, repr(float(x.c)), str(int(x.seed)))
+
+
+def cell_seed(cell: Cell) -> int:
     """Stable 64-bit seed for one grid cell.
 
-    Hashing the coordinates (with c in shortest round-trip decimal form)
-    means adding datasets, methods or c values never changes the seeds of
-    existing cells.
+    Hashing the cell's key means adding datasets, methods or c values
+    never changes the seeds of existing cells.
     """
-    key = f"cell-v1|{seed}|{dataset}|{scenario}|{method}|{repr(float(c))}"
+    dataset, scenario, method, c, seed = _result_key(cell)
+    key = f"cell-v1|{seed}|{dataset}|{scenario}|{method}|{c}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def _build_source_data(
-    source: DatasetSource, spec: GridSpec, rng: Rng, data: LabeledDataset | None
+    source: DatasetSource, spec: GridSpec, rng: Rng, load
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """(training pool, held-out test set) for one cell; ``data`` as in
-    ``run_cell``."""
+    """(training pool, held-out test set) for one cell; ``load`` as in ``run_cell``."""
     if source.kind == "synthetic":
-        pool_n = 2 * spec.n
         test_n = max(1, round(spec.n * spec.test_fraction / (1.0 - spec.test_fraction)))
-        pool = gaussian_mixture(
-            pool_n, source.pi, source.mu_pos, source.mu_neg, source.sd, source.dim, rng
-        )
-        test = gaussian_mixture(
-            test_n, source.pi, source.mu_pos, source.mu_neg, source.sd, source.dim, rng
-        )
-        return pool, test
-    if data is None:
-        data = load_csv(source.path, source.pi)
-    return train_test_split(data, 1.0 - spec.test_fraction, rng)
+        args = (source.pi, source.mu_pos, source.mu_neg, source.sd, source.dim, rng)
+        return gaussian_mixture(2 * spec.n, *args), gaussian_mixture(test_n, *args)
+    return train_test_split(load(source.path, source.pi), 1.0 - spec.test_fraction, rng)
 
 
-def run_cell(
-    source: DatasetSource, scenario: str, method: str, c: float, seed: int, spec: GridSpec,
-    data: LabeledDataset | None = None,
-) -> ExperimentResult:
+def run_cell(cell: Cell, spec: GridSpec, load=load_csv) -> ExperimentResult:
     """Execute one grid cell end to end and return its scores.
 
-    ``data`` is the rows of a ``csv`` source, loaded once by the caller
-    for all its cells; when None the cell loads the file itself.
+    ``load(path, pi)`` reads the rows of a ``csv`` source; ``run_grid``
+    passes a cached ``load_csv``, so each file is read once per run.
     """
-    base = cell_seed(seed, source.name, scenario, method, c)
+    source, scenario, method, c, seed = cell
+    base = cell_seed(cell)
     root = Rng(base)
-    pool, test = _build_source_data(source, spec, root.child(0), data)
+    pool, test = _build_source_data(source, spec, root.child(0), load)
     # a single-sample draw is without replacement, so it cannot exceed the pool
     budget = min(spec.n, pool.n) if scenario == SCENARIO_SS else spec.n
     pu = corrupt(pool, scenario, c, budget, root.child(1))
@@ -216,7 +249,7 @@ def run_cell(
     trace_path = ""
     if spec.trace_dir:
         os.makedirs(spec.trace_dir, exist_ok=True)
-        fname = f"{source.name}_{scenario}_{method}_c{repr(float(c))}_s{seed}.csv"
+        fname = "{}_{}_{}_c{}_s{}.csv".format(*_result_key(cell))
         trace_path = os.path.join(spec.trace_dir, fname)
         save_trace(traces, trace_path)
     return ExperimentResult(
@@ -225,30 +258,11 @@ def run_cell(
 
 
 def iter_cells(spec: GridSpec):
-    """Every cell of the grid as (source, scenario, method, c, seed), in the
-    order the results file lists them: seed varies fastest, dataset slowest."""
-    return itertools.product(
+    """Every ``Cell`` of the grid, in the order the results file lists them:
+    seed varies fastest, dataset slowest."""
+    return itertools.starmap(Cell, itertools.product(
         spec.datasets, spec.scenarios, spec.methods, spec.c_values, spec.seeds
-    )
-
-
-def _result_key(dataset: str, scenario: str, method: str, c: float, seed: int):
-    return (dataset, scenario, method, repr(float(c)), str(int(seed)))
-
-
-def _result_row(key: tuple, r: ExperimentResult | None, error: str = "") -> list[str]:
-    """One results-file row. An error row (``r`` is None) has empty metric
-    fields and the message in the trace_path column."""
-    if r is None:
-        return [*key, "", "", "", "", f"error: {error}"]
-    return [
-        *key,
-        repr(float(r.accuracy)),
-        repr(float(r.precision)),
-        repr(float(r.recall)),
-        repr(float(r.f1)),
-        r.trace_path,
-    ]
+    ))
 
 
 def load_results(path) -> tuple[list[ExperimentResult], int]:
@@ -269,12 +283,13 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
             where = f"{path}: line {reader.line_num + 2}"  # after the tag and header
             if len(row) != len(RESULTS_COLUMNS):
                 raise FormatError(f"{where}: malformed results row {row}")
-            if row[5] == "":
+            dataset, scenario, method, c, seed, *metrics, trace_path = row
+            if metrics[0] == "":
                 n_errors += 1
                 continue
             try:
-                values = [float(row[3]), int(row[4]), *map(float, row[5:9])]
-                results.append(ExperimentResult(*row[:3], *values, row[9]))
+                values = [float(c), int(seed), *map(float, metrics)]
+                results.append(ExperimentResult(dataset, scenario, method, *values, trace_path))
             except (ValueError, ParameterError) as exc:
                 raise FormatError(f"{where}: {exc}") from None
     return results, n_errors
@@ -312,39 +327,34 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     if os.path.exists(spec.out):
         _drop_torn_tail(spec.out)
     fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
-    done = set() if fresh else {
-        _result_key(r.dataset, r.scenario, r.method, r.c, r.seed)
-        for r in load_results(spec.out)[0]
-    }
+    done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
     results: list[ExperimentResult] = []
-    loaded: dict[str, LabeledDataset] = {}  # csv sources by name, read once per run
+    load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
     with open(spec.out, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(RESULTS_TAG + "\n")
             fh.write(",".join(RESULTS_COLUMNS) + "\n")
             fh.flush()
         writer = csv.writer(fh, lineterminator="\n")
-        for source, scenario, method, c, seed in iter_cells(spec):
-            key = _result_key(source.name, scenario, method, c, seed)
+        for cell in iter_cells(spec):
+            key = _result_key(cell)
             if key in done:
                 continue
             try:
-                if source.kind == "csv" and source.name not in loaded:
-                    loaded[source.name] = load_csv(source.path, source.pi)
-                r = run_cell(source, scenario, method, c, seed, spec, loaded.get(source.name))
+                r = run_cell(cell, spec, load)
             except (PuermError, OSError) as exc:
-                writer.writerow(_result_row(key, None, str(exc)))
+                writer.writerow([*key, "", "", "", "", f"error: {exc}"])
                 fh.flush()
                 if log:
                     print(f"cell {key} failed: {exc}", file=log, flush=True)
                 continue
             results.append(r)
-            writer.writerow(_result_row(key, r))
+            writer.writerow(r.row())
             fh.flush()
             if log:
                 print(
-                    f"done {source.name}/{scenario}/{method}"
-                    f"/c={c}/seed={seed}: acc={r.accuracy:.2f}",
+                    f"done {cell.dataset}/{cell.scenario}/{cell.method}"
+                    f"/c={cell.c}/seed={cell.seed}: acc={r.accuracy:.2f}",
                     file=log,
                     flush=True,
                 )

@@ -129,10 +129,10 @@ class Rng:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not 0 <= int(seed) < 2**64:
+        self.seed = _check_count("seed", seed)
+        if self.seed >= 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in _spawn_key)
+        self.spawn_key = _spawn_key
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
@@ -141,7 +141,7 @@ class Rng:
 
     def child(self, i: int) -> "Rng":
         """Independent substream number ``i`` of this generator."""
-        return Rng(self.seed, self.spawn_key + (int(i),))
+        return Rng(self.seed, self.spawn_key + (_check_count("i", i),))
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""

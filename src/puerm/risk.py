@@ -216,7 +216,7 @@ def nnpu_risk(comp: RiskComponents, beta: float = 0.0) -> tuple[float, bool]:
     training onto the surrogate branch; beta affects only the trigger,
     never the value.
     """
-    if beta < 0:
+    if not beta >= 0:  # also refuses NaN, which would never truncate
         raise ParameterError(f"beta must be >= 0, got {beta}")
     negative_part = comp.r_dist - comp.r_corr
     value = comp.r_label + max(negative_part, 0.0)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .datasets import SCENARIO_CC, SCENARIO_SS, SCENARIOS, LabeledDataset, PUDataset, _signs
 from .errors import DataError, ParameterError
-from .numerics import Rng, _check_pi
+from .numerics import Rng, _check_count, _check_pi
 
 
 @dataclass
@@ -52,8 +52,7 @@ class ScarConfig:
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
             raise ParameterError(f"c must be in [0, 1], got {self.c}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        _check_count("n", self.n, low=1)
 
 
 @dataclass
@@ -114,8 +113,7 @@ def case_control_sizes(n: int, pi: float, c: float) -> tuple[int, int]:
     and direct rounding of the unlabeled formula agree whenever the labeled
     formula does not land on a .5 tie.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n, low=1)
     _check_pi(pi)
     if not 0.0 <= c < 1.0:
         raise ParameterError(f"c must be in [0, 1) (c=1 leaves no unlabeled rows), got {c}")

@@ -16,6 +16,7 @@ from puerm.errors import FormatError, ParameterError, PuermError
 from puerm.harness import (
     RESULTS_COLUMNS,
     RESULTS_TAG,
+    Cell,
     DatasetSource,
     GridSpec,
     cell_seed,
@@ -55,22 +56,26 @@ def _tiny_spec(tmp_path, **overrides):
 # cell seeds
 
 
+def _cell(seed, dataset, scenario, method, c):
+    return Cell(DatasetSource(name=dataset), scenario, method, c, seed)
+
+
 def test_cell_seed_frozen_golden():
-    assert cell_seed(3, "gauss1d", "ss", "nnpu_cc", 0.9) == 2047044823737653029
+    assert cell_seed(_cell(3, "gauss1d", "ss", "nnpu_cc", 0.9)) == 2047044823737653029
 
 
 def test_cell_seed_sensitive_to_every_coordinate():
-    base = cell_seed(3, "gauss1d", "ss", "nnpu_cc", 0.9)
-    assert cell_seed(4, "gauss1d", "ss", "nnpu_cc", 0.9) != base
-    assert cell_seed(3, "other", "ss", "nnpu_cc", 0.9) != base
-    assert cell_seed(3, "gauss1d", "cc", "nnpu_cc", 0.9) != base
-    assert cell_seed(3, "gauss1d", "ss", "nnpu_ss", 0.9) != base
-    assert cell_seed(3, "gauss1d", "ss", "nnpu_cc", 0.1) != base
+    base = cell_seed(_cell(3, "gauss1d", "ss", "nnpu_cc", 0.9))
+    assert cell_seed(_cell(4, "gauss1d", "ss", "nnpu_cc", 0.9)) != base
+    assert cell_seed(_cell(3, "other", "ss", "nnpu_cc", 0.9)) != base
+    assert cell_seed(_cell(3, "gauss1d", "cc", "nnpu_cc", 0.9)) != base
+    assert cell_seed(_cell(3, "gauss1d", "ss", "nnpu_ss", 0.9)) != base
+    assert cell_seed(_cell(3, "gauss1d", "ss", "nnpu_cc", 0.1)) != base
 
 
 def test_cell_seed_in_64_bit_range():
     for seed in range(5):
-        v = cell_seed(seed, "d", "ss", "upu_ss", 0.5)
+        v = cell_seed(_cell(seed, "d", "ss", "upu_ss", 0.5))
         assert 0 <= v < 2**64
 
 
@@ -84,6 +89,30 @@ def test_dataset_source_validation():
     with pytest.raises(ParameterError):
         DatasetSource(name="x", kind="csv")  # csv needs a path
     assert DatasetSource(name="x", kind="synthetic").pi == 0.5
+
+
+UNSAFE_NAMES = ["", ".", "..", "../escape", "a/b", "a\0b", *{os.sep, os.altsep} - {None}]
+
+
+@pytest.mark.parametrize("name", UNSAFE_NAMES)
+def test_dataset_source_refuses_a_name_unsafe_in_a_file_name(name):
+    # the name is part of every trace file name of the dataset's cells
+    with pytest.raises(ParameterError, match=f"^dataset name {re.escape(repr(name))} must not"):
+        DatasetSource(name=name)
+    assert DatasetSource(name="a.b-c_d").name == "a.b-c_d"
+
+
+def test_grid_config_with_a_path_in_a_dataset_name_writes_nothing(tmp_path, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = work / "grid.json"
+    cfg.write_text(json.dumps({"datasets": [{"name": "../escape"}], "seeds": [0]}))
+    out, traces = work / "r.csv", work / "traces"
+    argv = ["grid", "--config", str(cfg), "--out", str(out), "--trace-dir", str(traces),
+            "--quiet"]
+    assert cli_dispatch(argv) == 1
+    assert "dataset name '../escape' must not" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["grid.json", "work"]
 
 
 def test_grid_spec_validation(tmp_path):
@@ -107,6 +136,33 @@ def test_grid_spec_validation(tmp_path):
         _tiny_spec(tmp_path, n=5)
     with pytest.raises(ParameterError):
         _tiny_spec(tmp_path, test_fraction=1.0)
+
+
+def test_grid_spec_refuses_a_batch_larger_than_the_budget(tmp_path):
+    # every cell's PU sample has at most n rows, so no cell could train
+    with pytest.raises(ParameterError, match="batch_size 26 exceeds the per-run budget n=25"):
+        _tiny_spec(tmp_path, n=25, trainer=TrainerConfig(epochs=1, batch_size=26))
+    assert _tiny_spec(tmp_path, n=25).trainer.batch_size == 25
+
+
+def test_grid_command_with_a_batch_larger_than_n_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["grid", "--n", "50", "--seeds", "0", "--c-values", "0.5", "--epochs", "1",
+            "--out", str(out), "--quiet"]
+    assert cli_dispatch(argv) == 1
+    assert "batch_size 100 exceeds the per-run budget n=50" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_grid_csv_source_smaller_than_a_batch_fails_every_cell(tmp_path):
+    # 30 rows leave 24 for training, below the batch of 25 the budget allows
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(30, 0.5, rng=Rng(3)), path)
+    assert run_grid(_csv_grid(tmp_path, path)) == []
+    loaded, n_errors = load_results(tmp_path / "results.csv")
+    assert (loaded, n_errors) == ([], 4)
+    text = open(tmp_path / "results.csv").read()
+    assert text.count("error: batch_size 25 exceeds dataset size") == 4
 
 
 @pytest.mark.parametrize(
@@ -174,7 +230,7 @@ def test_default_grid_spec_shape():
 def test_run_cell_returns_scores_and_trace(tmp_path):
     spec = _tiny_spec(tmp_path, trace_dir=str(tmp_path / "traces"))
     source = spec.datasets[0]
-    result = run_cell(source, "ss", "nnpu_ss", 0.5, 0, spec)
+    result = run_cell(Cell(source, "ss", "nnpu_ss", 0.5, 0), spec)
     assert result.dataset == "gauss1d"
     assert 0.0 <= result.accuracy <= 100.0
     assert os.path.exists(result.trace_path)
@@ -188,8 +244,8 @@ def test_run_cell_returns_scores_and_trace(tmp_path):
 def test_run_cell_is_deterministic(tmp_path):
     spec = _tiny_spec(tmp_path)
     source = spec.datasets[0]
-    a = run_cell(source, "cc", "nnpu_cc", 0.7, 1, spec)
-    b = run_cell(source, "cc", "nnpu_cc", 0.7, 1, spec)
+    a = run_cell(Cell(source, "cc", "nnpu_cc", 0.7, 1), spec)
+    b = run_cell(Cell(source, "cc", "nnpu_cc", 0.7, 1), spec)
     assert a == b
 
 
@@ -277,7 +333,7 @@ def test_run_grid_empty_test_split_fails_every_cell(tmp_path):
     # 40 rows at test_fraction 0.01 round to 40 training rows and no test rows
     path = tmp_path / "rows.csv"
     save_csv(gaussian_mixture(40, 0.5, rng=Rng(3)), path)
-    assert run_grid(_csv_grid(tmp_path, path, n=20, test_fraction=0.01)) == []
+    assert run_grid(_csv_grid(tmp_path, path, n=25, test_fraction=0.01)) == []
     loaded, n_errors = load_results(tmp_path / "results.csv")
     assert (loaded, n_errors) == ([], 4)
     text = open(tmp_path / "results.csv").read()

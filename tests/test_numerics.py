@@ -103,6 +103,29 @@ def test_seed_validation():
         Rng(2**64)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Rng(1.5), "seed"),
+        (lambda: Rng("3"), "seed"),
+        (lambda: Rng(True), "seed"),
+        (lambda: Rng(math.nan), "seed"),
+        (lambda: Rng(0).child(-1), "i"),
+        (lambda: Rng(0).child(1.7), "i"),
+    ],
+    ids=["seed-float", "seed-str", "seed-bool", "seed-nan", "child-negative", "child-float"],
+)
+def test_seed_and_child_index_must_be_integers(build, name):
+    # not silently truncated to a different stream, and not a raw ValueError
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= 0"):
+        build()
+
+
+def test_seed_and_child_index_take_numpy_integers():
+    a = Rng(np.uint64(7)).child(np.int64(2)).uniform(3)
+    assert np.array_equal(a, Rng(7).child(2).uniform(3))
+
+
 # ---------------------------------------------------------------------------
 # uniform
 

@@ -147,6 +147,13 @@ def test_upu_and_nnpu_hand_cases():
         nnpu_risk(comp, beta=-0.1)
 
 
+def test_nnpu_risk_refuses_a_nan_beta():
+    # every comparison with NaN is false, so the trigger would never fire
+    comp = risk_components(*_batch([10.0], [10.0]), 0.5, SCENARIO_CC)
+    with pytest.raises(ParameterError, match="beta must be >= 0, got nan"):
+        nnpu_risk(comp, beta=float("nan"))
+
+
 def test_nnpu_never_below_r_label():
     rng = Rng(5)
     for _ in range(20):

@@ -106,6 +106,24 @@ def test_scar_config_validation():
         ScarConfig(c=0.5, n=0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda src: case_control_sizes(10.5, 0.5, 0.5),
+        lambda src: case_control_sizes(True, 0.5, 0.5),
+        lambda src: ScarConfig(c=0.5, n=2.5),
+        lambda src: corrupt(src, "cc", 0.5, True, Rng(0)),
+        lambda src: corrupt(src, "ss", 0.5, 2.5, Rng(0)),
+    ],
+    ids=["sizes-float", "sizes-bool", "scar-float", "corrupt-cc-bool", "corrupt-ss-float"],
+)
+def test_sampler_sizes_must_be_integers(build):
+    # not a fractional unlabeled count, a raw TypeError or an error naming k
+    src = gaussian_mixture(40, 0.5, rng=Rng(1))
+    with pytest.raises(ParameterError, match="^n must be an integer >= 1"):
+        build(src)
+
+
 # ---------------------------------------------------------------------------
 # case_control_sizes
 
