@@ -44,7 +44,7 @@ from .datasets import (
 )
 from .errors import FormatError, ParameterError, PuermError
 from .model import ACTIVATIONS, grad_check, init
-from .numerics import Rng, check_field_types, is_real
+from .numerics import Rng, _check_count, check_field_types, is_real
 from .sampling import corrupt, unlabeled_positive_fraction_ss
 from .trainer import METHODS, TrainerConfig, batch_objective, evaluate, save_trace, train
 
@@ -77,6 +77,14 @@ class DatasetSource:
             )
         if self.kind not in ("synthetic", "csv"):
             raise ParameterError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
+        # a csv source's features come from its file, a synthetic one's from
+        # the generator, so a field the kind would not read is refused
+        unread = ("path",) if self.kind == "synthetic" else ("mu_pos", "mu_neg", "sd", "dim")
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ParameterError(
+                    f"dataset {self.name!r}: a {self.kind} source reads no {f.name}"
+                )
         if self.kind == "csv" and not self.path:
             raise ParameterError(f"dataset {self.name!r}: csv kind needs a path")
         if self.pi is not None and not 0.0 < self.pi < 1.0:
@@ -203,7 +211,7 @@ class Cell(NamedTuple):
 def _result_key(x: Cell | ExperimentResult) -> tuple[str, str, str, str, str]:
     """The key of a cell or result: (dataset, scenario, method, c, seed) as
     the results file writes them, c in shortest round-trip decimal form."""
-    return (x.dataset, x.scenario, x.method, repr(float(x.c)), str(int(x.seed)))
+    return (x.dataset, x.scenario, x.method, repr(float(x.c)), str(_check_count("seed", x.seed)))
 
 
 def cell_seed(cell: Cell) -> int:

@@ -18,11 +18,13 @@ gradients of an objective that returns ``(values, bundles)``, lists of
 floats and ``GradientBundle`` in the same order (None for the bundles
 when asked for values alone), against central differences of the values.
 
-Each hidden activation is written over its fresh pre-activation, and
-``backward`` takes the activation's derivative from the output (relu:
-a > 0; tanh: 1 - a * a), so a pass allocates one array per layer, not
-two. The per-epoch test scoring of the default grid passes 250 rows, a
-64 KB array per layer, which costs no measurable page faults.
+``MLPModel`` owns the network's rules however a model is made, and
+``init`` only draws; ``_ACTIVATIONS`` is the one table of activations, as
+``risk.LOSSES`` is of losses. Each hidden activation is written over its
+fresh pre-activation, and ``backward`` takes the derivative from the
+output, so a pass allocates one array per layer, not two. The per-epoch
+test scoring of the default grid passes 250 rows, a 64 KB array per
+layer, which costs no measurable page faults.
 
 A model keeps every parameter in one flat float64 vector, ``params``
 (weights, then biases, each C-ordered); ``weights[k]`` and ``biases[k]``
@@ -52,26 +54,22 @@ import numpy as np
 
 from .datasets import _write_atomically
 from .errors import ParameterError, ShapeError
-from .numerics import Rng, as_matrix
+from .numerics import Rng, _check_count, as_matrix
 
-ACTIVATIONS = ("relu", "tanh")
+# name -> (init gain, activation written over z, derivative from the output
+# a): relu's a > 0 holds exactly where z > 0, and a bool mask multiplies
+# exactly like 1.0 / 0.0; tanh's 1 - a * a has the bits of 1 - tanh(z)^2.
+_ACTIVATIONS = {
+    "relu": (2.0, lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "tanh": (1.0, lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 CHECKPOINT_FORMAT = "mlp-checkpoint-v1"
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation of ``z``, written over ``z``."""
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return np.tanh(z, out=z)
-
-
-def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative, from its output ``a``: relu's a > 0 holds
-    exactly where z > 0, and tanh's 1 - a * a is 1 - tanh(z)^2 with the same
-    bits as taking tanh of z again."""
-    if kind == "relu":
-        return a > 0.0  # a bool mask multiplies exactly like 1.0 / 0.0
-    return 1.0 - a * a
+def _sizes(layer_dims) -> list[int]:
+    """``layer_dims`` as a list of ints; ParameterError unless each is an integer >= 1."""
+    return [_check_count(f"layer_dims[{k}]", d, low=1) for k, d in enumerate(layer_dims)]
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -91,9 +89,10 @@ class MLPModel:
     Every parameter lives in the one float64 vector ``params``: the weights,
     then the biases, each C-ordered. ``weights[k]`` and ``biases[k]`` are
     views into it, so an in-place edit through either side is seen by the
-    other. Construction checks the arrays against ``layer_dims`` (ShapeError
-    on a mismatch) and copies them into a fresh ``params``. Models compare
-    by identity: ``==`` on two models is ``is``.
+    other. Construction refuses sizes other than two or more integers >= 1
+    ending in 1, or an activation not in ``ACTIVATIONS`` (ParameterError),
+    and arrays that do not fit the sizes (ShapeError), then copies the
+    arrays into a fresh ``params``. Models compare by identity (``==`` is ``is``).
     """
 
     layer_dims: list[int]
@@ -103,7 +102,12 @@ class MLPModel:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims, n = self.layer_dims, len(self.weights)
+        dims = self.layer_dims = _sizes(self.layer_dims)
+        if len(dims) < 2 or dims[-1] != 1:
+            raise ParameterError(f"layer_dims {dims} needs two or more sizes, the last 1")
+        if self.activation not in ACTIVATIONS:
+            raise ParameterError(f"activation must be one of {ACTIVATIONS}")
+        n = len(self.weights)
         if not n == len(self.biases) == len(dims) - 1:
             raise ShapeError(
                 f"{len(dims)} layer sizes need {len(dims) - 1} weight matrices "
@@ -156,27 +160,18 @@ class GradientBundle:
 
 
 def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
-    """Build a model with fan-in-scaled normal weights and zero biases.
-
-    Hidden weights are N(0, 2/fan_in) for relu and N(0, 1/fan_in) for
-    tanh, the standard variance-preserving choices for each nonlinearity.
-    """
-    dims = [int(d) for d in layer_dims]
-    if len(dims) < 2 or min(dims) < 1 or dims[-1] != 1:
-        raise ParameterError(
-            f"layer_dims {dims} needs at least two sizes, all >= 1, "
-            "and an output size of 1"
-        )
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {ACTIVATIONS}")
-    gain = 2.0 if activation == "relu" else 1.0
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        sd = float(np.sqrt(gain / fan_in))
-        w = rng.normal(fan_out * fan_in, sd=sd).reshape(fan_out, fan_in)
-        weights.append(w)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MLPModel(layer_dims=dims, weights=weights, biases=biases, activation=activation)
+    """Build a model with N(0, gain / fan_in) weights (gain 2 for relu, 1 for
+    tanh, the variance-preserving choices) and zero biases. The model, and
+    so its checks, come before the first draw: a refused input leaves
+    ``rng`` untouched."""
+    dims = _sizes(layer_dims)
+    zeros = [np.zeros(fan_out) for fan_out in dims[1:]]
+    weights = [np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(dims, dims[1:])]
+    model = MLPModel(dims, weights, zeros, activation)
+    gain = _ACTIVATIONS[activation][0]
+    for w in model.weights:
+        w[...] = rng.normal(w.size, sd=float(np.sqrt(gain / w.shape[1]))).reshape(w.shape)
+    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +202,14 @@ def forward_pass(model: MLPModel, x: np.ndarray) -> ForwardPass:
     matrix of the model's width, such as a row slice of a dataset's
     features or the output of ``as_matrix``.
     """
+    _, act, _ = _ACTIVATIONS[model.activation]
     a = x
     acts = [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = np.dot(a, w.T)
         z += b
-        a = z if k == last else _act(z, model.activation)
+        a = z if k == last else act(z)
         acts.append(a)
     return ForwardPass(acts)
 
@@ -242,13 +238,14 @@ def backward(
         )
     if out is None:
         out = GradientBundle.like(model)
+    _, _, deriv = _ACTIVATIONS[model.activation]
     delta = u[:, None]
     for k in range(len(model.weights) - 1, -1, -1):
         np.dot(delta.T, fp.acts[k], out=out.weights[k])
         np.add.reduce(delta, axis=0, out=out.biases[k])
         if k > 0:
             delta = np.dot(delta, model.weights[k])
-            delta *= _act_deriv(fp.acts[k], model.activation)
+            delta *= deriv(fp.acts[k])
     return out
 
 

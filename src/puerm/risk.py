@@ -161,7 +161,9 @@ def risk_components(
     if mode not in SCENARIOS:
         raise ParameterError(f"mode must be one of {SCENARIOS}, got {mode!r}")
     g = _as_scores(g, "g")
-    lab = np.asarray(labeled, dtype=bool)
+    lab = np.asarray(labeled)
+    if lab.dtype != bool:  # a +-1 vector cast to bool would be all True
+        raise ParameterError(f"labeled must be a boolean mask, got dtype {lab.dtype}")
     if lab.shape != g.shape:
         raise ShapeError(
             f"labeled mask shape {lab.shape} does not match scores {g.shape}"

@@ -3,11 +3,13 @@
 The true-label risk and its case-control and single-sample decompositions
 are the references the PU estimators are tested against (acceptance
 criterion 5). ``ss_unlabeled_mixture_weights`` is the closed form of the
-single-sample unlabeled mixture. ``load_model`` reads a checkpoint that
-``puerm.model.save_model`` wrote back into a model, without validating it,
-for the bit-exact round-trip tests; ``copy_model`` copies a model into its
-own parameter vector. ``peak_traced_bytes`` measures the most memory a call
-holds at once, as ``tracemalloc`` sees it (numpy reports its buffers there).
+single-sample unlabeled mixture, and ``mismatch_kappa`` the bias
+coefficient of the estimator built for the other scenario. ``load_model``
+reads a checkpoint that ``puerm.model.save_model`` wrote back into a model,
+which checks it as any model is checked, for the bit-exact round-trip
+tests; ``copy_model`` copies a model into its own parameter vector.
+``peak_traced_bytes`` measures the most memory a call holds at once, as
+``tracemalloc`` sees it (numpy reports its buffers there).
 """
 
 import dataclasses
@@ -16,10 +18,12 @@ import tracemalloc
 
 import numpy as np
 
+from puerm.datasets import SCENARIO_SS
 from puerm.errors import DataError, ParameterError, ShapeError
 from puerm.model import MLPModel
 from puerm.numerics import _check_pi
 from puerm.risk import LOGISTIC, LossSpec, _as_scores
+from puerm.sampling import case_control_sizes
 
 
 def true_risk(g_values, y_true, loss: LossSpec = LOGISTIC) -> float:
@@ -114,6 +118,25 @@ def ss_unlabeled_mixture_weights(pi: float, c: float) -> tuple[float, float]:
     return (pi - pi * c) / denom, (1.0 - pi) / denom
 
 
+def mismatch_kappa(scenario: str, pi: float, c: float, n: int) -> float:
+    """Bias coefficient kappa of the estimator built for the other scenario.
+
+    On data drawn under ``scenario`` with prior ``pi`` and label frequency
+    ``c``, the mismatched estimator's ``unbiased()`` value has expectation
+    R + kappa * D, with R the true-label risk and D = E+ l(-g) - E- l(-g).
+    The case-control estimator on single-sample data takes the unlabeled
+    part, whose positive share is pi (1 - c) / (1 - pi c), for the marginal:
+    kappa = -c pi (1 - pi) / (1 - pi c). The single-sample estimator on
+    case-control data of budget ``n`` pools the labeled share a = n_l / n
+    (``case_control_sizes``) into the marginal: kappa = a (1 - pi).
+    """
+    pi = _check_pi(pi)
+    if scenario == SCENARIO_SS:
+        return -c * pi * (1.0 - pi) / (1.0 - pi * c)
+    n_labeled, _ = case_control_sizes(n, pi, c)
+    return n_labeled / n * (1.0 - pi)
+
+
 def load_model(path) -> MLPModel:
     """The model in a ``save_model`` checkpoint, read as plain JSON."""
     with open(path, encoding="utf-8") as fh:
@@ -123,7 +146,7 @@ def load_model(path) -> MLPModel:
 
 def copy_model(model: MLPModel) -> MLPModel:
     """The same model in a parameter vector of its own."""
-    return dataclasses.replace(model, layer_dims=list(model.layer_dims))
+    return dataclasses.replace(model)
 
 
 def peak_traced_bytes(fn):

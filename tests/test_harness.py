@@ -73,6 +73,19 @@ def test_cell_seed_sensitive_to_every_coordinate():
     assert cell_seed(_cell(3, "gauss1d", "ss", "nnpu_cc", 0.1)) != base
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, "1", True, -1])
+def test_a_cell_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
+    # int() would run seed 1.7 as seed 1, under seed 1's cell seed
+    spec = _tiny_spec(tmp_path)
+    cell = Cell(spec.datasets[0], "ss", "nnpu_ss", 0.5, seed)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        cell_seed(cell)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        run_cell(cell, spec)
+    assert not os.path.exists(spec.out)
+    assert cell_seed(cell._replace(seed=np.int64(1))) == cell_seed(cell._replace(seed=1))
+
+
 def test_cell_seed_in_64_bit_range():
     for seed in range(5):
         v = cell_seed(_cell(seed, "d", "ss", "upu_ss", 0.5))
@@ -89,6 +102,36 @@ def test_dataset_source_validation():
     with pytest.raises(ParameterError):
         DatasetSource(name="x", kind="csv")  # csv needs a path
     assert DatasetSource(name="x", kind="synthetic").pi == 0.5
+
+
+@pytest.mark.parametrize(
+    "fields, unread",
+    [
+        ({"kind": "synthetic", "path": "missing.csv"}, "path"),
+        ({"path": ""}, "path"),
+        ({"kind": "csv", "path": "rows.csv", "mu_pos": 3.0}, "mu_pos"),
+        ({"kind": "csv", "path": "rows.csv", "mu_neg": 0}, "mu_neg"),
+        ({"kind": "csv", "path": "rows.csv", "sd": 2.0}, "sd"),
+        ({"kind": "csv", "path": "rows.csv", "dim": 3}, "dim"),
+    ],
+)
+def test_dataset_source_refuses_a_field_its_kind_does_not_read(fields, unread):
+    # the generator ignores a path, and a csv file brings its own features
+    kind = fields.get("kind", "synthetic")
+    with pytest.raises(ParameterError, match=f"^dataset 'g': a {kind} source reads no {unread}$"):
+        DatasetSource(name="g", **fields)
+    # each field at its default is what the kind's own field list leaves
+    assert DatasetSource(name="g", kind="csv", path="rows.csv", sd=1, dim=1).sd == 1
+
+
+def test_grid_config_with_a_path_on_a_synthetic_source_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    source = {"name": "g", "kind": "synthetic", "path": "missing.csv"}
+    cfg.write_text(json.dumps({"datasets": [source], "seeds": [0], "c_values": [0.5]}))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert "dataset 'g': a synthetic source reads no path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
 UNSAFE_NAMES = ["", ".", "..", "../escape", "a/b", "a\0b", *{os.sep, os.altsep} - {None}]

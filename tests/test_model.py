@@ -66,15 +66,53 @@ def test_init_weight_scale_tracks_fan_in(activation, gain):
     assert abs(observed - expected) < 4 * expected * math.sqrt(2.0 / (300 * 200))
 
 
-def test_init_validation():
+@pytest.mark.parametrize(
+    "layer_dims, activation",
+    [
+        ([3], "relu"),
+        ([3, 4, 2], "relu"),  # output must be scalar
+        ([3, 0, 1], "relu"),
+        ([3, 4, 1], "gelu"),
+        ([2, 8.9, 1], "relu"),  # not truncated to a width of 8
+        ([2, "8", 1], "relu"),
+        ([2, True, 1], "relu"),
+        ([2, np.float64(8.0), 1], "tanh"),
+    ],
+)
+def test_init_refuses_a_bad_network_without_drawing(layer_dims, activation):
+    rng = Rng(0)
     with pytest.raises(ParameterError):
-        init([3], "relu", Rng(0))
-    with pytest.raises(ParameterError):
-        init([3, 4, 2], "relu", Rng(0))  # output must be scalar
-    with pytest.raises(ParameterError):
-        init([3, 0, 1], "relu", Rng(0))
-    with pytest.raises(ParameterError):
-        init([3, 4, 1], "gelu", Rng(0))
+        init(layer_dims, activation, rng)
+    assert np.array_equal(rng.normal(4), Rng(0).normal(4))
+
+
+def _zero_arrays(layer_dims):
+    """Zero weights and biases shaped for ``layer_dims``."""
+    pairs = list(zip(layer_dims, layer_dims[1:]))
+    return [np.zeros((o, i)) for i, o in pairs], [np.zeros(o) for _, o in pairs]
+
+
+@pytest.mark.parametrize(
+    "layer_dims, activation, match",
+    [
+        ([2, 3, 1], "sigmoid", "activation must be one of"),
+        ([2, 3, 2], "relu", "the last 1"),  # would score the first unit only
+        ([2, 0, 1], "relu", r"layer_dims\[1\] must be an integer >= 1"),
+        ([1], "relu", "two or more sizes"),
+    ],
+)
+def test_construction_refuses_a_network_init_would_refuse(layer_dims, activation, match):
+    # arrays that fit the sizes, so only the network rules are at fault
+    weights, biases = _zero_arrays(layer_dims)
+    with pytest.raises(ParameterError, match=match):
+        MLPModel(layer_dims, weights, biases, activation)
+
+
+def test_construction_stores_layer_sizes_as_a_list_of_ints():
+    weights, biases = _zero_arrays([2, 3, 1])
+    m = MLPModel(np.array([2, 3, 1]), weights, biases, "tanh")
+    assert m.layer_dims == [2, 3, 1] and all(type(d) is int for d in m.layer_dims)
+    assert init((2, np.int64(3), 1), "relu", Rng(0)).layer_dims == [2, 3, 1]
 
 
 @pytest.mark.parametrize(

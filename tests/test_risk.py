@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import risk_decomposition_cc, risk_decomposition_ss, true_risk
-from puerm.datasets import SCENARIO_CC, SCENARIO_SS
+from oracles import mismatch_kappa, risk_decomposition_cc, risk_decomposition_ss, true_risk
+from puerm.datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset
 from puerm.errors import DataError, ParameterError, ShapeError
 from puerm.numerics import Rng
 from puerm.risk import (
@@ -21,6 +21,7 @@ from puerm.risk import (
     nnpu_risk,
     risk_components,
 )
+from puerm.sampling import corrupt
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,19 @@ def test_components_validation():
         risk_components(*_batch([0.0], [0.0]), 1.5, SCENARIO_SS)
     with pytest.raises(ShapeError):
         risk_components([0.0, 1.0], [True], 0.5, SCENARIO_SS)
+
+
+@pytest.mark.parametrize("mode", [SCENARIO_CC, SCENARIO_SS])
+def test_components_refuse_a_mask_that_is_not_boolean(mode):
+    # cast to bool, the +-1 labels s would mark every row labeled
+    g, s = np.array([0.5, -0.2, 1.0, -1.0]), np.array([1, -1, -1, -1])
+    for labeled in (s, s.astype(float), list(s), (s == 1).astype(np.int8)):
+        with pytest.raises(ParameterError, match="boolean mask"):
+            risk_components(g, labeled, 0.5, mode)
+    mask = risk_components(g, s == 1, 0.5, mode)
+    listed = risk_components(g, [True, False, False, False], 0.5, mode)
+    assert (listed.r_label, listed.r_dist) == (mask.r_label, mask.r_dist)
+    assert mask.r_dist > 0.7  # 0.742 in cc mode, where the cast gave 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +280,41 @@ def test_downward_bias_direction_at_high_c():
             )
         )
     assert np.mean(ss_vals) < np.mean(cc_vals)
+
+
+# ---------------------------------------------------------------------------
+# the mismatch bias
+
+
+def _exact_prior_source(n, pi, rng):
+    """Unit Gaussians at +-2 with exactly round(pi * n) positive rows, so the
+    draw's own prior is ``pi``."""
+    y = np.where(np.arange(n) < round(pi * n), 1, -1)
+    return LabeledDataset(x=(rng.normal(n) + 2.0 * y)[:, None], y=y, pi=pi)
+
+
+@pytest.mark.parametrize("loss", [LOGISTIC, SIGMOID], ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("pi", [0.3, 0.7])
+@pytest.mark.parametrize("c", [0.5, 0.9])
+@pytest.mark.parametrize("scenario", [SCENARIO_SS, SCENARIO_CC])
+def test_mismatched_estimator_is_off_by_kappa_delta(scenario, c, pi, loss):
+    # the estimator built for the other scenario, on data drawn under this
+    # one, against R + kappa * D with R and D taken over the source draw
+    other = SCENARIO_CC if scenario == SCENARIO_SS else SCENARIO_SS
+    n, draws, t = 12_500, 32, 0.5
+    kappa = mismatch_kappa(scenario, pi, c, n)
+    gaps, biases = [], []
+    for i in range(draws):
+        rng = Rng(23).child(i)
+        source = _exact_prior_source(n, pi, rng.child(0))
+        g = source.x[:, 0] - t
+        neg, pos = loss.value(-g), source.y == 1
+        bias = kappa * float(np.mean(neg[pos]) - np.mean(neg[~pos]))
+        pu = corrupt(source, scenario, c, n, rng.child(1))
+        comp = risk_components(pu.x[:, 0] - t, pu.s == 1, pi, other, loss, grad=False)
+        gaps.append(comp.unbiased()[0] - true_risk(g, source.y, loss) - bias)
+        biases.append(bias)
+    se = float(np.std(gaps, ddof=1)) / math.sqrt(draws)
+    assert abs(float(np.mean(gaps))) <= 3.0 * se
+    # the bias stands far out of the noise, so an unbiased estimate would fail
+    assert abs(float(np.mean(biases))) >= 10.0 * se
