@@ -64,6 +64,13 @@ _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _PLAIN_CHUNK = 1 << 18
 
 
+def _check_scenario(scenario, name: str = "scenario") -> str:
+    """``scenario``; ParameterError naming ``name`` unless it is in ``SCENARIOS``."""
+    if scenario not in SCENARIOS:
+        raise ParameterError(f"{name} must be one of {SCENARIOS}, got {scenario!r}")
+    return scenario
+
+
 def _signs(mask: np.ndarray) -> np.ndarray:
     """``np.where(mask, 1, -1)`` as int64, built in place from ``mask``."""
     labels = mask.astype(np.int64)
@@ -151,8 +158,7 @@ class PUDataset:
             if np.any(self.s > self.y_true):  # s=+1 where y_true=-1
                 raise DataError("a row with s=+1 must have y_true=+1")
         _check_pi(self.pi)
-        if self.scenario not in SCENARIOS:
-            raise ParameterError(f"scenario must be one of {SCENARIOS}")
+        _check_scenario(self.scenario)
         if not 0.0 <= self.c <= 1.0:
             raise ParameterError(f"c must be in [0, 1], got {self.c}")
 

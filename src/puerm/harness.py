@@ -37,16 +37,17 @@ from .datasets import (
     SCENARIO_SS,
     SCENARIOS,
     LabeledDataset,
+    _check_scenario,
     _signs,
     gaussian_mixture,
     load_csv,
     train_test_split,
 )
 from .errors import FormatError, ParameterError, PuermError
-from .model import ACTIVATIONS, grad_check, init
-from .numerics import Rng, _check_count, check_field_types, is_real
-from .sampling import corrupt, unlabeled_positive_fraction_ss
-from .trainer import METHODS, TrainerConfig, batch_objective, evaluate, save_trace, train
+from .model import _check_network, grad_check, init
+from .numerics import Rng, _check_count, _check_pi, _check_sd, check_field_types, is_real
+from .sampling import CaseControlConfig, ScarConfig, corrupt, unlabeled_positive_fraction_ss
+from .trainer import TrainerConfig, batch_objective, evaluate, save_trace, train
 
 RESULTS_TAG = "# puerm-results-v1"
 REPORT_METRICS = ("accuracy", "precision", "recall", "f1")
@@ -75,24 +76,25 @@ class DatasetSource:
                 f"dataset name {self.name!r} must not be empty, '.' or '..', "
                 "or hold a path separator or NUL"
             )
-        if self.kind not in ("synthetic", "csv"):
-            raise ParameterError(f"dataset kind must be synthetic or csv, got {self.kind!r}")
-        # a csv source's features come from its file, a synthetic one's from
-        # the generator, so a field the kind would not read is refused
-        unread = ("path",) if self.kind == "synthetic" else ("mu_pos", "mu_neg", "sd", "dim")
-        for f in fields(self):
-            if f.name in unread and getattr(self, f.name) != f.default:
-                raise ParameterError(
-                    f"dataset {self.name!r}: a {self.kind} source reads no {f.name}"
-                )
-        if self.kind == "csv" and not self.path:
-            raise ParameterError(f"dataset {self.name!r}: csv kind needs a path")
-        if self.pi is not None and not 0.0 < self.pi < 1.0:
-            raise ParameterError(f"dataset {self.name!r}: pi must be in (0, 1)")
-        if self.sd <= 0 or self.dim < 1:
-            raise ParameterError(f"dataset {self.name!r}: sd must be > 0 and dim >= 1")
-        if self.kind == "synthetic" and self.pi is None:
-            self.pi = 0.5
+        try:
+            if self.kind not in ("synthetic", "csv"):
+                raise ParameterError(f"kind must be synthetic or csv, got {self.kind!r}")
+            # a csv source's features come from its file, a synthetic one's from
+            # the generator, so a field the kind would not read is refused
+            unread = ("path",) if self.kind == "synthetic" else ("mu_pos", "mu_neg", "sd", "dim")
+            for f in fields(self):
+                if f.name in unread and getattr(self, f.name) != f.default:
+                    raise ParameterError(f"a {self.kind} source reads no {f.name}")
+            if self.kind == "csv" and not self.path:
+                raise ParameterError("csv kind needs a path")
+            if self.kind == "synthetic" and self.pi is None:
+                self.pi = 0.5
+            if self.pi is not None:
+                _check_pi(self.pi)
+            _check_sd(self.sd)
+            _check_count("dim", self.dim, low=1)
+        except ParameterError as exc:
+            raise ParameterError(f"dataset {self.name!r}: {exc}") from None
 
 
 @dataclass
@@ -114,41 +116,12 @@ class GridSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.datasets:
-            raise ParameterError("grid needs at least one dataset")
-        names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ParameterError(f"dataset names must be unique, got {names}")
-        for sc in self.scenarios:
-            if sc not in SCENARIOS:
-                raise ParameterError(f"unknown scenario {sc!r}; use one of {SCENARIOS}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ParameterError(f"unknown method {m!r}; use one of {METHODS}")
-        for c in self.c_values:
-            if not is_real(c) or not 0.0 < c <= 1.0:
-                raise ParameterError(f"c values must be numbers in (0, 1], got {c!r}")
-            if c == 1.0 and SCENARIO_CC in self.scenarios:
-                raise ParameterError(
-                    "c=1 is not usable with the case-control scenario "
-                    "(its unlabeled component would be empty)"
-                )
-        for name, low in (("seeds", 0), ("hidden_dims", 1)):
-            values = getattr(self, name)
-            # type() rather than isinstance(), which would let bools through
-            if not isinstance(values, list) or not all(
-                type(v) is int and v >= low for v in values
-            ):
-                raise ParameterError(f"{name} must be a list of integers >= {low}")
-        # an empty axis would run no cells, a repeated value the same cells twice
-        for name in ("scenarios", "methods", "c_values", "seeds"):
-            values = getattr(self, name)
-            if not values:
-                raise ParameterError(f"grid needs at least one value in {name}")
-            if len(set(values)) != len(values):
-                raise ParameterError(f"{name} must not repeat a value, got {values}")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"activation must be one of {ACTIVATIONS}")
+        # a rule of the code a cell runs is checked by that code
+        for method in self.methods:
+            replace(self.trainer, method=method)
+        for seed in self.seeds:
+            _check_count("seed", seed)
+        _check_network([1, *self.hidden_dims, 1], self.activation)
         if self.n < 10:
             raise ParameterError(f"per-run budget n must be >= 10, got {self.n}")
         # every cell's PU sample has at most n rows
@@ -159,6 +132,28 @@ class GridSpec:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError("test_fraction must be in (0, 1)")
+        for c in self.c_values:
+            # c = 1 leaves a case-control cell no unlabeled rows, whatever its pi
+            if not is_real(c) or not 0.0 < c <= 1.0 or c == 1.0 and SCENARIO_CC in self.scenarios:
+                raise ParameterError(
+                    "c values must be numbers in (0, 1], below 1 with the case-control "
+                    f"scenario, got {c!r}"
+                )
+        # each cell's sampler config, a case-control one where its source's pi is known
+        for source, scenario, c in itertools.product(self.datasets, self.scenarios, self.c_values):
+            if _check_scenario(scenario) == SCENARIO_SS:
+                ScarConfig(c=c, n=self.n)
+            elif source.pi is not None:
+                CaseControlConfig(c=c, pi=source.pi, n=self.n)
+        # an empty axis would run no cells, a repeated value the same cells
+        # twice; a dataset counts by its name, which is part of its cells' keys
+        axes = {"datasets": [d.name for d in self.datasets], "scenarios": self.scenarios,
+                "methods": self.methods, "c_values": self.c_values, "seeds": self.seeds}
+        for name, values in axes.items():
+            if not values:
+                raise ParameterError(f"grid needs at least one value in {name}")
+            if len(set(values)) != len(values):
+                raise ParameterError(f"{name} must not repeat a value, got {values}")
 
 
 @dataclass
@@ -177,8 +172,8 @@ class ExperimentResult:
     trace_path: str = ""
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS or self.method not in METHODS:
-            raise ParameterError(f"unknown scenario {self.scenario!r} or method {self.method!r}")
+        _check_scenario(self.scenario)
+        TrainerConfig(method=self.method)  # the owner of the method rule
         for name in REPORT_METRICS:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
@@ -331,42 +326,57 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     writing the results file itself propagates. An error row does not
     mark its cell done: the next run retries the cell and appends its
     result after the error row, which stays as history.
+
+    One run writes a results file at a time: a run holds the lock file
+    ``<out>.lock`` (``O_CREAT | O_EXCL``) until it ends, and a run that finds
+    it, such as one left by a killed run, raises ``PuermError``.
     """
-    if os.path.exists(spec.out):
-        _drop_torn_tail(spec.out)
-    fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
-    done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
-    results: list[ExperimentResult] = []
-    load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
-    with open(spec.out, "a", encoding="utf-8", newline="") as fh:
-        if fresh:
-            fh.write(RESULTS_TAG + "\n")
-            fh.write(",".join(RESULTS_COLUMNS) + "\n")
-            fh.flush()
-        writer = csv.writer(fh, lineterminator="\n")
-        for cell in iter_cells(spec):
-            key = _result_key(cell)
-            if key in done:
-                continue
-            try:
-                r = run_cell(cell, spec, load)
-            except (PuermError, OSError) as exc:
-                writer.writerow([*key, "", "", "", "", f"error: {exc}"])
+    lock = f"{spec.out}.lock"
+    try:
+        os.close(os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except FileExistsError:
+        raise PuermError(
+            f"{lock} exists: another run is writing {spec.out}. If no other run "
+            "is, a killed run left the lock; delete it and run again"
+        ) from None
+    try:
+        if os.path.exists(spec.out):
+            _drop_torn_tail(spec.out)
+        fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
+        done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
+        results: list[ExperimentResult] = []
+        load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
+        with open(spec.out, "a", encoding="utf-8", newline="") as fh:
+            if fresh:
+                fh.write(RESULTS_TAG + "\n")
+                fh.write(",".join(RESULTS_COLUMNS) + "\n")
+                fh.flush()
+            writer = csv.writer(fh, lineterminator="\n")
+            for cell in iter_cells(spec):
+                key = _result_key(cell)
+                if key in done:
+                    continue
+                try:
+                    r = run_cell(cell, spec, load)
+                except (PuermError, OSError) as exc:
+                    writer.writerow([*key, "", "", "", "", f"error: {exc}"])
+                    fh.flush()
+                    if log:
+                        print(f"cell {key} failed: {exc}", file=log, flush=True)
+                    continue
+                results.append(r)
+                writer.writerow(r.row())
                 fh.flush()
                 if log:
-                    print(f"cell {key} failed: {exc}", file=log, flush=True)
-                continue
-            results.append(r)
-            writer.writerow(r.row())
-            fh.flush()
-            if log:
-                print(
-                    f"done {cell.dataset}/{cell.scenario}/{cell.method}"
-                    f"/c={cell.c}/seed={cell.seed}: acc={r.accuracy:.2f}",
-                    file=log,
-                    flush=True,
-                )
-    return results
+                    print(
+                        f"done {cell.dataset}/{cell.scenario}/{cell.method}"
+                        f"/c={cell.c}/seed={cell.seed}: acc={r.accuracy:.2f}",
+                        file=log,
+                        flush=True,
+                    )
+        return results
+    finally:
+        os.unlink(lock)
 
 
 def summarize(results, metric: str) -> list[dict]:

@@ -18,13 +18,13 @@ gradients of an objective that returns ``(values, bundles)``, lists of
 floats and ``GradientBundle`` in the same order (None for the bundles
 when asked for values alone), against central differences of the values.
 
-``MLPModel`` owns the network's rules however a model is made, and
-``init`` only draws; ``_ACTIVATIONS`` is the one table of activations, as
-``risk.LOSSES`` is of losses. Each hidden activation is written over its
-fresh pre-activation, and ``backward`` takes the derivative from the
-output, so a pass allocates one array per layer, not two. The per-epoch
-test scoring of the default grid passes 250 rows, a 64 KB array per
-layer, which costs no measurable page faults.
+``_check_network`` owns the network's rules, which ``MLPModel`` and a
+grid config apply; ``init`` only draws. ``_ACTIVATIONS`` is the one table
+of activations, as ``risk.LOSSES`` is of losses. Each hidden activation
+is written over its fresh pre-activation, and ``backward`` takes the
+derivative from the output, so a pass allocates one array per layer, not
+two. The per-epoch test scoring of the default grid passes 250 rows, a
+64 KB array per layer, which costs no measurable page faults.
 
 A model keeps every parameter in one flat float64 vector, ``params``
 (weights, then biases, each C-ordered); ``weights[k]`` and ``biases[k]``
@@ -67,9 +67,15 @@ ACTIVATIONS = tuple(_ACTIVATIONS)
 CHECKPOINT_FORMAT = "mlp-checkpoint-v1"
 
 
-def _sizes(layer_dims) -> list[int]:
-    """``layer_dims`` as a list of ints; ParameterError unless each is an integer >= 1."""
-    return [_check_count(f"layer_dims[{k}]", d, low=1) for k, d in enumerate(layer_dims)]
+def _check_network(layer_dims, activation: str) -> list[int]:
+    """``layer_dims`` as a list of ints; ParameterError unless they are two
+    or more integers >= 1 ending in 1 and ``activation`` is in ``ACTIVATIONS``."""
+    dims = [_check_count(f"layer_dims[{k}]", d, low=1) for k, d in enumerate(layer_dims)]
+    if len(dims) < 2 or dims[-1] != 1:
+        raise ParameterError(f"layer_dims {dims} needs two or more sizes, the last 1")
+    if activation not in ACTIVATIONS:
+        raise ParameterError(f"activation must be one of {ACTIVATIONS}")
+    return dims
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -89,10 +95,9 @@ class MLPModel:
     Every parameter lives in the one float64 vector ``params``: the weights,
     then the biases, each C-ordered. ``weights[k]`` and ``biases[k]`` are
     views into it, so an in-place edit through either side is seen by the
-    other. Construction refuses sizes other than two or more integers >= 1
-    ending in 1, or an activation not in ``ACTIVATIONS`` (ParameterError),
-    and arrays that do not fit the sizes (ShapeError), then copies the
-    arrays into a fresh ``params``. Models compare by identity (``==`` is ``is``).
+    other. Construction refuses a network ``_check_network`` refuses and
+    arrays that do not fit the sizes (ShapeError), then copies the arrays
+    into a fresh ``params``. Models compare by identity (``==`` is ``is``).
     """
 
     layer_dims: list[int]
@@ -102,11 +107,7 @@ class MLPModel:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = self.layer_dims = _sizes(self.layer_dims)
-        if len(dims) < 2 or dims[-1] != 1:
-            raise ParameterError(f"layer_dims {dims} needs two or more sizes, the last 1")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"activation must be one of {ACTIVATIONS}")
+        dims = self.layer_dims = _check_network(self.layer_dims, self.activation)
         n = len(self.weights)
         if not n == len(self.biases) == len(dims) - 1:
             raise ShapeError(
@@ -164,7 +165,7 @@ def init(layer_dims, activation: str, rng: Rng) -> MLPModel:
     tanh, the variance-preserving choices) and zero biases. The model, and
     so its checks, come before the first draw: a refused input leaves
     ``rng`` untouched."""
-    dims = _sizes(layer_dims)
+    dims = _check_network(layer_dims, activation)
     zeros = [np.zeros(fan_out) for fan_out in dims[1:]]
     weights = [np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(dims, dims[1:])]
     model = MLPModel(dims, weights, zeros, activation)

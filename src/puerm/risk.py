@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datasets import SCENARIO_CC, SCENARIOS
+from .datasets import SCENARIO_CC, _check_scenario
 from .errors import DataError, ParameterError, ShapeError
 from .numerics import _check_pi
 
@@ -158,8 +158,7 @@ def risk_components(
     are the same bits either way.
     """
     pi = _check_pi(pi)
-    if mode not in SCENARIOS:
-        raise ParameterError(f"mode must be one of {SCENARIOS}, got {mode!r}")
+    _check_scenario(mode, "mode")
     g = _as_scores(g, "g")
     lab = np.asarray(labeled)
     if lab.dtype != bool:  # a +-1 vector cast to bool would be all True

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import SCENARIO_CC, SCENARIO_SS, SCENARIOS, LabeledDataset, PUDataset, _signs
+from .datasets import SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _check_scenario, _signs
 from .errors import DataError, ParameterError
 from .numerics import Rng, _check_count, _check_pi
 
@@ -176,14 +176,12 @@ def corrupt(
     ``case_control_sample`` at ``source.prior()``. Either way the sample's
     ``pi_is_empirical`` says whether that prior was estimated.
     """
-    if scenario == SCENARIO_SS:
+    if _check_scenario(scenario) == SCENARIO_SS:
         return scar_label(source, ScarConfig(c=c, n=n), rng)
-    if scenario == SCENARIO_CC:
-        pi, estimated = source.prior()
-        pu = case_control_sample(source, CaseControlConfig(c=c, pi=pi, n=n), rng)
-        pu.pi_is_empirical = estimated
-        return pu
-    raise ParameterError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    pi, estimated = source.prior()
+    pu = case_control_sample(source, CaseControlConfig(c=c, pi=pi, n=n), rng)
+    pu.pi_is_empirical = estimated
+    return pu
 
 
 def unlabeled_positive_fraction_ss(pi: float, c: float) -> float:

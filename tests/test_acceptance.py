@@ -4,9 +4,13 @@ The heavy cross-scenario protocol (criteria 6-8) runs once as a module
 fixture: the two-Gaussian family with means +-2 and unit variance,
 pi = 0.5, training budget 1000, ten seeds, and both truncation-based
 methods trained on both corruption scenarios at high and low label
-frequency. Run with ``pytest tests/test_acceptance.py -v -s`` to see the
-measured values.
+frequency. Criterion 10 trains the same network with the sigmoid loss on
+the overlapping family (means +-1) at pi = 0.3 and, as its control, 0.5.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the measured
+values.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -397,5 +401,73 @@ def test_criterion_9_grid_rerun_byte_identical(tmp_path):
         ok,
         f"independent rerun of a 16-cell grid produced byte-identical results "
         f"({len(first)} bytes)",
+    )
+    assert ok
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: where the class reweighting predicts a large case-control
+# gap, the mismatched estimator loses it; at pi = 0.5, where it predicts
+# none, the same training budget shows none
+
+
+CRITERION_10_BASE = 10_000_000
+CRITERION_10_SEEDS = range(10)
+
+
+def _overlapping_bayes_accuracy(pi: float) -> float:
+    """Bayes accuracy in percent for N(+1, 1) vs N(-1, 1) at prior ``pi``."""
+    t = math.log((1.0 - pi) / pi) / 2.0  # the posterior is 1/2 at x = t
+
+    def phi(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    return 100.0 * (pi * phi(1.0 - t) + (1.0 - pi) * phi(1.0 + t))
+
+
+def _paired_cc_gaps(pi: float) -> np.ndarray:
+    """nnpu_cc minus nnpu_ss accuracy (points) per seed on case-control
+    data at c = 0.9, both methods trained from the same sample, weights and
+    shuffles and scored on the same 20,000 rows."""
+    gaps = []
+    for seed in CRITERION_10_SEEDS:
+        root = Rng(CRITERION_10_BASE + seed)
+        pool = gaussian_mixture(2 * PROTOCOL_N, pi, 1.0, -1.0, rng=root.child(0))
+        test = gaussian_mixture(20_000, pi, 1.0, -1.0, rng=root.child(1))
+        pu = case_control_sample(
+            pool, CaseControlConfig(c=0.9, pi=pi, n=PROTOCOL_N), root.child(3)
+        )
+        acc = {}
+        for method in ("nnpu_cc", "nnpu_ss"):
+            cfg = TrainerConfig(
+                method=method, eta=0.05, epochs=50, batch_size=100, loss="sigmoid",
+                seed=CRITERION_10_BASE + seed,
+            )
+            model, _ = train(pu, cfg, init([1, 8, 1], "tanh", root.child(4)))
+            preds = classify_scores(forward(model, test.x))
+            acc[method] = 100.0 * float(np.mean(preds == test.y))
+        gaps.append(acc["nnpu_cc"] - acc["nnpu_ss"])
+    return np.asarray(gaps)
+
+
+def test_criterion_10_case_control_gap_where_the_reweighting_predicts_it():
+    # the ss estimator on cc data weighs E+ l(g) by pi - kappa, kappa = a(1 - pi)
+    # with a = c pi / (1 - c(1 - pi)); at pi = 0.3 and c = 0.9 that weight is
+    # below 0, so its minimiser calls every row negative: accuracy 1 - pi
+    a = 0.9 * 0.3 / (1.0 - 0.9 * 0.7)
+    assert 0.3 - a * 0.7 < 0.0
+    predicted = _overlapping_bayes_accuracy(0.3) - 70.0
+    gaps, control = _paired_cc_gaps(0.3), _paired_cc_gaps(0.5)
+    gap, se = float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(gaps.size))
+    c_gap = float(control.mean())
+    c_se = float(control.std(ddof=1) / math.sqrt(control.size))
+    ok = abs(gap - predicted) <= 1.0 and gap > 3.0 * se and abs(c_gap) <= 3.0 * c_se
+    _report(
+        10,
+        "case-control gap where the reweighting predicts it",
+        ok,
+        f"pi=0.3, c=0.9 gap {gap:+.2f} +- {se:.2f} vs predicted {predicted:+.2f} "
+        f"(need within 1 point); pi=0.5 control {c_gap:+.2f} +- {c_se:.2f} "
+        f"(need within 3 se of 0)",
     )
     assert ok

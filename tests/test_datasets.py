@@ -92,6 +92,32 @@ def test_pu_dataset_consistency_check():
         )
 
 
+def test_empirical_prior_of_no_rows_is_refused_unless_the_prior_is_known():
+    def empty(pi=None):
+        return LabeledDataset(x=np.zeros((0, 1)), y=np.zeros(0), pi=pi)
+
+    with pytest.raises(DataError, match="^empirical prior of an empty dataset is undefined$"):
+        empty().prior()
+    assert empty(0.3).prior() == (0.3, False)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("scenario", "pn", "scenario must be one of ('ss', 'cc'), got 'pn'"),
+        ("c", 1.5, "c must be in [0, 1], got 1.5"),
+        ("c", -0.1, "c must be in [0, 1], got -0.1"),
+        ("c", math.nan, "c must be in [0, 1], got nan"),
+    ],
+)
+def test_pu_dataset_refuses_an_unknown_scenario_or_a_c_outside_0_1(field, value, message):
+    fields = dict(x=[[0.0]], s=[1], y_true=[1], pi=0.5, scenario=SCENARIO_SS, c=0.5)
+    with pytest.raises(ParameterError) as err:
+        PUDataset(**{**fields, field: value})
+    assert str(err.value) == message
+    assert PUDataset(**{**fields, field: fields[field]}).n == 1
+
+
 def test_split_spec_validation():
     ds = gaussian_mixture(10, 0.5, rng=Rng(0))
     with pytest.raises(ParameterError):
@@ -333,6 +359,32 @@ def test_pu_csv_empirical_prior_fallback(tmp_path):
     back = load_pu_csv(path, scenario=SCENARIO_SS, c=0.5)
     assert back.pi_is_empirical
     assert back.pi == 0.5  # 2 of 4 true positives
+
+
+def test_pu_csv_without_a_y_column_or_pi_is_a_format_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("f0,s\n0.5,1\n-0.5,-1\n")
+    with pytest.raises(FormatError) as err:
+        load_pu_csv(path)
+    assert str(err.value) == f"{path}: no 'y' column and no pi supplied; cannot set the prior"
+    pu = load_pu_csv(path, pi=0.4)
+    assert (pu.pi, pu.pi_is_empirical, pu.y_true) == (0.4, False, None)
+
+
+@pytest.mark.parametrize("load", [load_csv, load_pu_csv])
+def test_an_empty_csv_file_is_a_format_error(tmp_path, load):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(FormatError) as err:
+        load(path, pi=0.5)
+    assert str(err.value) == f"{path}: empty file, expected a header row"
+
+
+def test_save_csv_refuses_an_object_that_is_not_a_dataset(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(TypeError, match=re.escape("cannot save object of type <class 'dict'>")):
+        save_csv({"x": [[0.0]], "y": [1]}, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pu_csv_without_rows_or_pi_is_a_format_error(tmp_path):

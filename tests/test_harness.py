@@ -1,5 +1,6 @@
 """Tests for the grid runner, results persistence, reports, and the CLI."""
 
+import io
 import json
 import math
 import os
@@ -11,13 +12,14 @@ import pytest
 from oracles import load_model, peak_traced_bytes
 from puerm import harness
 from puerm.cli import cli_dispatch
-from puerm.datasets import SCENARIOS, gaussian_mixture, load_csv, save_csv
+from puerm.datasets import SCENARIOS, PUDataset, gaussian_mixture, load_csv, save_csv
 from puerm.errors import FormatError, ParameterError, PuermError
 from puerm.harness import (
     RESULTS_COLUMNS,
     RESULTS_TAG,
     Cell,
     DatasetSource,
+    ExperimentResult,
     GridSpec,
     cell_seed,
     default_grid_spec,
@@ -33,6 +35,8 @@ from puerm.harness import (
 )
 from puerm.model import grad_check, init
 from puerm.numerics import Rng
+from puerm.risk import risk_components
+from puerm.sampling import case_control_sizes, corrupt
 from puerm.trainer import TrainerConfig, batch_objective, load_trace
 
 
@@ -179,6 +183,107 @@ def test_grid_spec_validation(tmp_path):
         _tiny_spec(tmp_path, n=5)
     with pytest.raises(ParameterError):
         _tiny_spec(tmp_path, test_fraction=1.0)
+
+
+# Each rule a cell's own code applies: a grid (or dataset source) that breaks
+# it, and the call in the cell's code that owns the rule, given the same
+# value. Both take the test's directory, which holds rows.csv.
+OWNED_RULES = {
+    "scenario": (
+        lambda t: _tiny_spec(t, scenarios=["ss", "pn"]),
+        lambda t: corrupt(gaussian_mixture(4, 0.5, rng=Rng(0)), "pn", 0.5, 2, Rng(1)),
+    ),
+    "method": (
+        lambda t: _tiny_spec(t, methods=["nnpu_ss", "svm"]),
+        lambda t: TrainerConfig(method="svm"),
+    ),
+    "seed": (lambda t: _tiny_spec(t, seeds=[0, -1]), lambda t: Rng(-1)),
+    "seed-float": (lambda t: _tiny_spec(t, seeds=[1.5]), lambda t: Rng(1.5)),
+    "seed-bool": (lambda t: _tiny_spec(t, seeds=[True]), lambda t: Rng(True)),
+    "hidden-width": (
+        lambda t: _tiny_spec(t, hidden_dims=[4, 0]),
+        lambda t: init([1, 4, 0, 1], "relu", Rng(0)),
+    ),
+    "hidden-width-str": (
+        lambda t: _tiny_spec(t, hidden_dims=["4"]),
+        lambda t: init([1, "4", 1], "relu", Rng(0)),
+    ),
+    "activation": (
+        lambda t: _tiny_spec(t, activation="sigmoid"),
+        lambda t: init([1, 4, 1], "sigmoid", Rng(0)),
+    ),
+    "pi": (lambda t: DatasetSource(name="g", pi=1.5), lambda t: gaussian_mixture(1, 1.5)),
+    "csv-pi": (
+        lambda t: DatasetSource(name="g", kind="csv", path="rows.csv", pi=0.0),
+        lambda t: load_csv(t / "rows.csv", pi=0.0),
+    ),
+    "sd": (lambda t: DatasetSource(name="g", sd=0.0), lambda t: gaussian_mixture(1, 0.5, sd=0.0)),
+    "dim": (lambda t: DatasetSource(name="g", dim=0), lambda t: gaussian_mixture(1, 0.5, dim=0)),
+    "case-control-budget": (
+        lambda t: _tiny_spec(t, c_values=[0.3, 0.999]),
+        lambda t: case_control_sizes(50, 0.5, 0.999),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, owner", OWNED_RULES.values(), ids=OWNED_RULES)
+def test_a_grid_refuses_what_its_cells_code_refuses_in_the_same_words(tmp_path, grid, owner):
+    save_csv(gaussian_mixture(20, 0.5, rng=Rng(0)), tmp_path / "rows.csv")
+    with pytest.raises(ParameterError) as want:
+        owner(tmp_path)
+    with pytest.raises(ParameterError) as got:
+        grid(tmp_path)
+    # a dataset source names itself before the owner's words
+    assert str(got.value).removeprefix("dataset 'g': ") == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda sc: PUDataset([[0.0]], [1], [1], 0.5, sc, 0.5),
+        lambda sc: risk_components([0.0], [True], 0.5, sc),
+        lambda sc: corrupt(gaussian_mixture(4, 0.5, rng=Rng(0)), sc, 0.5, 2, Rng(1)),
+        lambda sc: GridSpec(datasets=[DatasetSource(name="g")], scenarios=[sc]),
+        lambda sc: ExperimentResult("g", sc, "nnpu_ss", 0.5, 0, 50.0, 50.0, 50.0, 50.0),
+    ],
+    ids=["PUDataset", "risk_components", "corrupt", "GridSpec", "ExperimentResult"],
+)
+def test_every_reader_of_a_scenario_refuses_an_unknown_one_alike(build):
+    with pytest.raises(ParameterError, match=r"^(scenario|mode) must be one of \('ss', 'cc'\), "
+                       r"got 'pn'$"):
+        build("pn")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: TrainerConfig(method=m),
+        lambda m: ExperimentResult("g", "ss", m, 0.5, 0, 50.0, 50.0, 50.0, 50.0),
+    ],
+    ids=["TrainerConfig", "ExperimentResult"],
+)
+def test_every_reader_of_a_method_refuses_an_unknown_one_alike(build):
+    with pytest.raises(ParameterError) as err:
+        build("svm")
+    assert str(err.value) == (
+        "method must be one of ('nnpu_ss', 'nnpu_cc', 'upu_ss', 'upu_cc'), got 'svm'"
+    )
+
+
+def test_a_case_control_budget_its_cells_would_refuse_is_refused_up_front(tmp_path, capsys):
+    # at n=1000 and pi=0.5, c=0.9999 gives the labeled component the whole
+    # budget; every cell would become an error row
+    message = "budget n=1000 leaves no unlabeled rows at pi=0.5, c=0.9999"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        GridSpec(datasets=[DatasetSource(name="g")], scenarios=["cc"], c_values=[0.9999])
+    cfg = tmp_path / "grid.json"
+    doc = {"datasets": [{"name": "g", "pi": 0.5}], "scenarios": ["cc"], "c_values": [0.9999],
+           "seeds": [0]}
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["grid", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]  # nor a lock
 
 
 def test_grid_spec_refuses_a_batch_larger_than_the_budget(tmp_path):
@@ -433,11 +538,15 @@ def test_run_grid_leaves_a_foreign_file_alone(tmp_path):
 
 
 def test_run_grid_writes_error_marker_and_continues(tmp_path):
-    # at n=50 and pi=0.5 a label frequency of 0.999 rounds the labeled
-    # component up to the whole budget, which the sampler rejects; the
-    # grid must record that and keep going
+    # at n=50 and pi near 0.5 a label frequency of 0.999 rounds the labeled
+    # component up to the whole budget, which the sampler rejects. A csv
+    # source with no pi has its prior only once its rows are read, so the
+    # config cannot refuse the cell; the grid must record it and keep going
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
     spec = _tiny_spec(
         tmp_path,
+        datasets=[DatasetSource(name="rows", kind="csv", path=str(path))],
         scenarios=["cc"],
         methods=["nnpu_cc"],
         c_values=[0.5, 0.999],
@@ -511,6 +620,109 @@ def test_run_grid_retries_a_failed_cell_and_keeps_its_error_row(tmp_path, capsys
     assert open(spec.out, "rb").read() == before
 
 
+def _progress_line(cell, result):
+    return (f"done {cell.dataset}/{cell.scenario}/{cell.method}/c={cell.c}/seed={cell.seed}: "
+            f"acc={result.accuracy:.2f}")
+
+
+def test_run_grid_logs_one_progress_line_per_cell_in_cell_order(tmp_path):
+    # bench/workloads.py times each grid cell by these lines
+    traces = tmp_path / "traces"
+    spec = _tiny_spec(tmp_path, trace_dir=str(traces))
+    failing = Cell(spec.datasets[0], "cc", "nnpu_ss", 0.7, 1)
+    blocker = traces / "gauss1d_cc_nnpu_ss_c0.7_s1.csv"
+    blocker.mkdir(parents=True)
+    log = io.StringIO()
+    results = iter(run_grid(spec, log=log))
+    want = []
+    for cell in iter_cells(spec):
+        if cell == failing:
+            want.append(re.escape(f"cell {harness._result_key(cell)} failed: ")
+                        + r"\[Errno \d+\] .*" + re.escape(str(blocker)) + ".*")
+        else:
+            want.append(re.escape(_progress_line(cell, next(results))))
+    lines = log.getvalue().splitlines()
+    assert len(lines) == len(want) == 16
+    for pattern, line in zip(want, lines):
+        assert re.fullmatch(pattern, line), line
+    assert next(results, None) is None
+
+    # a rerun logs only the cells it runs, in cell order: the failed one and
+    # the last one, whose row is dropped here; nothing for a cell it skips
+    blocker.rmdir()
+    text = open(spec.out).read()
+    open(spec.out, "w").write(text[: text.rstrip("\n").rfind("\n") + 1])
+    log = io.StringIO()
+    rerun = run_grid(spec, log=log)
+    cells = list(iter_cells(spec))
+    assert [(r.scenario, r.method, r.c, r.seed) for r in rerun] == [
+        ("cc", "nnpu_ss", 0.7, 1), ("cc", "nnpu_cc", 0.7, 1)
+    ]
+    assert log.getvalue().splitlines() == [
+        _progress_line(failing, rerun[0]), _progress_line(cells[-1], rerun[1])
+    ]
+    log = io.StringIO()
+    assert run_grid(spec, log=log) == []
+    assert log.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# one writer per results file
+
+
+def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypatch):
+    spec = _tiny_spec(tmp_path, seeds=[0], c_values=[0.3])
+    lock = tmp_path / "results.csv.lock"
+    seen = []
+    run_cell = harness.run_cell
+
+    def run_cell_and_a_second_run(cell, spec_, load):
+        # a second run on the same file while the first holds its lock
+        seen.append(lock.exists())
+        with pytest.raises(PuermError) as err:
+            run_grid(spec)
+        seen.append(str(err.value))
+        return run_cell(cell, spec_, load)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell_and_a_second_run)
+    assert len(run_grid(spec)) == 4
+    assert seen[0] is True
+    assert seen[1].startswith(f"{lock} exists: another run is writing {spec.out}")
+    assert not lock.exists()  # the first run removed its lock
+    # the refused runs wrote nothing: four result rows, each cell once
+    assert len(load_results(spec.out)[0]) == 4
+
+
+def test_run_grid_refuses_a_lock_left_by_a_killed_run(tmp_path, capsys):
+    spec = _tiny_spec(tmp_path, seeds=[0], c_values=[0.3])
+    lock = tmp_path / "results.csv.lock"
+    lock.write_text("")
+    with pytest.raises(PuermError) as err:
+        run_grid(spec)
+    assert str(lock) in str(err.value)
+    assert "delete it" in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv.lock"]
+    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
+            "--out", str(spec.out), "--quiet"]
+    assert cli_dispatch(argv) == 1
+    assert f"error: {lock} exists" in capsys.readouterr().err
+    lock.unlink()
+    assert cli_dispatch(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
+def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
+    spec = _tiny_spec(tmp_path)
+
+    def interrupted(cell, spec_, load):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(spec)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+
+
 # ---------------------------------------------------------------------------
 # results file parsing
 
@@ -532,6 +744,18 @@ def test_load_results_rejects_malformed_rows(tmp_path):
     )
     with pytest.raises(FormatError):
         load_results(p)
+
+
+def test_load_results_skips_a_blank_line_and_counts_the_lines_past_it(tmp_path):
+    p = tmp_path / "r.csv"
+    row = ["g", "ss", "nnpu_ss", "0.5", "0", "90.0", "80.0", "70.0", "75.0", ""]
+    _write_results(p, [row, [], [*row[:4], "1", *row[5:]]])
+    results, n_errors = load_results(p)
+    assert [r.seed for r in results] == [0, 1] and n_errors == 0
+    _write_results(p, [row, [], row[:4]])
+    with pytest.raises(FormatError) as err:
+        load_results(p)
+    assert str(err.value).startswith(f"{p}: line 5: malformed results row")
 
 
 def test_results_file_header_is_pinned(tmp_path):
@@ -841,6 +1065,17 @@ def test_parse_grid_config_resolves_relative_paths():
     doc = {"datasets": [{"name": "d", "kind": "csv", "path": "/abs/data.csv"}]}
     spec = parse_grid_config(doc, base_dir="/some/where")
     assert spec.datasets[0].path == "/abs/data.csv"
+
+
+@pytest.mark.parametrize("doc", [[{"name": "g"}], "grid", 3, None])
+def test_a_grid_config_that_is_not_an_object_is_a_format_error(tmp_path, doc):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_grid_config(cfg)
+    assert str(err.value) == (
+        f"{cfg}: grid config must be a JSON object, got {type(doc).__name__}"
+    )
 
 
 def test_load_grid_config_from_file(tmp_path):

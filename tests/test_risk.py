@@ -120,6 +120,14 @@ def test_components_validation():
         risk_components([0.0, 1.0], [True], 0.5, SCENARIO_SS)
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), ()])
+def test_components_refuse_scores_that_are_not_one_dimensional(shape):
+    g = np.zeros(shape)
+    with pytest.raises(ShapeError) as err:
+        risk_components(g, np.ones(shape, dtype=bool), 0.5, SCENARIO_SS)
+    assert str(err.value) == f"g must be a 1-D sequence of scores, got ndim={g.ndim}"
+
+
 @pytest.mark.parametrize("mode", [SCENARIO_CC, SCENARIO_SS])
 def test_components_refuse_a_mask_that_is_not_boolean(mode):
     # cast to bool, the +-1 labels s would mark every row labeled

@@ -71,6 +71,16 @@ def test_scar_unlabeled_positive_fraction(source):
     assert abs(np.mean(unl == 1) - expected) < 4 * se
 
 
+@pytest.mark.parametrize("c", [-0.1, 1.5, math.nan])
+def test_unlabeled_positive_fraction_refuses_a_c_outside_0_1(c):
+    with pytest.raises(ParameterError) as err:
+        unlabeled_positive_fraction_ss(0.5, c)
+    assert str(err.value) == f"c must be in [0, 1], got {c}"
+    # the ends of the range: nothing labeled leaves pi, everything leaves none
+    assert unlabeled_positive_fraction_ss(0.3, 0.0) == 0.3
+    assert unlabeled_positive_fraction_ss(0.3, 1.0) == 0.0
+
+
 def test_scar_labeled_rows_match_positive_distribution(source):
     # selection is independent of features, so the labeled sample mean
     # must match the positive-class mean up to two-sample noise

@@ -736,6 +736,16 @@ def test_trace_header_checked(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("row", ["1,0.1,0.2", "1,0.1,0.2,0.3,0.05,0.25,0.5,0.9"])
+def test_trace_row_with_the_wrong_number_of_cells_names_its_line(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    save_trace([EpochTrace(0, 0.1, 0.2, 0.3, 0.05, 0.25, 0.875)], path)
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(FormatError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}: line 3: expected {len(TRACE_COLUMNS)} cells"
+
+
 def test_trace_file_format_is_pinned(tmp_path):
     # the columns come from EpochTrace's field names; renaming a field must
     # not silently change the file format
