@@ -1,0 +1,6 @@
+"""``python -m puerm``: the ``puerm`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

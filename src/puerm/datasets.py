@@ -245,7 +245,10 @@ def _write_atomically(path, lines) -> None:
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # here too: the temporary name is random
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise

@@ -8,16 +8,19 @@ that key. The seed hashes it, so the cell's data, corruption,
 initialization and shuffling never depend on which other cells exist.
 Results append to a CSV (first line is a format tag) as soon as each cell
 finishes; re-running the same grid skips cells already present, which
-makes interrupted runs resumable and full reruns byte-identical.
+makes interrupted runs resumable and full reruns byte-identical. A run
+spreads its cells over forked worker processes and writes their rows in
+cell order, so the worker count changes no output byte.
 
 Per-cell protocol: build the source data (synthetic draw, or CSV rows
-read once per grid run), carve out a held-out labeled test set, corrupt
-the training side under the cell's scenario, train the cell's method,
-then score hard predictions on the test set.
+read once per process of a grid run), carve out a held-out labeled test
+set, corrupt the training side under the cell's scenario, train the
+cell's method, then score hard predictions on the test set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -236,7 +239,7 @@ def run_cell(cell: Cell, spec: GridSpec, load=load_csv) -> ExperimentResult:
     """Execute one grid cell end to end and return its scores.
 
     ``load(path, pi)`` reads the rows of a ``csv`` source; ``run_grid``
-    passes a cached ``load_csv``, so each file is read once per run.
+    passes a cached ``load_csv``, so each process of a run reads a file once.
     """
     source, scenario, method, c, seed = cell
     base = cell_seed(cell)
@@ -314,7 +317,76 @@ def _drop_torn_tail(path) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(requested: int | None, n_cells: int) -> int:
+    """Processes a run of ``n_cells`` cells uses: ``requested`` (None: every
+    usable CPU), capped at the usable CPUs and at ``n_cells``; 1 without fork."""
+    cpus = _usable_cpus()
+    return max(1, min(requested or cpus, cpus, n_cells)) if hasattr(os, "fork") else 1
+
+
+def _attempt(cell: Cell, spec: GridSpec, load) -> ExperimentResult | str:
+    """``run_cell``'s result, or the message of the PuermError or OSError it raised."""
+    try:
+        return run_cell(cell, spec, load)
+    except (PuermError, OSError) as exc:
+        return str(exc)
+
+
+_worker_job = None  # (spec, cells to run, cached load) in a grid worker process
+
+
+def _start_worker(spec: GridSpec, cells: list[Cell]) -> None:
+    global _worker_job
+    _worker_job = spec, cells, functools.cache(load_csv)
+
+
+def _worker_attempt(i: int) -> ExperimentResult | str:
+    spec, cells, load = _worker_job
+    return _attempt(cells[i], spec, load)
+
+
+def _outcomes(spec: GridSpec, cells: list[Cell], workers: int):
+    """Yield each cell's ``_attempt`` outcome, in ``cells`` order, from
+    ``workers`` processes: this one runs cell i when i % workers == 0, and a
+    forked pool of workers - 1 the rest. Each process reads a csv source once.
+    Closing the generator stops the pool."""
+    load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
+    if workers == 1:
+        for cell in cells:
+            yield _attempt(cell, spec, load)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(spec, cells))
+    try:
+        futures = [pool.submit(_worker_attempt, i) if i % workers else None
+                   for i in range(len(cells))]
+        for cell, future in zip(cells, futures):
+            if future is None:
+                yield _attempt(cell, spec, load)
+                continue
+            try:
+                outcome = future.result()
+            except BrokenProcessPool:
+                raise PuermError(
+                    f"a worker process died before cell {_result_key(cell)} finished"
+                ) from None
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_grid(spec: GridSpec, log=None, workers=None) -> list[ExperimentResult]:
     """Run every cell of the grid, appending to ``spec.out`` as cells finish.
 
     Cells with a result row in the results file are skipped, so a rerun
@@ -327,10 +399,19 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     mark its cell done: the next run retries the cell and appends its
     result after the error row, which stays as history.
 
+    The cells to run are spread over ``workers`` processes, this one
+    included (default: every usable CPU; never more than the CPUs or the
+    cells). Rows and ``log`` lines are written here in cell order, so every
+    output byte is the same for any worker count. A worker process that
+    dies raises ``PuermError``; the rows before the cell it left unfinished
+    stay, so a rerun resumes from that cell.
+
     One run writes a results file at a time: a run holds the lock file
     ``<out>.lock`` (``O_CREAT | O_EXCL``) until it ends, and a run that finds
     it, such as one left by a killed run, raises ``PuermError``.
     """
+    if workers is not None:
+        _check_count("workers", workers, low=1)
     lock = f"{spec.out}.lock"
     try:
         os.close(os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
@@ -344,25 +425,23 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
             _drop_torn_tail(spec.out)
         fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
         done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
+        cells = [cell for cell in iter_cells(spec) if _result_key(cell) not in done]
+        workers = _worker_count(workers, len(cells))
         results: list[ExperimentResult] = []
-        load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
-        with open(spec.out, "a", encoding="utf-8", newline="") as fh:
+        outcomes = _outcomes(spec, cells, workers)  # starts no process until read
+        with open(spec.out, "a", encoding="utf-8", newline="") as fh, contextlib.closing(outcomes):
             if fresh:
                 fh.write(RESULTS_TAG + "\n")
                 fh.write(",".join(RESULTS_COLUMNS) + "\n")
                 fh.flush()
             writer = csv.writer(fh, lineterminator="\n")
-            for cell in iter_cells(spec):
+            for cell, r in zip(cells, outcomes):
                 key = _result_key(cell)
-                if key in done:
-                    continue
-                try:
-                    r = run_cell(cell, spec, load)
-                except (PuermError, OSError) as exc:
-                    writer.writerow([*key, "", "", "", "", f"error: {exc}"])
+                if isinstance(r, str):
+                    writer.writerow([*key, "", "", "", "", f"error: {r}"])
                     fh.flush()
                     if log:
-                        print(f"cell {key} failed: {exc}", file=log, flush=True)
+                        print(f"cell {key} failed: {r}", file=log, flush=True)
                     continue
                 results.append(r)
                 writer.writerow(r.row())

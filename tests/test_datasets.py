@@ -771,3 +771,14 @@ def test_save_csv_into_a_missing_directory_names_the_target(tmp_path):
     with pytest.raises(FileNotFoundError) as err:
         save_csv(gaussian_mixture(4, 0.5, rng=Rng(14)), path)
     assert err.value.filename == str(path)
+
+
+def test_save_csv_over_a_directory_names_only_the_target(tmp_path):
+    # a random temporary name in the message would make a grid's error row
+    # differ from run to run
+    path = tmp_path / "d.csv"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        save_csv(gaussian_mixture(4, 0.5, rng=Rng(14)), path)
+    assert str(err.value) == f"[Errno {errno.EISDIR}] Is a directory: {str(path)!r}"
+    assert os.listdir(tmp_path) == ["d.csv"]

@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,13 +460,15 @@ def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "load_csv", counting_load_csv)
     spec = _csv_grid(tmp_path, path)
-    assert len(run_grid(spec)) == 4
+    # one process: a worker's loads would not show in this process's list
+    assert len(run_grid(spec, workers=1)) == 4
     assert loads == [str(path)]
 
     # the same cells as four one-cell runs, each loading the file itself
     per_cell = str(tmp_path / "per_cell.csv")
     for _, _, method, c, _ in iter_cells(spec):
-        run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell))
+        run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell),
+                 workers=1)
     assert len(loads) == 1 + 4
     assert open(per_cell, "rb").read() == open(spec.out, "rb").read()
 
@@ -685,7 +691,8 @@ def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypat
         return run_cell(cell, spec_, load)
 
     monkeypatch.setattr(harness, "run_cell", run_cell_and_a_second_run)
-    assert len(run_grid(spec)) == 4
+    # one process: what a worker appends to ``seen`` would not show here
+    assert len(run_grid(spec, workers=1)) == 4
     assert seen[0] is True
     assert seen[1].startswith(f"{lock} exists: another run is writing {spec.out}")
     assert not lock.exists()  # the first run removed its lock
@@ -711,16 +718,203 @@ def test_run_grid_refuses_a_lock_left_by_a_killed_run(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
 
 
-def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
+def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch, three_cpus):
     spec = _tiny_spec(tmp_path)
 
     def interrupted(cell, spec_, load):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(harness, "run_cell", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        run_grid(spec)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+    for workers in (1, 3):
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(spec, workers=workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
+        assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# cells on several processes
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Let a run use up to three processes, however many CPUs the host has."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+
+
+def test_usable_cpus_are_the_ones_this_process_may_run_on():
+    if hasattr(os, "sched_getaffinity"):
+        assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert harness._usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_worker_count_is_capped_at_the_usable_cpus_and_the_cells(monkeypatch, three_cpus):
+    count = harness._worker_count
+    assert count(None, 100) == 3  # default: every usable CPU
+    assert count(2, 100) == 2
+    assert count(10**6, 100) == 3  # a count, not processes: nothing starts here
+    assert count(None, 2) == count(10**6, 2) == 2
+    assert count(None, 0) == count(1, 100) == 1
+    monkeypatch.delattr(os, "fork")
+    assert count(None, 100) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
+def test_run_grid_refuses_a_worker_count_below_one_and_writes_nothing(tmp_path, workers):
+    with pytest.raises(ParameterError, match=r"workers must be an integer >= 1"):
+        run_grid(_tiny_spec(tmp_path), workers=workers)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("-1", "-1"), ("1.5", "'1.5'")])
+def test_cli_grid_refuses_a_worker_count_below_one_and_writes_nothing(
+    tmp_path, capsys, value, shown
+):
+    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
+            "--out", str(tmp_path / "r.csv"), "--quiet", "--workers", value]
+    assert cli_dispatch(argv) == 2
+    assert f"--workers must be an integer >= 1, got {shown}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_any_worker_count_writes_the_same_bytes(tmp_path, monkeypatch, three_cpus):
+    runs = []
+    for workers in (1, 2, 3):
+        where = tmp_path / f"w{workers}"
+        where.mkdir()
+        monkeypatch.chdir(where)  # relative paths: the same row text
+        spec = _tiny_spec(where, out="results.csv", trace_dir="traces")
+        # a directory where cell 1's trace file goes makes that cell an error row
+        (where / "traces" / "gauss1d_ss_nnpu_ss_c0.3_s1.csv").mkdir(parents=True)
+        log = io.StringIO()
+        run_grid(spec, log=log, workers=workers)
+        # a crash tore the ninth row and lost the rest; the rerun retries the
+        # error cell too
+        out = where / "results.csv"
+        text = out.read_bytes()
+        cut = [i for i, ch in enumerate(text) if ch == ord("\n")][9]
+        out.write_bytes(text[: cut + 1 + 20])
+        run_grid(spec, log=log, workers=workers)
+        traces = {p.name: p.read_bytes() for p in (where / "traces").iterdir() if p.is_file()}
+        runs.append((out.read_bytes(), traces, log.getvalue()))
+    results, traces, log = runs[0]
+    assert results.count(b",error: ") == 2
+    assert len(traces) == 15
+    assert len(log.splitlines()) == 16 + 9
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_grid_leaves_no_process_and_the_parent_removes_the_lock(
+    tmp_path, monkeypatch, three_cpus, workers
+):
+    unlinks = tmp_path / "unlinks"
+    unlink = os.unlink
+
+    def recording_unlink(path, *args, **kwargs):
+        if str(path).endswith(".lock"):
+            with open(unlinks, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", recording_unlink)
+    spec = _tiny_spec(tmp_path)
+    assert len(run_grid(spec, workers=workers)) == 16
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists(f"{spec.out}.lock")
+    assert unlinks.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys, three_cpus):
+    parent = os.getpid()
+    run_cell = harness.run_cell
+
+    def dies_in_a_worker(cell, spec_, load):
+        if os.getpid() != parent:
+            os._exit(1)
+        return run_cell(cell, spec_, load)
+
+    monkeypatch.setattr(harness, "run_cell", dies_in_a_worker)
+    spec = _tiny_spec(tmp_path)
+    cells = list(iter_cells(spec))
+    # the parent runs cell 0 and the one worker cell 1
+    died = f"a worker process died before cell {harness._result_key(cells[1])} finished"
+    with pytest.raises(PuermError, match=re.escape(died)):
+        run_grid(spec, workers=2)
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists(f"{spec.out}.lock")
+    assert [harness._result_key(r) for r in load_results(spec.out)[0]] == [
+        harness._result_key(cells[0])
+    ]
+    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
+            "--out", str(tmp_path / "cli.csv"), "--quiet", "--workers", "2"]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: a worker process died before cell ")
+    assert multiprocessing.active_children() == []
+
+    # a rerun resumes from the dead worker's cell and ends as a serial run does
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+    assert len(run_grid(spec, workers=2)) == 15
+    run_grid(_tiny_spec(tmp_path, out=str(tmp_path / "reference.csv")), workers=1)
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_each_process_loads_a_csv_source_once(tmp_path, monkeypatch, three_cpus):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    loads = tmp_path / "loads"
+
+    def logging_load_csv(p, pi):
+        with open(loads, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return load_csv(p, pi)
+
+    monkeypatch.setattr(harness, "load_csv", logging_load_csv)
+    # 8 cells: the parent runs 3 of them, two workers the other 5
+    spec = replace(_csv_grid(tmp_path, path), seeds=[0, 1])
+    assert len(run_grid(spec, workers=3)) == 8
+    pids = loads.read_text().split()
+    assert len(set(pids)) == len(pids)  # one load per process
+    assert str(os.getpid()) in pids
+    assert 2 <= len(pids) <= 3
+    run_grid(replace(spec, out=str(tmp_path / "serial.csv")), workers=1)
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_a_one_process_run_imports_no_pool_modules(tmp_path):
+    # the pool modules cost memory, and puerm check never runs a grid
+    code = (
+        "import sys\n"
+        "from puerm.cli import cli_dispatch\n"
+        "assert cli_dispatch(['check']) == 0\n"
+        "assert cli_dispatch(['grid', '--seeds', '0', '--c-values', '0.3', '--epochs', '1',"
+        " '--n', '100', '--quiet', '--workers', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = _run_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _run_python(args, **kwargs):
+    """A Python subprocess that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["puerm", "puerm.cli"])
+def test_the_module_form_runs_the_command(module):
+    proc = _run_python(["-m", module, "check"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 1
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
 
 
 # ---------------------------------------------------------------------------
