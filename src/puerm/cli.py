@@ -26,7 +26,7 @@ from .harness import (
     run_self_checks,
 )
 from .model import ACTIVATIONS, init, save_model
-from .numerics import Rng, _check_count
+from .numerics import Rng
 from .risk import LOSSES
 from .sampling import corrupt
 from .trainer import METHODS, OPTIMIZERS, TrainerConfig, evaluate, save_trace, train
@@ -40,18 +40,6 @@ def _list_of(kind):
 
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
-
-
-def _workers(text: str) -> int:
-    """argparse type for ``--workers``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = text  # refused below, in the same words as a number < 1
-    try:
-        return _check_count("--workers", value, low=1)
-    except PuermError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,13 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="training budget per cell")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.add_argument(
-        "--workers",
-        type=_workers,
-        default=None,
-        help="processes to run cells on (default: every usable CPU); "
-        "the output is the same for any count",
-    )
 
     p = sub.add_parser("report", help="one table of estimator gaps, both scenarios")
     p.add_argument("--results", required=True)
@@ -208,7 +189,7 @@ def _cmd_grid(args) -> int:
     # replace() builds new objects, so __post_init__ validates the overrides
     spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     log = None if args.quiet else sys.stderr
-    results = run_grid(spec, log=log, workers=args.workers)
+    results = run_grid(spec, log=log)
     print(f"{len(results)} new results appended to {spec.out}")
     return 0
 

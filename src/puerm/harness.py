@@ -317,18 +317,49 @@ def _drop_torn_tail(path) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
+def _read_text(path) -> str:
+    """The text of a small file, or "" if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return ""
+
+
+def _cgroup_cpu_limit(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> float:
+    """CPUs' worth of time per second this process's cgroups allow: the
+    smallest quota of the cgroup v2 ``cpu.max`` files from its own cgroup up
+    to ``root`` and of the v1 ``cpu/cpu.cfs_quota_us``; inf without one."""
+    v1 = os.path.join(root, "cpu", "cpu.cfs_")
+    quotas = [f"{_read_text(v1 + 'quota_us')} {_read_text(v1 + 'period_us')}"]
+    for line in _read_text(own).splitlines():
+        if line.startswith("0::"):  # the v2 entry, "0::/path/of/the/cgroup"
+            parts = [p for p in line[3:].split("/") if p]
+            quotas += [_read_text(os.path.join(root, *parts[:k], "cpu.max"))
+                       for k in range(len(parts) + 1)]
+    limit = math.inf
+    for text in quotas:
+        with contextlib.suppress(ValueError):
+            quota, period = map(int, text.split())  # "max" or -1: no limit
+            if quota > 0 and period > 0:
+                limit = min(limit, quota / period)
+    return limit
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on, cut to its cgroup CPU quota (rounded up)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return min(cpus, math.ceil(limit)) if limit < math.inf else cpus
 
 
-def _worker_count(requested: int | None, n_cells: int) -> int:
-    """Processes a run of ``n_cells`` cells uses: ``requested`` (None: every
-    usable CPU), capped at the usable CPUs and at ``n_cells``; 1 without fork."""
-    cpus = _usable_cpus()
-    return max(1, min(requested or cpus, cpus, n_cells)) if hasattr(os, "fork") else 1
+def _worker_count(n_cells: int) -> int:
+    """Processes a run of ``n_cells`` cells uses: every usable CPU, capped at
+    ``n_cells``; 1 without fork."""
+    return max(1, min(_usable_cpus(), n_cells)) if hasattr(os, "fork") else 1
 
 
 def _attempt(cell: Cell, spec: GridSpec, load) -> ExperimentResult | str:
@@ -386,7 +417,7 @@ def _outcomes(spec: GridSpec, cells: list[Cell], workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def run_grid(spec: GridSpec, log=None, workers=None) -> list[ExperimentResult]:
+def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     """Run every cell of the grid, appending to ``spec.out`` as cells finish.
 
     Cells with a result row in the results file are skipped, so a rerun
@@ -399,10 +430,10 @@ def run_grid(spec: GridSpec, log=None, workers=None) -> list[ExperimentResult]:
     mark its cell done: the next run retries the cell and appends its
     result after the error row, which stays as history.
 
-    The cells to run are spread over ``workers`` processes, this one
-    included (default: every usable CPU; never more than the CPUs or the
-    cells). Rows and ``log`` lines are written here in cell order, so every
-    output byte is the same for any worker count. A worker process that
+    The cells to run are spread over one process per usable CPU, this one
+    included, and never more processes than cells (``_worker_count``).
+    Rows and ``log`` lines are written here in cell order, so every output
+    byte is the same for any number of processes. A worker process that
     dies raises ``PuermError``; the rows before the cell it left unfinished
     stay, so a rerun resumes from that cell.
 
@@ -410,8 +441,6 @@ def run_grid(spec: GridSpec, log=None, workers=None) -> list[ExperimentResult]:
     ``<out>.lock`` (``O_CREAT | O_EXCL``) until it ends, and a run that finds
     it, such as one left by a killed run, raises ``PuermError``.
     """
-    if workers is not None:
-        _check_count("workers", workers, low=1)
     lock = f"{spec.out}.lock"
     try:
         os.close(os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
@@ -426,7 +455,7 @@ def run_grid(spec: GridSpec, log=None, workers=None) -> list[ExperimentResult]:
         fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
         done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
         cells = [cell for cell in iter_cells(spec) if _result_key(cell) not in done]
-        workers = _worker_count(workers, len(cells))
+        workers = _worker_count(len(cells))
         results: list[ExperimentResult] = []
         outcomes = _outcomes(spec, cells, workers)  # starts no process until read
         with open(spec.out, "a", encoding="utf-8", newline="") as fh, contextlib.closing(outcomes):

@@ -1,5 +1,6 @@
 """Tests for the grid runner, results persistence, reports, and the CLI."""
 
+import functools
 import io
 import json
 import math
@@ -449,7 +450,7 @@ def _csv_grid(tmp_path, path, **overrides):
     return _tiny_spec(tmp_path, datasets=[source], scenarios=["ss"], seeds=[0], **overrides)
 
 
-def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch):
+def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch, one_cpu):
     path = tmp_path / "rows.csv"
     save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
     loads = []
@@ -461,14 +462,13 @@ def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "load_csv", counting_load_csv)
     spec = _csv_grid(tmp_path, path)
     # one process: a worker's loads would not show in this process's list
-    assert len(run_grid(spec, workers=1)) == 4
+    assert len(run_grid(spec)) == 4
     assert loads == [str(path)]
 
     # the same cells as four one-cell runs, each loading the file itself
     per_cell = str(tmp_path / "per_cell.csv")
     for _, _, method, c, _ in iter_cells(spec):
-        run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell),
-                 workers=1)
+        run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell))
     assert len(loads) == 1 + 4
     assert open(per_cell, "rb").read() == open(spec.out, "rb").read()
 
@@ -676,7 +676,7 @@ def test_run_grid_logs_one_progress_line_per_cell_in_cell_order(tmp_path):
 # one writer per results file
 
 
-def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypatch):
+def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypatch, one_cpu):
     spec = _tiny_spec(tmp_path, seeds=[0], c_values=[0.3])
     lock = tmp_path / "results.csv.lock"
     seen = []
@@ -692,7 +692,7 @@ def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypat
 
     monkeypatch.setattr(harness, "run_cell", run_cell_and_a_second_run)
     # one process: what a worker appends to ``seen`` would not show here
-    assert len(run_grid(spec, workers=1)) == 4
+    assert len(run_grid(spec)) == 4
     assert seen[0] is True
     assert seen[1].startswith(f"{lock} exists: another run is writing {spec.out}")
     assert not lock.exists()  # the first run removed its lock
@@ -718,16 +718,17 @@ def test_run_grid_refuses_a_lock_left_by_a_killed_run(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
 
 
-def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch, three_cpus):
+def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
     spec = _tiny_spec(tmp_path)
 
     def interrupted(cell, spec_, load):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(harness, "run_cell", interrupted)
-    for workers in (1, 3):
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(spec, workers=workers)
+            run_grid(spec)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
         assert multiprocessing.active_children() == []
 
@@ -736,51 +737,77 @@ def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch, thr
 # cells on several processes
 
 
+def _use_cpus(monkeypatch, n):
+    """Let a run use up to ``n`` processes, however many CPUs the host has."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Run every cell in this process, where a monkeypatch sees its calls."""
+    _use_cpus(monkeypatch, 1)
+
+
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Let a run use up to three processes, however many CPUs the host has."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    _use_cpus(monkeypatch, 3)
 
 
-def test_usable_cpus_are_the_ones_this_process_may_run_on():
+def test_usable_cpus_are_the_affinity_set_cut_to_the_cgroup_quota(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+        affinity = len(os.sched_getaffinity(0))
     else:
-        assert harness._usable_cpus() == (os.cpu_count() or 1)
+        affinity = os.cpu_count() or 1
+    for limit, want in ((math.inf, affinity), (1.5, min(affinity, 2)), (0.2, 1),
+                        (10**6, affinity)):
+        monkeypatch.setattr(harness, "_cgroup_cpu_limit", lambda: limit)
+        assert harness._usable_cpus() == want
+
+
+def test_cgroup_cpu_limit_is_the_smallest_quota_of_the_process_cgroups(tmp_path):
+    own = tmp_path / "cgroup"
+    root = tmp_path / "fs"
+    limit = functools.partial(harness._cgroup_cpu_limit, str(root), str(own))
+    assert limit() == math.inf  # nothing to read
+    # cgroup v2: this process's cgroup and each one above it
+    own.write_text("0::/pod/job\n")
+    (root / "pod" / "job").mkdir(parents=True)
+    (root / "cpu.max").write_text("max 100000\n")
+    (root / "pod" / "job" / "cpu.max").write_text("max 100000\n")
+    assert limit() == math.inf
+    (root / "pod" / "cpu.max").write_text("250000 100000\n")
+    assert limit() == 2.5
+    (root / "pod" / "job" / "cpu.max").write_text("150000 100000\n")
+    assert limit() == 1.5
+    (root / "pod" / "job" / "cpu.max").write_text("garbled\n")
+    assert limit() == 2.5
+    # cgroup v1: the cpu controller's CFS quota, -1 for none
+    (root / "cpu").mkdir()
+    (root / "cpu" / "cpu.cfs_period_us").write_text("100000\n")
+    (root / "cpu" / "cpu.cfs_quota_us").write_text("-1\n")
+    assert limit() == 2.5
+    (root / "cpu" / "cpu.cfs_quota_us").write_text("50000\n")
+    assert limit() == 0.5
+    own.write_text("4:cpu:/\n")
+    (root / "pod" / "cpu.max").unlink()
+    assert limit() == 0.5
 
 
 def test_worker_count_is_capped_at_the_usable_cpus_and_the_cells(monkeypatch, three_cpus):
     count = harness._worker_count
-    assert count(None, 100) == 3  # default: every usable CPU
-    assert count(2, 100) == 2
-    assert count(10**6, 100) == 3  # a count, not processes: nothing starts here
-    assert count(None, 2) == count(10**6, 2) == 2
-    assert count(None, 0) == count(1, 100) == 1
+    assert count(100) == 3  # every usable CPU
+    assert count(2) == 2
+    assert count(0) == count(1) == 1
+    _use_cpus(monkeypatch, 10**6)
+    assert count(100) == 100  # a count, not processes: nothing starts here
     monkeypatch.delattr(os, "fork")
-    assert count(None, 100) == 1
+    assert count(100) == 1
 
 
-@pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
-def test_run_grid_refuses_a_worker_count_below_one_and_writes_nothing(tmp_path, workers):
-    with pytest.raises(ParameterError, match=r"workers must be an integer >= 1"):
-        run_grid(_tiny_spec(tmp_path), workers=workers)
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("value, shown", [("0", "0"), ("-1", "-1"), ("1.5", "'1.5'")])
-def test_cli_grid_refuses_a_worker_count_below_one_and_writes_nothing(
-    tmp_path, capsys, value, shown
-):
-    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
-            "--out", str(tmp_path / "r.csv"), "--quiet", "--workers", value]
-    assert cli_dispatch(argv) == 2
-    assert f"--workers must be an integer >= 1, got {shown}\n" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_any_worker_count_writes_the_same_bytes(tmp_path, monkeypatch, three_cpus):
+def test_any_worker_count_writes_the_same_bytes(tmp_path, monkeypatch):
     runs = []
     for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
         where = tmp_path / f"w{workers}"
         where.mkdir()
         monkeypatch.chdir(where)  # relative paths: the same row text
@@ -788,14 +815,14 @@ def test_any_worker_count_writes_the_same_bytes(tmp_path, monkeypatch, three_cpu
         # a directory where cell 1's trace file goes makes that cell an error row
         (where / "traces" / "gauss1d_ss_nnpu_ss_c0.3_s1.csv").mkdir(parents=True)
         log = io.StringIO()
-        run_grid(spec, log=log, workers=workers)
+        run_grid(spec, log=log)
         # a crash tore the ninth row and lost the rest; the rerun retries the
         # error cell too
         out = where / "results.csv"
         text = out.read_bytes()
         cut = [i for i, ch in enumerate(text) if ch == ord("\n")][9]
         out.write_bytes(text[: cut + 1 + 20])
-        run_grid(spec, log=log, workers=workers)
+        run_grid(spec, log=log)
         traces = {p.name: p.read_bytes() for p in (where / "traces").iterdir() if p.is_file()}
         runs.append((out.read_bytes(), traces, log.getvalue()))
     results, traces, log = runs[0]
@@ -808,8 +835,9 @@ def test_any_worker_count_writes_the_same_bytes(tmp_path, monkeypatch, three_cpu
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_grid_leaves_no_process_and_the_parent_removes_the_lock(
-    tmp_path, monkeypatch, three_cpus, workers
+    tmp_path, monkeypatch, workers
 ):
+    _use_cpus(monkeypatch, workers)
     unlinks = tmp_path / "unlinks"
     unlink = os.unlink
 
@@ -821,13 +849,14 @@ def test_run_grid_leaves_no_process_and_the_parent_removes_the_lock(
 
     monkeypatch.setattr(os, "unlink", recording_unlink)
     spec = _tiny_spec(tmp_path)
-    assert len(run_grid(spec, workers=workers)) == 16
+    assert len(run_grid(spec)) == 16
     assert multiprocessing.active_children() == []
     assert not os.path.exists(f"{spec.out}.lock")
     assert unlinks.read_text() == f"{os.getpid()}\n"
 
 
-def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys, three_cpus):
+def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys):
+    _use_cpus(monkeypatch, 2)
     parent = os.getpid()
     run_cell = harness.run_cell
 
@@ -842,22 +871,23 @@ def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys, 
     # the parent runs cell 0 and the one worker cell 1
     died = f"a worker process died before cell {harness._result_key(cells[1])} finished"
     with pytest.raises(PuermError, match=re.escape(died)):
-        run_grid(spec, workers=2)
+        run_grid(spec)
     assert multiprocessing.active_children() == []
     assert not os.path.exists(f"{spec.out}.lock")
     assert [harness._result_key(r) for r in load_results(spec.out)[0]] == [
         harness._result_key(cells[0])
     ]
     argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
-            "--out", str(tmp_path / "cli.csv"), "--quiet", "--workers", "2"]
+            "--out", str(tmp_path / "cli.csv"), "--quiet"]
     assert cli_dispatch(argv) == 1
     assert capsys.readouterr().err.startswith("error: a worker process died before cell ")
     assert multiprocessing.active_children() == []
 
     # a rerun resumes from the dead worker's cell and ends as a serial run does
     monkeypatch.setattr(harness, "run_cell", run_cell)
-    assert len(run_grid(spec, workers=2)) == 15
-    run_grid(_tiny_spec(tmp_path, out=str(tmp_path / "reference.csv")), workers=1)
+    assert len(run_grid(spec)) == 15
+    _use_cpus(monkeypatch, 1)
+    run_grid(_tiny_spec(tmp_path, out=str(tmp_path / "reference.csv")))
     assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -874,12 +904,13 @@ def test_each_process_loads_a_csv_source_once(tmp_path, monkeypatch, three_cpus)
     monkeypatch.setattr(harness, "load_csv", logging_load_csv)
     # 8 cells: the parent runs 3 of them, two workers the other 5
     spec = replace(_csv_grid(tmp_path, path), seeds=[0, 1])
-    assert len(run_grid(spec, workers=3)) == 8
+    assert len(run_grid(spec)) == 8
     pids = loads.read_text().split()
     assert len(set(pids)) == len(pids)  # one load per process
     assert str(os.getpid()) in pids
     assert 2 <= len(pids) <= 3
-    run_grid(replace(spec, out=str(tmp_path / "serial.csv")), workers=1)
+    _use_cpus(monkeypatch, 1)
+    run_grid(replace(spec, out=str(tmp_path / "serial.csv")))
     assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
@@ -889,8 +920,9 @@ def test_a_one_process_run_imports_no_pool_modules(tmp_path):
         "import sys\n"
         "from puerm.cli import cli_dispatch\n"
         "assert cli_dispatch(['check']) == 0\n"
-        "assert cli_dispatch(['grid', '--seeds', '0', '--c-values', '0.3', '--epochs', '1',"
-        " '--n', '100', '--quiet', '--workers', '1']) == 0\n"
+        # one cell, so one process whatever the host's CPUs
+        "assert cli_dispatch(['grid', '--seeds', '0', '--c-values', '0.3', '--scenarios', 'ss',"
+        " '--methods', 'nnpu_ss', '--epochs', '1', '--n', '100', '--quiet']) == 0\n"
         "print(sorted(m for m in sys.modules"
         " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
