@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="one table of estimator gaps, both scenarios")
     p.add_argument("--results", required=True)
-    p.add_argument("--metric", choices=REPORT_METRICS, default="f1")
+    p.add_argument("--metric", choices=REPORT_METRICS, default="accuracy")
 
     sub.add_parser("check", help="run the built-in oracle suite")
     return parser

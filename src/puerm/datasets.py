@@ -37,6 +37,7 @@ per-batch code, at about a thousand entries, keeps.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -231,6 +232,18 @@ def _feature_header(d: int) -> list[str]:
     return [f"f{i}" for i in range(d)]
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` open as UTF-8 text, line ends as they are (for ``csv``); a
+    byte that is not UTF-8 raises ``FormatError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise FormatError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
+
+
 def _write_atomically(path, lines) -> None:
     """Write ``lines`` to a new file beside ``path``, then rename it over
     ``path``: the target holds its old bytes or all the new ones, never a
@@ -324,7 +337,7 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
 
 def _read_columns(path, want_y: bool, want_s: bool):
     """(x, y or None, s or None) from a file in the package CSV schema."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

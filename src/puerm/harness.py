@@ -9,8 +9,9 @@ initialization and shuffling never depend on which other cells exist.
 Results append to a CSV (first line is a format tag) as soon as each cell
 finishes; re-running the same grid skips cells already present, which
 makes interrupted runs resumable and full reruns byte-identical. A run
-spreads its cells over forked worker processes and writes their rows in
-cell order, so the worker count changes no output byte.
+spreads its cells over this process and forked workers, one per usable
+CPU, and writes their rows in cell order, so the process count changes
+no output byte.
 
 Per-cell protocol: build the source data (synthetic draw, or CSV rows
 read once per process of a grid run), carve out a held-out labeled test
@@ -41,6 +42,7 @@ from .datasets import (
     SCENARIOS,
     LabeledDataset,
     _check_scenario,
+    _open_text,
     _signs,
     gaussian_mixture,
     load_csv,
@@ -275,7 +277,7 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
     """(parsed result rows, number of error-marker rows) from a results CSV."""
     results: list[ExperimentResult] = []
     n_errors = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != RESULTS_TAG:
             raise FormatError(f"{path}: missing results format tag {RESULTS_TAG!r}")
@@ -326,10 +328,14 @@ def _read_text(path) -> str:
         return ""
 
 
-def _cgroup_cpu_limit(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> float:
-    """CPUs' worth of time per second this process's cgroups allow: the
-    smallest quota of the cgroup v2 ``cpu.max`` files from its own cgroup up
-    to ``root`` and of the v1 ``cpu/cpu.cfs_quota_us``; inf without one."""
+def _usable_cpus(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> int:
+    """CPUs this process may run on, cut to ``ceil(quota / period)`` of each
+    CPU quota of its cgroups: the v2 ``cpu.max`` files from its own cgroup up
+    to ``root`` and the v1 ``cpu/cpu.cfs_quota_us``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     v1 = os.path.join(root, "cpu", "cpu.cfs_")
     quotas = [f"{_read_text(v1 + 'quota_us')} {_read_text(v1 + 'period_us')}"]
     for line in _read_text(own).splitlines():
@@ -337,37 +343,18 @@ def _cgroup_cpu_limit(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> float:
             parts = [p for p in line[3:].split("/") if p]
             quotas += [_read_text(os.path.join(root, *parts[:k], "cpu.max"))
                        for k in range(len(parts) + 1)]
-    limit = math.inf
     for text in quotas:
         with contextlib.suppress(ValueError):
             quota, period = map(int, text.split())  # "max" or -1: no limit
             if quota > 0 and period > 0:
-                limit = min(limit, quota / period)
-    return limit
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, cut to its cgroup CPU quota (rounded up)."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    limit = _cgroup_cpu_limit()
-    return min(cpus, math.ceil(limit)) if limit < math.inf else cpus
+                cpus = min(cpus, math.ceil(quota / period))
+    return cpus
 
 
 def _worker_count(n_cells: int) -> int:
     """Processes a run of ``n_cells`` cells uses: every usable CPU, capped at
     ``n_cells``; 1 without fork."""
     return max(1, min(_usable_cpus(), n_cells)) if hasattr(os, "fork") else 1
-
-
-def _attempt(cell: Cell, spec: GridSpec, load) -> ExperimentResult | str:
-    """``run_cell``'s result, or the message of the PuermError or OSError it raised."""
-    try:
-        return run_cell(cell, spec, load)
-    except (PuermError, OSError) as exc:
-        return str(exc)
 
 
 _worker_job = None  # (spec, cells to run, cached load) in a grid worker process
@@ -378,43 +365,39 @@ def _start_worker(spec: GridSpec, cells: list[Cell]) -> None:
     _worker_job = spec, cells, functools.cache(load_csv)
 
 
-def _worker_attempt(i: int) -> ExperimentResult | str:
+def _worker_run(i: int) -> ExperimentResult:
     spec, cells, load = _worker_job
-    return _attempt(cells[i], spec, load)
+    return run_cell(cells[i], spec, load)
 
 
 def _outcomes(spec: GridSpec, cells: list[Cell], workers: int):
-    """Yield each cell's ``_attempt`` outcome, in ``cells`` order, from
-    ``workers`` processes: this one runs cell i when i % workers == 0, and a
-    forked pool of workers - 1 the rest. Each process reads a csv source once.
-    Closing the generator stops the pool."""
+    """Yield each cell's ``run_cell`` result, or the message of the PuermError
+    or OSError it raised, in ``cells`` order, from ``workers`` processes: this
+    one runs cell i when i % workers == 0, and a forked pool of workers - 1
+    the rest; with one process there is no pool. Each process reads a csv
+    source once. Closing the generator stops the pool."""
     load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
-    if workers == 1:
-        for cell in cells:
-            yield _attempt(cell, spec, load)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    futures, BrokenProcessPool = {}, ()  # no pool: the except below matches nothing
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(spec, cells))
-    try:
-        futures = [pool.submit(_worker_attempt, i) if i % workers else None
-                   for i in range(len(cells))]
-        for cell, future in zip(cells, futures):
-            if future is None:
-                yield _attempt(cell, spec, load)
-                continue
+            pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
+                                       initializer=_start_worker, initargs=(spec, cells))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = {i: pool.submit(_worker_run, i) for i in range(len(cells)) if i % workers}
+        for i, cell in enumerate(cells):
             try:
-                outcome = future.result()
+                outcome = futures[i].result() if i % workers else run_cell(cell, spec, load)
             except BrokenProcessPool:
                 raise PuermError(
                     f"a worker process died before cell {_result_key(cell)} finished"
                 ) from None
+            except (PuermError, OSError) as exc:
+                outcome = str(exc)
             yield outcome
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
@@ -431,16 +414,20 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     result after the error row, which stays as history.
 
     The cells to run are spread over one process per usable CPU, this one
-    included, and never more processes than cells (``_worker_count``).
+    included, and never more processes than cells (``_worker_count``); one
+    loop (``_outcomes``) serves any count, and one process starts no pool.
     Rows and ``log`` lines are written here in cell order, so every output
     byte is the same for any number of processes. A worker process that
     dies raises ``PuermError``; the rows before the cell it left unfinished
     stay, so a rerun resumes from that cell.
 
-    One run writes a results file at a time: a run holds the lock file
-    ``<out>.lock`` (``O_CREAT | O_EXCL``) until it ends, and a run that finds
-    it, such as one left by a killed run, raises ``PuermError``.
+    The directory of ``spec.out`` is created if missing. One run writes a
+    results file at a time: a run holds the lock file ``<out>.lock``
+    (``O_CREAT | O_EXCL``) until it ends, and a run that finds it, such as
+    one left by a killed run, raises ``PuermError``.
     """
+    if os.path.dirname(spec.out):  # os.makedirs("") raises
+        os.makedirs(os.path.dirname(spec.out), exist_ok=True)
     lock = f"{spec.out}.lock"
     try:
         os.close(os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
@@ -524,7 +511,7 @@ _REPORT_COLUMNS = {
 }
 
 
-def emit_report(results_path, metric: str = "f1") -> str:
+def emit_report(results_path, metric: str = "accuracy") -> str:
     """The ``summarize`` rows of a results file as one table, None as a blank
     cell; error rows and a file without results are reported on stderr."""
     results, n_errors = load_results(results_path)
@@ -586,7 +573,7 @@ def parse_grid_config(doc: dict, base_dir: str = ".") -> GridSpec:
 
 
 def load_grid_config(path) -> GridSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

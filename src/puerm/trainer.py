@@ -41,7 +41,8 @@ from operator import attrgetter
 import numpy as np
 
 from .datasets import (
-    SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _as_labels, _write_atomically,
+    SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _as_labels, _open_text,
+    _write_atomically,
 )
 from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError
 from .metrics import confusion, scores
@@ -289,7 +290,7 @@ def save_trace(traces, path) -> None:
 
 
 def load_trace(path) -> list[EpochTrace]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ import pytest
 from oracles import load_model, peak_traced_bytes
 from puerm import harness
 from puerm.cli import cli_dispatch
-from puerm.datasets import SCENARIOS, PUDataset, gaussian_mixture, load_csv, save_csv
+from puerm.datasets import (
+    SCENARIOS, PUDataset, gaussian_mixture, load_csv, load_pu_csv, save_csv,
+)
 from puerm.errors import FormatError, ParameterError, PuermError
 from puerm.harness import (
     RESULTS_COLUMNS,
@@ -314,7 +317,7 @@ def test_run_grid_csv_source_smaller_than_a_batch_fails_every_cell(tmp_path):
     assert run_grid(_csv_grid(tmp_path, path)) == []
     loaded, n_errors = load_results(tmp_path / "results.csv")
     assert (loaded, n_errors) == ([], 4)
-    text = open(tmp_path / "results.csv").read()
+    text = (tmp_path / "results.csv").read_text()
     assert text.count("error: batch_size 25 exceeds dataset size") == 4
 
 
@@ -430,7 +433,7 @@ def test_run_grid_covers_cross_product(tmp_path):
     assert len(loaded) == 16
     keys = {(r.dataset, r.scenario, r.method, r.c, r.seed) for r in loaded}
     assert len(keys) == 16
-    lines = open(spec.out).read().splitlines()
+    lines = Path(spec.out).read_text().splitlines()
     assert lines[0] == RESULTS_TAG
     assert lines[1] == ",".join(RESULTS_COLUMNS)
     assert len(lines) == 2 + 16
@@ -441,7 +444,7 @@ def test_run_grid_rerun_is_byte_identical(tmp_path):
     spec_b = _tiny_spec(tmp_path, out=str(tmp_path / "b.csv"))
     run_grid(spec_a)
     run_grid(spec_b)
-    assert open(spec_a.out, "rb").read() == open(spec_b.out, "rb").read()
+    assert Path(spec_a.out).read_bytes() == Path(spec_b.out).read_bytes()
 
 
 def _csv_grid(tmp_path, path, **overrides):
@@ -470,7 +473,7 @@ def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch, one_cpu):
     for _, _, method, c, _ in iter_cells(spec):
         run_grid(_csv_grid(tmp_path, path, methods=[method], c_values=[c], out=per_cell))
     assert len(loads) == 1 + 4
-    assert open(per_cell, "rb").read() == open(spec.out, "rb").read()
+    assert Path(per_cell).read_bytes() == Path(spec.out).read_bytes()
 
 
 def test_run_grid_unreadable_csv_source_fails_every_cell(tmp_path):
@@ -479,8 +482,24 @@ def test_run_grid_unreadable_csv_source_fails_every_cell(tmp_path):
     assert run_grid(_csv_grid(tmp_path, path)) == []
     loaded, n_errors = load_results(tmp_path / "results.csv")
     assert (loaded, n_errors) == ([], 4)
-    text = open(tmp_path / "results.csv").read()
+    text = (tmp_path / "results.csv").read_text()
     assert text.count(f"{path}: line 3: non-numeric value 'oops' in column f0") == 4
+
+
+def test_run_grid_csv_source_that_is_not_utf8_fails_every_cell(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"f0,y\n" + b"0.5,1\n-0.5,-1\n" * 50 + b"0.\xe9,1\n")
+    runs = []
+    for cpus in (1, 3):  # with 3, workers run cells 1 and 2 and send their errors back
+        _use_cpus(monkeypatch, cpus)
+        spec = _csv_grid(tmp_path, path, out=str(tmp_path / f"cpus{cpus}.csv"))
+        log = io.StringIO()
+        assert run_grid(spec, log=log) == []
+        runs.append(((tmp_path / f"cpus{cpus}.csv").read_bytes(), log.getvalue()))
+    assert load_results(tmp_path / "cpus1.csv") == ([], 4)
+    text = runs[0][0].decode()
+    assert text.count(f",error: {path}: not UTF-8 text (byte 0xe9: ") == 4
+    assert runs[1] == runs[0]
 
 
 def test_run_grid_empty_test_split_fails_every_cell(tmp_path):
@@ -490,37 +509,37 @@ def test_run_grid_empty_test_split_fails_every_cell(tmp_path):
     assert run_grid(_csv_grid(tmp_path, path, n=25, test_fraction=0.01)) == []
     loaded, n_errors = load_results(tmp_path / "results.csv")
     assert (loaded, n_errors) == ([], 4)
-    text = open(tmp_path / "results.csv").read()
+    text = (tmp_path / "results.csv").read_text()
     assert text.count("gives 40 training and 0 test rows") == 4
 
 
 def test_run_grid_resumes_without_duplicates(tmp_path):
     spec = _tiny_spec(tmp_path)
     run_grid(spec)
-    full = open(spec.out).read()
+    full = Path(spec.out).read_text()
     lines = full.splitlines(keepends=True)
     # simulate an interrupted run missing the last three cells
-    open(spec.out, "w").write("".join(lines[:-3]))
+    Path(spec.out).write_text("".join(lines[:-3]))
     new = run_grid(spec)
     assert len(new) == 3
-    assert open(spec.out).read() == full
+    assert Path(spec.out).read_text() == full
     # a second rerun adds nothing
     assert run_grid(spec) == []
-    assert open(spec.out).read() == full
+    assert Path(spec.out).read_text() == full
 
 
 def test_run_grid_resumes_after_a_torn_last_row(tmp_path):
     spec = _tiny_spec(tmp_path)
     run_grid(spec)
-    full = open(spec.out, "rb").read()
+    full = Path(spec.out).read_bytes()
     # a crash while writing the last row leaves its first half, no newline
     last_row = full.rstrip(b"\n").rfind(b"\n") + 1
-    open(spec.out, "wb").write(full[: (last_row + len(full)) // 2])
+    Path(spec.out).write_bytes(full[: (last_row + len(full)) // 2])
     with pytest.raises(FormatError):
         load_results(spec.out)
     new = run_grid(spec)
     assert len(new) == 1
-    assert open(spec.out, "rb").read() == full
+    assert Path(spec.out).read_bytes() == full
 
 
 @pytest.mark.parametrize("keep", [0, 5, len(RESULTS_TAG) + 1, len(RESULTS_TAG) + 8])
@@ -529,18 +548,18 @@ def test_run_grid_restarts_a_torn_tag_or_header(tmp_path, keep):
     spec = _tiny_spec(tmp_path, **small)
     reference = _tiny_spec(tmp_path, **small, out=str(tmp_path / "ref.csv"))
     run_grid(reference)
-    full = open(reference.out, "rb").read()
-    open(spec.out, "wb").write(full[:keep])
+    full = Path(reference.out).read_bytes()
+    Path(spec.out).write_bytes(full[:keep])
     run_grid(spec)
-    assert open(spec.out, "rb").read() == full
+    assert Path(spec.out).read_bytes() == full
 
 
 def test_run_grid_leaves_a_foreign_file_alone(tmp_path):
     spec = _tiny_spec(tmp_path)
-    open(spec.out, "w").write("not,a,results,file")
+    Path(spec.out).write_text("not,a,results,file")
     with pytest.raises(FormatError):
         run_grid(spec)
-    assert open(spec.out).read() == "not,a,results,file"
+    assert Path(spec.out).read_text() == "not,a,results,file"
 
 
 def test_run_grid_writes_error_marker_and_continues(tmp_path):
@@ -591,7 +610,7 @@ def test_run_grid_records_an_os_error_and_continues(tmp_path):
     loaded, n_errors = load_results(spec.out)
     assert [r.seed for r in loaded] == [1]
     assert n_errors == 1
-    rows = open(spec.out).read().splitlines()[2:]
+    rows = Path(spec.out).read_text().splitlines()[2:]
     assert rows[0].startswith("gauss1d,ss,nnpu_ss,0.5,0,,,,,error: ")
 
 
@@ -611,7 +630,7 @@ def test_run_grid_retries_a_failed_cell_and_keeps_its_error_row(tmp_path, capsys
     blocker.rmdir()
     # the next run retries seed 0 and appends its result after the error row
     assert [r.seed for r in run_grid(spec)] == [0]
-    rows = open(spec.out).read().splitlines()[2:]
+    rows = Path(spec.out).read_text().splitlines()[2:]
     assert [row.split(",")[4] for row in rows] == ["0", "1", "0"]
     assert ",error: " in rows[0]
     assert "error" not in rows[1] + rows[2]
@@ -621,9 +640,9 @@ def test_run_grid_retries_a_failed_cell_and_keeps_its_error_row(tmp_path, capsys
     emit_report(spec.out, metric="f1")
     assert "1 error rows skipped" in capsys.readouterr().err
     # a done cell is never run again, so a third run appends nothing
-    before = open(spec.out, "rb").read()
+    before = Path(spec.out).read_bytes()
     assert run_grid(spec) == []
-    assert open(spec.out, "rb").read() == before
+    assert Path(spec.out).read_bytes() == before
 
 
 def _progress_line(cell, result):
@@ -656,8 +675,8 @@ def test_run_grid_logs_one_progress_line_per_cell_in_cell_order(tmp_path):
     # a rerun logs only the cells it runs, in cell order: the failed one and
     # the last one, whose row is dropped here; nothing for a cell it skips
     blocker.rmdir()
-    text = open(spec.out).read()
-    open(spec.out, "w").write(text[: text.rstrip("\n").rfind("\n") + 1])
+    text = Path(spec.out).read_text()
+    Path(spec.out).write_text(text[: text.rstrip("\n").rfind("\n") + 1])
     log = io.StringIO()
     rerun = run_grid(spec, log=log)
     cells = list(iter_cells(spec))
@@ -698,6 +717,20 @@ def test_run_grid_refuses_an_out_file_another_run_is_writing(tmp_path, monkeypat
     assert not lock.exists()  # the first run removed its lock
     # the refused runs wrote nothing: four result rows, each cell once
     assert len(load_results(spec.out)[0]) == 4
+
+
+def test_grid_command_creates_the_out_directory(tmp_path, capsys):
+    out = tmp_path / "d" / "e" / "results.csv"
+    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--scenarios", "ss", "--methods",
+            "nnpu_ss", "--epochs", "1", "--quiet"]
+    assert cli_dispatch([*argv, "--n", "100", "--out", str(out)]) == 0
+    assert len(load_results(out)[0]) == 1
+    assert sorted(p.name for p in out.parent.iterdir()) == ["results.csv"]
+    # a refused config creates no directory
+    refused = tmp_path / "f" / "results.csv"
+    assert cli_dispatch([*argv, "--n", "5", "--out", str(refused)]) == 1
+    assert "per-run budget n must be >= 10" in capsys.readouterr().err
+    assert not refused.parent.exists()
 
 
 def test_run_grid_refuses_a_lock_left_by_a_killed_run(tmp_path, capsys):
@@ -753,44 +786,50 @@ def three_cpus(monkeypatch):
     _use_cpus(monkeypatch, 3)
 
 
-def test_usable_cpus_are_the_affinity_set_cut_to_the_cgroup_quota(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        affinity = len(os.sched_getaffinity(0))
-    else:
-        affinity = os.cpu_count() or 1
-    for limit, want in ((math.inf, affinity), (1.5, min(affinity, 2)), (0.2, 1),
-                        (10**6, affinity)):
-        monkeypatch.setattr(harness, "_cgroup_cpu_limit", lambda: limit)
-        assert harness._usable_cpus() == want
+@pytest.fixture
+def cgroup_files(tmp_path, monkeypatch):
+    """(usable, own, root): ``_usable_cpus`` on a faked 64-CPU affinity set,
+    reading the process's cgroup file ``own`` and the cgroup tree ``root``,
+    both under tmp_path. Nothing here starts a process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    own, root = tmp_path / "cgroup", tmp_path / "fs"
+    root.mkdir()
+    return functools.partial(harness._usable_cpus, str(root), str(own)), own, root
 
 
-def test_cgroup_cpu_limit_is_the_smallest_quota_of_the_process_cgroups(tmp_path):
-    own = tmp_path / "cgroup"
-    root = tmp_path / "fs"
-    limit = functools.partial(harness._cgroup_cpu_limit, str(root), str(own))
-    assert limit() == math.inf  # nothing to read
+def test_usable_cpus_are_the_affinity_set_cut_to_the_cgroup_quota(cgroup_files):
+    usable, own, root = cgroup_files
+    assert usable() == 64  # nothing to read
+    own.write_text("0::/\n")
+    for quota, want in (("max", 64), (150000, 2), (20000, 1), (10**11, 64)):
+        (root / "cpu.max").write_text(f"{quota} 100000\n")
+        assert usable() == want
+
+
+def test_usable_cpus_take_the_smallest_quota_of_the_process_cgroups(cgroup_files):
+    usable, own, root = cgroup_files
     # cgroup v2: this process's cgroup and each one above it
     own.write_text("0::/pod/job\n")
     (root / "pod" / "job").mkdir(parents=True)
     (root / "cpu.max").write_text("max 100000\n")
     (root / "pod" / "job" / "cpu.max").write_text("max 100000\n")
-    assert limit() == math.inf
+    assert usable() == 64
     (root / "pod" / "cpu.max").write_text("250000 100000\n")
-    assert limit() == 2.5
+    assert usable() == 3  # ceil(2.5)
     (root / "pod" / "job" / "cpu.max").write_text("150000 100000\n")
-    assert limit() == 1.5
+    assert usable() == 2
     (root / "pod" / "job" / "cpu.max").write_text("garbled\n")
-    assert limit() == 2.5
+    assert usable() == 3
     # cgroup v1: the cpu controller's CFS quota, -1 for none
     (root / "cpu").mkdir()
     (root / "cpu" / "cpu.cfs_period_us").write_text("100000\n")
     (root / "cpu" / "cpu.cfs_quota_us").write_text("-1\n")
-    assert limit() == 2.5
+    assert usable() == 3
     (root / "cpu" / "cpu.cfs_quota_us").write_text("50000\n")
-    assert limit() == 0.5
+    assert usable() == 1
     own.write_text("4:cpu:/\n")
     (root / "pod" / "cpu.max").unlink()
-    assert limit() == 0.5
+    assert usable() == 1
 
 
 def test_worker_count_is_capped_at_the_usable_cpus_and_the_cells(monkeypatch, three_cpus):
@@ -991,7 +1030,7 @@ def test_results_file_header_is_pinned(tmp_path):
     assert ",".join(RESULTS_COLUMNS) == header
     spec = _tiny_spec(tmp_path, scenarios=["ss"], methods=["nnpu_ss"], seeds=[0])
     run_grid(spec)
-    assert open(spec.out).read().splitlines()[:2] == [RESULTS_TAG, header]
+    assert Path(spec.out).read_text().splitlines()[:2] == [RESULTS_TAG, header]
 
 
 _RESULTS_PREAMBLE = RESULTS_TAG + "\n" + ",".join(RESULTS_COLUMNS) + "\n"
@@ -1020,6 +1059,38 @@ def test_malformed_files_name_the_file_and_line(tmp_path, loader, text, line):
     p.write_text(text)
     with pytest.raises(FormatError, match=re.escape(f"{p}: line {line}:")):
         loader(p)
+
+
+@pytest.mark.parametrize(
+    "loader, data",
+    [
+        (load_csv, b"f0,y\xe9\n0.5,1\n"),
+        # a bad byte past the first 8 KiB block the text reader decodes
+        (load_csv, b"f0,y\n" + b"0.5,1\n" * 5000 + b"0.\xe9,1\n"),
+        (functools.partial(load_pu_csv, pi=0.5), b"f0,s\n0.5,1\n0.\xe9,-1\n"),
+        (load_results, (_RESULTS_PREAMBLE + _GOOD_RESULT).encode() + b"g\xe9,ss\n"),
+        (load_grid_config, b'{"datasets": [{"name": "g\xe9"}]}'),
+        (load_trace, _TRACE_HEADER.encode() + b"0,0.1,0.2,0.3,0.05,0.25,\xe9\n"),
+    ],
+    ids=["csv-header", "csv-body", "pu-csv", "results", "grid-config", "trace"],
+)
+def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, loader, data):
+    p = tmp_path / "file"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: not UTF-8 text (byte 0xe9: ")):
+        loader(p)
+
+
+def test_report_and_grid_refuse_a_results_file_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    out.write_bytes((_RESULTS_PREAMBLE + _GOOD_RESULT).encode() + b"g\xe9,ss\n")
+    assert cli_dispatch(["report", "--results", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8 text")
+    argv = ["grid", "--seeds", "0", "--c-values", "0.3", "--epochs", "1", "--n", "100",
+            "--out", str(out), "--quiet"]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8 text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]  # the lock is gone
 
 
 # ---------------------------------------------------------------------------
@@ -1206,6 +1277,16 @@ def test_emit_report_text_is_pinned(tmp_path, capsys, metric, text):
     p.write_text(_RESULTS_PREAMBLE + _REPORT_ROWS)
     assert emit_report(p, metric=metric) == text
     assert capsys.readouterr().err == "warning: 1 error rows skipped\n"
+
+
+def test_report_defaults_to_accuracy(tmp_path, capsys):
+    # the claim and the tables it is read from are in accuracy
+    p = tmp_path / "r.csv"
+    p.write_text(_RESULTS_PREAMBLE + _REPORT_ROWS)
+    assert emit_report(p) == _REPORT_ACCURACY
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--results", str(p)]) == 0
+    assert capsys.readouterr().out == _REPORT_ACCURACY
 
 
 def test_emit_report_validates_arguments(tmp_path):
@@ -1499,7 +1580,7 @@ def test_cli_synth_and_sample_and_train(tmp_path, capsys):
     assert cli_dispatch(
         ["synth", "--n", "100", "--pi", "0.5", "--seed", "2", "--out", test_csv]
     ) == 0
-    assert len(open(labeled).read().splitlines()) == 301
+    assert len(Path(labeled).read_text().splitlines()) == 301
 
     pu_csv = str(tmp_path / "pu.csv")
     assert cli_dispatch(
