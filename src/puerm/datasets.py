@@ -2,7 +2,8 @@
 
 CSV schema (UTF-8, comma separated, ``.`` decimal point, LF line endings):
 a header row with feature columns ``f0..f{d-1}`` holding float64 text,
-an optional ``y`` column and an optional ``s`` column, both in {-1, 1}.
+an optional ``y`` column and an optional ``s`` column, both in {-1, 1},
+each column named once.
 Floats are written with 17 significant digits so a save/load round trip
 reproduces every value bit for bit.
 
@@ -235,13 +236,16 @@ def _feature_header(d: int) -> list[str]:
 @contextlib.contextmanager
 def _open_text(path):
     """``path`` open as UTF-8 text, line ends as they are (for ``csv``); a
-    byte that is not UTF-8 raises ``FormatError`` naming the file."""
+    byte that is not UTF-8, or a ``csv.Error`` such as a cell over the
+    module's field size limit, raises ``FormatError`` naming the file."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FormatError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV: {exc}") from None
 
 
 def _write_atomically(path, lines) -> None:
@@ -343,6 +347,9 @@ def _read_columns(path, want_y: bool, want_s: bool):
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file, expected a header row") from None
+        if len(set(header)) < len(header):
+            twice = next(name for i, name in enumerate(header) if name in header[:i])
+            raise FormatError(f"{path}: column {twice!r} appears more than once in the header")
         feat_names = [h for h in header if h not in ("y", "s")]
         d = len(feat_names)
         if feat_names != _feature_header(d):

@@ -2,10 +2,11 @@
 
 A grid is the cross product (dataset x scenario x method x c x seed), and
 one ``Cell`` is one point of it. A cell's key is its five coordinates as
-text (``_result_key``, the only code that formats them); the cell's 64-bit
-seed, its trace file name, the resume check and its results row all read
-that key. The seed hashes it, so the cell's data, corruption,
-initialization and shuffling never depend on which other cells exist.
+text (``_result_key``, the only code that formats and checks them, for a
+grid's cells and a results file's rows alike); the cell's 64-bit seed, its
+trace file name, the resume check and its results row all read that key.
+The seed hashes it, so the cell's data, corruption, initialization and
+shuffling never depend on which other cells exist.
 Results append to a CSV (first line is a format tag) as soon as each cell
 finishes; re-running the same grid skips cells already present, which
 makes interrupted runs resumable and full reruns byte-identical. A run
@@ -121,11 +122,9 @@ class GridSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        # a rule of the code a cell runs is checked by that code
-        for method in self.methods:
-            replace(self.trainer, method=method)
-        for seed in self.seeds:
-            _check_count("seed", seed)
+        # a cell's coordinates are checked by _result_key, its other rules by their owners
+        for cell in iter_cells(self):
+            _result_key(cell)
         _check_network([1, *self.hidden_dims, 1], self.activation)
         if self.n < 10:
             raise ParameterError(f"per-run budget n must be >= 10, got {self.n}")
@@ -137,16 +136,9 @@ class GridSpec:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError("test_fraction must be in (0, 1)")
-        for c in self.c_values:
-            # c = 1 leaves a case-control cell no unlabeled rows, whatever its pi
-            if not is_real(c) or not 0.0 < c <= 1.0 or c == 1.0 and SCENARIO_CC in self.scenarios:
-                raise ParameterError(
-                    "c values must be numbers in (0, 1], below 1 with the case-control "
-                    f"scenario, got {c!r}"
-                )
         # each cell's sampler config, a case-control one where its source's pi is known
         for source, scenario, c in itertools.product(self.datasets, self.scenarios, self.c_values):
-            if _check_scenario(scenario) == SCENARIO_SS:
+            if scenario == SCENARIO_SS:
                 ScarConfig(c=c, n=self.n)
             elif source.pi is not None:
                 CaseControlConfig(c=c, pi=source.pi, n=self.n)
@@ -177,8 +169,7 @@ class ExperimentResult:
     trace_path: str = ""
 
     def __post_init__(self):
-        _check_scenario(self.scenario)
-        TrainerConfig(method=self.method)  # the owner of the method rule
+        _result_key(self)  # a row obeys the rules of the cell it records
         for name in REPORT_METRICS:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
@@ -210,8 +201,14 @@ class Cell(NamedTuple):
 
 def _result_key(x: Cell | ExperimentResult) -> tuple[str, str, str, str, str]:
     """The key of a cell or result: (dataset, scenario, method, c, seed) as
-    the results file writes them, c in shortest round-trip decimal form."""
-    return (x.dataset, x.scenario, x.method, repr(float(x.c)), str(_check_count("seed", x.seed)))
+    the results file writes them, c in shortest round-trip decimal form. The
+    one check of these coordinates, for a grid's cells and a results file's rows."""
+    scenario, c = _check_scenario(x.scenario), x.c
+    TrainerConfig(method=x.method)  # the owner of the method rule
+    # c = 1 leaves a case-control cell no unlabeled rows, whatever its pi
+    if not is_real(c) or not 0.0 < c <= 1.0 or c == 1.0 and scenario == SCENARIO_CC:
+        raise ParameterError(f"c must be a number in (0, 1], below 1 under scenario cc, got {c!r}")
+    return (x.dataset, scenario, x.method, repr(float(c)), str(_check_count("seed", x.seed)))
 
 
 def cell_seed(cell: Cell) -> int:
@@ -274,7 +271,8 @@ def iter_cells(spec: GridSpec):
 
 
 def load_results(path) -> tuple[list[ExperimentResult], int]:
-    """(parsed result rows, number of error-marker rows) from a results CSV."""
+    """(parsed result rows, number of error-marker rows) from a results CSV;
+    a row that breaks a rule of the cell it records is a FormatError."""
     results: list[ExperimentResult] = []
     n_errors = 0
     with _open_text(path) as fh:

@@ -3,6 +3,7 @@
 import builtins
 import csv
 import errno
+import functools
 import hashlib
 import itertools
 import math
@@ -418,6 +419,25 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     path.write_text("f0,y\n0.5,1\n0.25\n")
     with pytest.raises(FormatError):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "load, text, column",
+    [
+        (load_csv, "f0,y,y\n0.5,1,-1\n", "y"),  # numpy's parser would read the body
+        (load_csv, 'f0,y,y\n"0.5",1,-1\n', "y"),  # the csv.reader loop would
+        (functools.partial(load_pu_csv, pi=0.5), "f0,s,y,s\n0.5,1,1,-1\n", "s"),
+        (load_csv, "f0,f0,y\n0.5,0.5,1\n", "f0"),
+    ],
+    ids=["numpy-path", "csv-reader-path", "pu-s", "feature"],
+)
+def test_a_header_that_names_a_column_twice_is_a_format_error(tmp_path, load, text, column):
+    # which copy a reader took would otherwise be its choice, not the file's
+    path = tmp_path / "twice.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: column {column!r} appears more than once in the header"
 
 
 # Every finite float64, -0.0, subnormals and +-max included.

@@ -41,7 +41,7 @@ from puerm.harness import (
     run_self_checks,
     summarize,
 )
-from puerm.model import grad_check, init
+from puerm.model import forward, grad_check, init
 from puerm.numerics import Rng
 from puerm.risk import risk_components
 from puerm.sampling import case_control_sizes, corrupt
@@ -252,9 +252,10 @@ def test_a_grid_refuses_what_its_cells_code_refuses_in_the_same_words(tmp_path, 
         lambda sc: risk_components([0.0], [True], 0.5, sc),
         lambda sc: corrupt(gaussian_mixture(4, 0.5, rng=Rng(0)), sc, 0.5, 2, Rng(1)),
         lambda sc: GridSpec(datasets=[DatasetSource(name="g")], scenarios=[sc]),
+        lambda sc: cell_seed(Cell(DatasetSource(name="g"), sc, "nnpu_ss", 0.5, 0)),
         lambda sc: ExperimentResult("g", sc, "nnpu_ss", 0.5, 0, 50.0, 50.0, 50.0, 50.0),
     ],
-    ids=["PUDataset", "risk_components", "corrupt", "GridSpec", "ExperimentResult"],
+    ids=["PUDataset", "risk_components", "corrupt", "GridSpec", "cell_seed", "ExperimentResult"],
 )
 def test_every_reader_of_a_scenario_refuses_an_unknown_one_alike(build):
     with pytest.raises(ParameterError, match=r"^(scenario|mode) must be one of \('ss', 'cc'\), "
@@ -266,9 +267,10 @@ def test_every_reader_of_a_scenario_refuses_an_unknown_one_alike(build):
     "build",
     [
         lambda m: TrainerConfig(method=m),
+        lambda m: cell_seed(Cell(DatasetSource(name="g"), "ss", m, 0.5, 0)),
         lambda m: ExperimentResult("g", "ss", m, 0.5, 0, 50.0, 50.0, 50.0, 50.0),
     ],
-    ids=["TrainerConfig", "ExperimentResult"],
+    ids=["TrainerConfig", "cell_seed", "ExperimentResult"],
 )
 def test_every_reader_of_a_method_refuses_an_unknown_one_alike(build):
     with pytest.raises(ParameterError) as err:
@@ -276,6 +278,52 @@ def test_every_reader_of_a_method_refuses_an_unknown_one_alike(build):
     assert str(err.value) == (
         "method must be one of ('nnpu_ss', 'nnpu_cc', 'upu_ss', 'upu_cc'), got 'svm'"
     )
+
+
+# Each reader of one cell's (scenario, c, seed): a grid of that one point, the
+# cell's seed and a results row that records it.
+CELL_READERS = {
+    "GridSpec": lambda sc, c, seed: GridSpec(
+        datasets=[DatasetSource(name="g")], scenarios=[sc], c_values=[c], seeds=[seed]
+    ),
+    "cell_seed": lambda sc, c, seed: cell_seed(
+        Cell(DatasetSource(name="g"), sc, "nnpu_ss", c, seed)
+    ),
+    "ExperimentResult": lambda sc, c, seed: ExperimentResult(
+        "g", sc, "nnpu_ss", c, seed, 50.0, 50.0, 50.0, 50.0
+    ),
+}
+
+
+def _refusals(scenario, c, seed):
+    """{reader: the words it refuses the cell in}; ParameterError only."""
+    words = {}
+    for name, build in CELL_READERS.items():
+        with pytest.raises(ParameterError) as err:
+            build(scenario, c, seed)
+        words[name] = str(err.value)
+    return words
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_every_reader_of_a_seed_refuses_a_bad_one_alike(seed):
+    want = f"seed must be an integer >= 0, got {seed!r}"
+    assert _refusals("ss", 0.5, seed) == dict.fromkeys(CELL_READERS, want)
+    for build in CELL_READERS.values():
+        build("ss", 0.5, 3)
+
+
+@pytest.mark.parametrize(
+    "scenario, c",
+    [("ss", math.nan), ("ss", 0.0), ("ss", -0.5), ("ss", 7.0), ("ss", "0.5"), ("ss", True),
+     ("cc", 1.0)],
+    ids=["nan", "zero", "negative", "above-1", "text", "bool", "cc-at-1"],
+)
+def test_every_reader_of_c_refuses_a_bad_one_alike(scenario, c):
+    want = f"c must be a number in (0, 1], below 1 under scenario cc, got {c!r}"
+    assert _refusals(scenario, c, 0) == dict.fromkeys(CELL_READERS, want)
+    for build in CELL_READERS.values():
+        build("ss", 1.0, 0)  # c = 1 leaves a single-sample cell its negatives unlabeled
 
 
 def test_a_case_control_budget_its_cells_would_refuse_is_refused_up_front(tmp_path, capsys):
@@ -1061,6 +1109,40 @@ def test_malformed_files_name_the_file_and_line(tmp_path, loader, text, line):
         loader(p)
 
 
+# results rows whose coordinates no grid cell could have, and the words
+# every reader of a cell's coordinates refuses them in
+_BAD_COORDINATE_ROWS = {
+    "seed-negative": ("g,ss,nnpu_ss,0.5,-1,90.0,80.0,70.0,75.0,", "seed must be an integer"),
+    "c-nan": ("g,ss,nnpu_ss,nan,0,90.0,80.0,70.0,75.0,", "c must be a number in (0, 1]"),
+    "c-zero": ("g,ss,nnpu_ss,0,0,90.0,80.0,70.0,75.0,", "c must be a number in (0, 1]"),
+    "c-above-1": ("g,ss,nnpu_ss,7.0,0,90.0,80.0,70.0,75.0,", "c must be a number in (0, 1]"),
+    "cc-c-1": ("g,cc,nnpu_cc,1.0,0,90.0,80.0,70.0,75.0,", "below 1 under scenario cc"),
+}
+
+
+@pytest.mark.parametrize(
+    "row, words", _BAD_COORDINATE_ROWS.values(), ids=_BAD_COORDINATE_ROWS
+)
+def test_a_results_row_no_cell_could_write_is_refused_naming_file_and_line(
+    tmp_path, capsys, row, words
+):
+    out = tmp_path / "r.csv"
+    out.write_text(_RESULTS_PREAMBLE + _GOOD_RESULT + row + "\n")
+    before = out.read_bytes()
+    where = re.escape(f"{out}: line 4: ")
+    with pytest.raises(FormatError, match=f"^{where}.*{re.escape(words)}"):
+        load_results(out)
+    assert cli_dispatch(["report", "--results", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.match(f"error: {where}.*{re.escape(words)}", captured.err)
+    assert captured.out == ""
+    # a resume reads the file before it runs a cell
+    with pytest.raises(FormatError, match=f"^{where}.*{re.escape(words)}"):
+        run_grid(_tiny_spec(tmp_path, out=str(out)))
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]  # the lock is gone
+
+
 @pytest.mark.parametrize(
     "loader, data",
     [
@@ -1079,6 +1161,52 @@ def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(tmp_path, loader, d
     p.write_bytes(data)
     with pytest.raises(FormatError, match=re.escape(f"{p}: not UTF-8 text (byte 0xe9: ")):
         loader(p)
+
+
+# a quoted cell longer than the csv module's default field size limit, 131,072
+_HUGE_CELL = '"' + "1" * 140_000 + '"'
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_csv, f"f0,y\n0.5,1\n{_HUGE_CELL},1\n"),
+        (functools.partial(load_pu_csv, pi=0.5), f"f0,s\n{_HUGE_CELL},1\n"),
+        (load_results, _RESULTS_PREAMBLE + f"g,ss,nnpu_ss,0.5,1,1,1,1,1,{_HUGE_CELL}\n"),
+        (load_trace, _TRACE_HEADER + f"0,0.1,0.2,0.3,0.05,0.25,{_HUGE_CELL}\n"),
+    ],
+    ids=["csv", "pu-csv", "results", "trace"],
+)
+def test_a_cell_over_the_csv_field_limit_is_a_format_error_naming_the_file(
+    tmp_path, loader, text
+):
+    p = tmp_path / "file.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: malformed CSV: field larger")):
+        loader(p)
+
+
+def test_a_csv_source_over_the_field_limit_fails_each_cell_alike_on_any_cpus(
+    tmp_path, monkeypatch, capsys
+):
+    source = tmp_path / "rows.csv"
+    source.write_text(f"f0,y\n{_HUGE_CELL},1\n")
+    runs = []
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        spec = _csv_grid(tmp_path, source, out=str(tmp_path / f"r{cpus}.csv"))
+        assert run_grid(spec) == []
+        runs.append(Path(spec.out).read_bytes())
+    assert runs[1] == runs[0]
+    rows = runs[0].decode().splitlines()[2:]
+    assert len(rows) == 4
+    assert all(f"error: {source}: malformed CSV: field larger" in row for row in rows)
+    assert cli_dispatch(["report", "--results", str(tmp_path / "r1.csv")]) == 0
+    assert capsys.readouterr().err == "warning: 4 error rows skipped\nwarning: no results\n"
+    big = tmp_path / "big_results.csv"
+    big.write_text(_RESULTS_PREAMBLE + f"g,ss,nnpu_ss,0.5,1,1,1,1,1,{_HUGE_CELL}\n")
+    assert cli_dispatch(["report", "--results", str(big)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {big}: malformed CSV: field larger")
 
 
 def test_report_and_grid_refuse_a_results_file_that_is_not_utf8(tmp_path, capsys):
@@ -1649,6 +1777,38 @@ def test_cli_train_defaults_are_trainer_config_defaults():
     assert {k: getattr(args, k) for k in asdict(TrainerConfig())} == asdict(
         TrainerConfig()
     )
+
+
+def test_a_grid_without_hidden_layers_trains_the_linear_scorer(tmp_path, monkeypatch, one_cpu):
+    # hidden_dims: [] is the linear scorer g(x) = w.x + b
+    scored = []
+    evaluate = harness.evaluate
+
+    def recording_evaluate(model, test):
+        scored.append((model, test.x))
+        return evaluate(model, test)
+
+    monkeypatch.setattr(harness, "evaluate", recording_evaluate)
+    doc = {"datasets": [{"name": "g2", "dim": 2}], "hidden_dims": [], "c_values": [0.3, 0.7],
+           "seeds": [0, 1], "n": 100, "trainer": {"epochs": 2, "batch_size": 50},
+           "out": str(tmp_path / "r.csv")}
+    results = run_grid(parse_grid_config(doc))
+    assert len(results) == len(scored) == 16
+    assert load_results(tmp_path / "r.csv") == (results, 0)
+    for model, x in scored:
+        assert model.layer_dims == [2, 1]
+        (w,), (b,) = model.weights, model.biases
+        assert forward(model, x).tobytes() == (np.dot(x, w.T) + b).ravel().tobytes()
+
+
+def test_cli_train_with_an_empty_hidden_list_saves_a_linear_model(tmp_path):
+    labeled, pu = str(tmp_path / "labeled.csv"), str(tmp_path / "pu.csv")
+    cli_dispatch(["synth", "--n", "100", "--pi", "0.5", "--dim", "3", "--out", labeled])
+    cli_dispatch(["sample", "--scenario", "ss", "--c", "0.5", "--in", labeled, "--out", pu])
+    argv = ["train", "--in", pu, "--epochs", "1", "--hidden", "", "--model-out",
+            str(tmp_path / "m.json")]
+    assert cli_dispatch(argv) == 0
+    assert load_model(tmp_path / "m.json").layer_dims == [3, 1]
 
 
 def test_cli_sample_prints_scenario_name(tmp_path, capsys):

@@ -21,7 +21,7 @@ from puerm.errors import DataError, FormatError, ParameterError, ShapeError, Tra
 from puerm.model import MLPModel, backward, forward, forward_pass, grad_check, init
 from puerm.numerics import Rng
 from puerm.risk import LOGISTIC, LossSpec, get_loss, nnpu_risk, risk_components
-from puerm.sampling import ScarConfig, scar_label
+from puerm.sampling import CaseControlConfig, ScarConfig, case_control_sample, scar_label
 from puerm.trainer import (
     METHODS,
     OPTIMIZERS,
@@ -286,6 +286,24 @@ def test_training_is_deterministic():
     for wa, wb in zip(runs[0][0].weights, runs[1][0].weights):
         assert np.array_equal(wa, wb)
     assert runs[0][1] == runs[1][1]
+
+
+def test_a_shorter_run_traces_the_first_epochs_of_a_longer_one():
+    # no schedule and a shuffle that depends only on the seed and the epoch:
+    # one long run serves every shorter training budget
+    pool = gaussian_mixture(800, 0.5, rng=Rng(21))
+    pu = case_control_sample(pool, CaseControlConfig(c=0.9, pi=0.5, n=200), Rng(22))
+    test = gaussian_mixture(100, 0.5, rng=Rng(23))
+    runs = []
+    for epochs in (3, 7):
+        cfg = TrainerConfig(method="nnpu_ss", epochs=epochs, batch_size=50, seed=24)
+        _, traces = train(pu, cfg, init([1, 8, 1], "relu", Rng(25)), test)
+        # float.hex: equal text is equal bits, -0.0 included
+        runs.append([[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(t)]
+                     for t in traces])
+    short, long = runs
+    assert len(short) == 3 and len(long) == 7
+    assert short == long[:3]
 
 
 def test_divergence_raises_naming_epoch_and_batch():
