@@ -236,16 +236,28 @@ def _feature_header(d: int) -> list[str]:
 @contextlib.contextmanager
 def _open_text(path):
     """``path`` open as UTF-8 text, line ends as they are (for ``csv``); a
-    byte that is not UTF-8, or a ``csv.Error`` such as a cell over the
-    module's field size limit, raises ``FormatError`` naming the file."""
+    byte that is not UTF-8 raises ``FormatError`` naming the file."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FormatError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}: malformed CSV: {exc}") from None
+
+
+@contextlib.contextmanager
+def _open_csv(path, skip: int = 0):
+    """(text file, ``csv.reader`` over it) of ``path`` as ``_open_text``
+    opens it, for a caller that reads ``skip`` lines before the reader's
+    first. A ``csv.Error``, such as a cell over the module's field size
+    limit, raises ``FormatError`` naming the file and line."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield fh, reader
+        except csv.Error as exc:
+            line = skip + reader.line_num
+            raise FormatError(f"{path}: line {line}: malformed CSV: {exc}") from None
 
 
 def _write_atomically(path, lines) -> None:
@@ -341,8 +353,7 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
 
 def _read_columns(path, want_y: bool, want_s: bool):
     """(x, y or None, s or None) from a file in the package CSV schema."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as (_, reader):
         try:
             header = next(reader)
         except StopIteration:

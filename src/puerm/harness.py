@@ -9,10 +9,12 @@ The seed hashes it, so the cell's data, corruption, initialization and
 shuffling never depend on which other cells exist.
 Results append to a CSV (first line is a format tag) as soon as each cell
 finishes; re-running the same grid skips cells already present, which
-makes interrupted runs resumable and full reruns byte-identical. A run
-spreads its cells over this process and forked workers, one per usable
-CPU, and writes their rows in cell order, so the process count changes
-no output byte.
+makes interrupted runs resumable and full reruns byte-identical.
+
+One runner (``_spread``) spreads a grid's cells and the self-checks alike
+over this process and forked workers, one process per usable CPU, each
+worker sending its outcomes down its own pipe; the results come back in
+task order, so the process count changes no output byte.
 
 Per-cell protocol: build the source data (synthetic draw, or CSV rows
 read once per process of a grid run), carve out a held-out labeled test
@@ -30,7 +32,9 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -43,6 +47,7 @@ from .datasets import (
     SCENARIOS,
     LabeledDataset,
     _check_scenario,
+    _open_csv,
     _open_text,
     _signs,
     gaussian_mixture,
@@ -74,14 +79,8 @@ class DatasetSource:
 
     def __post_init__(self):
         check_field_types(self)
-        # the name is part of each cell's trace file name
-        if self.name in ("", ".", "..") or any(
-            ch in self.name for ch in ("/", "\0", os.sep, os.altsep) if ch
-        ):
-            raise ParameterError(
-                f"dataset name {self.name!r} must not be empty, '.' or '..', "
-                "or hold a path separator or NUL"
-            )
+        # the cell key owns the name rule; any valid other coordinates do here
+        _result_key(Cell(self, SCENARIO_SS, "nnpu_ss", 0.5, 0))
         try:
             if self.kind not in ("synthetic", "csv"):
                 raise ParameterError(f"kind must be synthetic or csv, got {self.kind!r}")
@@ -202,7 +201,16 @@ class Cell(NamedTuple):
 def _result_key(x: Cell | ExperimentResult) -> tuple[str, str, str, str, str]:
     """The key of a cell or result: (dataset, scenario, method, c, seed) as
     the results file writes them, c in shortest round-trip decimal form. The
-    one check of these coordinates, for a grid's cells and a results file's rows."""
+    one check of these coordinates, for a grid's sources and cells and a
+    results file's rows."""
+    # the dataset name is part of each cell's trace file name
+    if x.dataset in ("", ".", "..") or any(
+        ch in x.dataset for ch in ("/", "\0", os.sep, os.altsep) if ch
+    ):
+        raise ParameterError(
+            f"dataset name {x.dataset!r} must not be empty, '.' or '..', "
+            "or hold a path separator or NUL"
+        )
     scenario, c = _check_scenario(x.scenario), x.c
     TrainerConfig(method=x.method)  # the owner of the method rule
     # c = 1 leaves a case-control cell no unlabeled rows, whatever its pi
@@ -275,14 +283,13 @@ def load_results(path) -> tuple[list[ExperimentResult], int]:
     a row that breaks a rule of the cell it records is a FormatError."""
     results: list[ExperimentResult] = []
     n_errors = 0
-    with _open_text(path) as fh:
+    with _open_csv(path, skip=2) as (fh, reader):  # the reader starts past the tag and header
         first = fh.readline().rstrip("\n")
         if first != RESULTS_TAG:
             raise FormatError(f"{path}: missing results format tag {RESULTS_TAG!r}")
         header = fh.readline().rstrip("\n")
         if header != ",".join(RESULTS_COLUMNS):
             raise FormatError(f"{path}: unexpected results header")
-        reader = csv.reader(fh)
         for row in reader:
             if not row:
                 continue
@@ -349,53 +356,70 @@ def _usable_cpus(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> int:
     return cpus
 
 
-def _worker_count(n_cells: int) -> int:
-    """Processes a run of ``n_cells`` cells uses: every usable CPU, capped at
-    ``n_cells``; 1 without fork."""
-    return max(1, min(_usable_cpus(), n_cells)) if hasattr(os, "fork") else 1
+def _worker_count(n_tasks: int) -> int:
+    """Processes a run of ``n_tasks`` tasks uses: every usable CPU, capped at
+    ``n_tasks``; 1 without fork."""
+    return max(1, min(_usable_cpus(), n_tasks)) if hasattr(os, "fork") else 1
 
 
-_worker_job = None  # (spec, cells to run, cached load) in a grid worker process
+def _outcome(task):
+    """(False, what ``task()`` returns) or (True, the Exception it raised)."""
+    try:
+        return False, task()
+    except Exception as exc:
+        return True, exc
 
 
-def _start_worker(spec: GridSpec, cells: list[Cell]) -> None:
-    global _worker_job
-    _worker_job = spec, cells, functools.cache(load_csv)
+def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
+    """Yield the outcome of each (name, task) of ``tasks``, in order: what
+    ``task()`` returns, or the exception it raised if that is one of
+    ``catch``; any other exception is raised here.
 
-
-def _worker_run(i: int) -> ExperimentResult:
-    spec, cells, load = _worker_job
-    return run_cell(cells[i], spec, load)
-
-
-def _outcomes(spec: GridSpec, cells: list[Cell], workers: int):
-    """Yield each cell's ``run_cell`` result, or the message of the PuermError
-    or OSError it raised, in ``cells`` order, from ``workers`` processes: this
-    one runs cell i when i % workers == 0, and a forked pool of workers - 1
-    the rest; with one process there is no pool. Each process reads a csv
-    source once. Closing the generator stops the pool."""
-    load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
-    futures, BrokenProcessPool = {}, ()  # no pool: the except below matches nothing
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
-                                       initializer=_start_worker, initargs=(spec, cells))
-            stack.callback(pool.shutdown, cancel_futures=True)
-            futures = {i: pool.submit(_worker_run, i) for i in range(len(cells)) if i % workers}
-        for i, cell in enumerate(cells):
-            try:
-                outcome = futures[i].result() if i % workers else run_cell(cell, spec, load)
-            except BrokenProcessPool:
-                raise PuermError(
-                    f"a worker process died before cell {_result_key(cell)} finished"
-                ) from None
-            except (PuermError, OSError) as exc:
-                outcome = str(exc)
-            yield outcome
+    With w = ``_worker_count(len(tasks))``, this process runs task i when
+    i % w == 0. Forked worker k runs the tasks i with i % w == k, in order,
+    and pickles each outcome down its own pipe; it leaves only through
+    ``os._exit``, so it runs no caller's cleanup. A worker that dies before
+    sending an outcome raises ``PuermError`` naming that task. The workers
+    start at the first read; closing the generator closes the pipes, which
+    stops each worker at its next send, and waits for every worker."""
+    workers = _worker_count(len(tasks))
+    pids, pipes = [], []
+    try:
+        for k in range(1, workers):
+            fd_in, fd_out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for pipe in pipes:  # a worker holds no other worker's pipe open
+                        pipe.close()
+                    os.close(fd_in)
+                    with open(fd_out, "wb") as out:
+                        for _, task in tasks[k::workers]:
+                            out.write(pickle.dumps(_outcome(task)))
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(fd_out)
+            pipes.append(open(fd_in, "rb"))
+        for i, (name, task) in enumerate(tasks):
+            if i % workers == 0:
+                raised, value = _outcome(task)
+            else:
+                try:
+                    raised, value = pickle.load(pipes[i % workers - 1])
+                except (EOFError, pickle.UnpicklingError):
+                    raise PuermError(f"a worker process died before {name} finished") from None
+            if raised and not isinstance(value, catch):
+                raise value
+            yield value
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
@@ -412,11 +436,11 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
     result after the error row, which stays as history.
 
     The cells to run are spread over one process per usable CPU, this one
-    included, and never more processes than cells (``_worker_count``); one
-    loop (``_outcomes``) serves any count, and one process starts no pool.
-    Rows and ``log`` lines are written here in cell order, so every output
-    byte is the same for any number of processes. A worker process that
-    dies raises ``PuermError``; the rows before the cell it left unfinished
+    included, and never more processes than cells (``_spread``); one
+    process forks none. Each process reads a csv source once. Rows and
+    ``log`` lines are written here in cell order, so every output byte is
+    the same for any number of processes. A worker process that dies
+    raises ``PuermError``; the rows before the cell it left unfinished
     stay, so a rerun resumes from that cell.
 
     The directory of ``spec.out`` is created if missing. One run writes a
@@ -440,9 +464,11 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
         fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
         done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
         cells = [cell for cell in iter_cells(spec) if _result_key(cell) not in done]
-        workers = _worker_count(len(cells))
+        load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
+        tasks = [(f"cell {_result_key(cell)}", functools.partial(run_cell, cell, spec, load))
+                 for cell in cells]
         results: list[ExperimentResult] = []
-        outcomes = _outcomes(spec, cells, workers)  # starts no process until read
+        outcomes = _spread(tasks, catch=(PuermError, OSError))  # forks at the first read
         with open(spec.out, "a", encoding="utf-8", newline="") as fh, contextlib.closing(outcomes):
             if fresh:
                 fh.write(RESULTS_TAG + "\n")
@@ -451,7 +477,7 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
             writer = csv.writer(fh, lineterminator="\n")
             for cell, r in zip(cells, outcomes):
                 key = _result_key(cell)
-                if isinstance(r, str):
+                if isinstance(r, Exception):
                     writer.writerow([*key, "", "", "", "", f"error: {r}"])
                     fh.flush()
                     if log:
@@ -589,6 +615,12 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
     identity, finite-difference gradient verification on both update
     branches, and the closed-form sampler proportions.
 
+    The checks run through ``_spread``, on every usable CPU. Their shared
+    inputs (the suite stream's two draws, the gradient objective and the
+    sampler pool) are made here before any fork, and every other draw comes
+    from a check's own substream, so the list is the same for any process
+    count.
+
     The sampler checks draw from a 400,000-row pool of labels plus one
     all-zero feature column. The proportions read only labels, and the
     labels are the ones ``gaussian_mixture`` would draw first from the same
@@ -596,87 +628,69 @@ def run_self_checks() -> list[tuple[str, bool, str]]:
     400,000 unread features. Both samplers still gather the rows, and the
     zero column takes no resident pages until they do.
     """
-    checks: list[tuple[str, bool, str]] = []
     rng = Rng(20240817)
-
-    # Regrouped single-sample estimator equals the pooled form.
-    worst = 0.0
-    for i in range(100):
-        r = rng.child(i)
-        n_l = 1 + int(r.uniform(1)[0] * 63)
-        n_u = int(r.uniform(1)[0] * 448)
-        gl = r.normal(n_l, sd=3.0)
-        gu = r.normal(n_u, sd=3.0)
-        pi = 0.05 + 0.9 * r.uniform(1)[0]
-        labeled = np.arange(n_l + n_u) < n_l
-        g = np.concatenate([gl, gu])
-        a = risk.risk_components(g, labeled, pi, SCENARIO_SS, grad=False).unbiased()[0]
-        b = risk.empirical_risk_ss_regrouped(gl, gu, pi)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    checks.append(
-        (
-            "single-sample estimator regrouping identity",
-            worst < 1e-12,
-            f"max relative difference {worst:.3e} over 100 batches (tol 1e-12)",
-        )
-    )
-
-    # Logistic margin identity l(s) - l(-s) = -s.
     margins = (rng.uniform(1000) - 0.5) * 100.0
-    err = np.abs(
-        risk.loss_logistic(margins) - risk.loss_logistic(-margins) + margins
-    ).max()
-    checks.append(
-        (
-            "logistic margin identity",
-            err < 1e-10,
-            f"max absolute error {err:.3e} over 1000 margins (tol 1e-10)",
-        )
-    )
-
-    # Gradient checks, both branches of both modes, in one sweep per activation.
     x = rng.normal(12, sd=1.5).reshape(6, 2)
     s = np.array([1, 1, -1, -1, -1, -1])
     branches = [(mode, surrogate) for mode in SCENARIOS for surrogate in (False, True)]
     obj = batch_objective(x, s, 0.5, risk.LOGISTIC, branches)
-    for k, (activation, tol) in enumerate((("tanh", 1e-6), ("relu", 1e-4))):
+    n = 200000
+    # the labels gaussian_mixture(2 * n, 0.5, rng=rng.child(2000)) draws first
+    labels = _signs(rng.child(2000).bernoulli(0.5, 2 * n))
+    pool = LabeledDataset(np.zeros((2 * n, 1)), labels, 0.5)
+
+    def regrouping():
+        """The regrouped single-sample estimator equals the pooled form."""
+        worst = 0.0
+        for i in range(100):
+            r = rng.child(i)
+            n_l = 1 + int(r.uniform(1)[0] * 63)
+            n_u = int(r.uniform(1)[0] * 448)
+            gl = r.normal(n_l, sd=3.0)
+            gu = r.normal(n_u, sd=3.0)
+            pi = 0.05 + 0.9 * r.uniform(1)[0]
+            labeled = np.arange(n_l + n_u) < n_l
+            g = np.concatenate([gl, gu])
+            a = risk.risk_components(g, labeled, pi, SCENARIO_SS, grad=False).unbiased()[0]
+            b = risk.empirical_risk_ss_regrouped(gl, gu, pi)
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+        return ("single-sample estimator regrouping identity", worst < 1e-12,
+                f"max relative difference {worst:.3e} over 100 batches (tol 1e-12)")
+
+    def margin_identity():
+        """l(s) - l(-s) = -s for the logistic loss."""
+        err = np.abs(risk.loss_logistic(margins) - risk.loss_logistic(-margins) + margins).max()
+        return ("logistic margin identity", err < 1e-10,
+                f"max absolute error {err:.3e} over 1000 margins (tol 1e-10)")
+
+    def gradient(k, activation, tol):
+        """Both branches of both modes, in one sweep."""
         m = init([2, 8, 8, 1], activation, rng.child(1000 + k))
         if activation == "relu":
             for b in m.biases[:-1]:
                 b += 0.05  # keep pre-activations away from the kink
         worst = grad_check(m, obj, h=1e-5)
-        checks.append(
-            (
-                f"gradient check ({activation})",
-                worst < tol,
-                f"max relative error {worst:.3e} (tol {tol:g})",
-            )
-        )
+        return (f"gradient check ({activation})", worst < tol,
+                f"max relative error {worst:.3e} (tol {tol:g})")
 
-    # Sampler proportions against the closed forms.
-    n = 200000
-    # the labels gaussian_mixture(2 * n, 0.5, rng=rng.child(2000)) draws first
-    labels = _signs(rng.child(2000).bernoulli(0.5, 2 * n))
-    pool = LabeledDataset(np.zeros((2 * n, 1)), labels, 0.5)
+    def mix(stream, c, scenario, label, want, shown):
+        """A sampler's unlabeled positive fraction against its closed form."""
+        pu = corrupt(pool, scenario, c, n, rng.child(stream))
+        # unlabeled positives are the rows with y_true = +1 > s = -1
+        n_unl = pu.n - pu.n_labeled
+        frac = float(np.count_nonzero(pu.y_true > pu.s) / n_unl)
+        sigma = math.sqrt(want * (1.0 - want) / n_unl)
+        return (f"{label} unlabeled mix (c={c})", abs(frac - want) <= 3.0 * sigma,
+                f"fraction {frac:.5f} vs {shown} (3 sigma = {3 * sigma:.5f})")
+
+    checks = [regrouping, margin_identity, functools.partial(gradient, 0, "tanh", 1e-6),
+              functools.partial(gradient, 1, "relu", 1e-4)]
     for j, c in enumerate((0.1, 0.5, 0.9)):
         target = unlabeled_positive_fraction_ss(0.5, c)
-        for k, (scenario, label, want, shown) in enumerate(
-            (
-                (SCENARIO_SS, "single-sample", target, f"{target:.5f}"),
-                (SCENARIO_CC, "case-control", 0.5, "0.5"),
-            )
-        ):
-            pu = corrupt(pool, scenario, c, n, rng.child(2100 + 100 * k + j))
-            # unlabeled positives are the rows with y_true = +1 > s = -1
-            n_unl = pu.n - pu.n_labeled
-            frac = float(np.count_nonzero(pu.y_true > pu.s) / n_unl)
-            sigma = math.sqrt(want * (1.0 - want) / n_unl)
-            del pu  # free this draw before the next one runs
-            checks.append(
-                (
-                    f"{label} unlabeled mix (c={c})",
-                    abs(frac - want) <= 3.0 * sigma,
-                    f"fraction {frac:.5f} vs {shown} (3 sigma = {3 * sigma:.5f})",
-                )
-            )
-    return checks
+        checks += [
+            functools.partial(mix, 2100 + j, c, SCENARIO_SS, "single-sample", target,
+                              f"{target:.5f}"),
+            functools.partial(mix, 2200 + j, c, SCENARIO_CC, "case-control", 0.5, "0.5"),
+        ]
+    return list(_spread([(f"self-check {i + 1} of {len(checks)}", check)
+                         for i, check in enumerate(checks)]))

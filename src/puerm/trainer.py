@@ -41,7 +41,7 @@ from operator import attrgetter
 import numpy as np
 
 from .datasets import (
-    SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _as_labels, _open_text,
+    SCENARIO_CC, SCENARIO_SS, LabeledDataset, PUDataset, _as_labels, _open_csv,
     _write_atomically,
 )
 from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError
@@ -290,8 +290,7 @@ def save_trace(traces, path) -> None:
 
 
 def load_trace(path) -> list[EpochTrace]:
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as (_, reader):
         header = next(reader, None)
         if header != list(TRACE_COLUMNS):
             raise FormatError(f"{path}: unexpected trace header {header}")

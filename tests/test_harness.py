@@ -811,7 +811,7 @@ def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             run_grid(spec)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
-        assert multiprocessing.active_children() == []
+        assert _no_child_process()
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +821,15 @@ def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
 def _use_cpus(monkeypatch, n):
     """Let a run use up to ``n`` processes, however many CPUs the host has."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
+def _no_child_process() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.fixture
@@ -1001,6 +1010,29 @@ def test_each_process_loads_a_csv_source_once(tmp_path, monkeypatch, three_cpus)
     assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
+def test_spread_yields_outcomes_in_task_order_and_raises_what_it_does_not_catch(three_cpus):
+    def fails(exc):
+        raise exc
+
+    tasks = [(f"task {i}", functools.partial(pow, i, 2)) for i in range(7)]
+    # task 4 runs in a worker, whose exception comes back through its pipe
+    tasks[4] = ("task 4", functools.partial(fails, OSError(2, "gone", "f.csv")))
+    out = list(harness._spread(tasks, catch=(OSError,)))
+    assert out[:4] == [0, 1, 4, 9]
+    assert out[5:] == [25, 36]
+    assert type(out[4]) is FileNotFoundError
+    assert str(out[4]) == "[Errno 2] gone: 'f.csv'"
+    assert _no_child_process()
+    with pytest.raises(FileNotFoundError, match="gone"):
+        list(harness._spread(tasks))
+    assert _no_child_process()
+    # a caller that stops early leaves no worker behind
+    outcomes = harness._spread(tasks, catch=(OSError,))
+    assert next(outcomes) == 0
+    outcomes.close()
+    assert _no_child_process()
+
+
 def test_a_one_process_run_imports_no_pool_modules(tmp_path):
     # the pool modules cost memory, and puerm check never runs a grid
     code = (
@@ -1117,6 +1149,8 @@ _BAD_COORDINATE_ROWS = {
     "c-zero": ("g,ss,nnpu_ss,0,0,90.0,80.0,70.0,75.0,", "c must be a number in (0, 1]"),
     "c-above-1": ("g,ss,nnpu_ss,7.0,0,90.0,80.0,70.0,75.0,", "c must be a number in (0, 1]"),
     "cc-c-1": ("g,cc,nnpu_cc,1.0,0,90.0,80.0,70.0,75.0,", "below 1 under scenario cc"),
+    "dataset-empty": (",ss,nnpu_ss,0.5,0,90.0,80.0,70.0,75.0,", "dataset name '' must not"),
+    "dataset-path": ("../x,ss,nnpu_ss,0.5,0,90.0,80.0,70.0,75.0,", "dataset name '../x' must not"),
 }
 
 
@@ -1168,21 +1202,24 @@ _HUGE_CELL = '"' + "1" * 140_000 + '"'
 
 
 @pytest.mark.parametrize(
-    "loader, text",
+    "loader, text, line",
     [
-        (load_csv, f"f0,y\n0.5,1\n{_HUGE_CELL},1\n"),
-        (functools.partial(load_pu_csv, pi=0.5), f"f0,s\n{_HUGE_CELL},1\n"),
-        (load_results, _RESULTS_PREAMBLE + f"g,ss,nnpu_ss,0.5,1,1,1,1,1,{_HUGE_CELL}\n"),
-        (load_trace, _TRACE_HEADER + f"0,0.1,0.2,0.3,0.05,0.25,{_HUGE_CELL}\n"),
+        (load_csv, f"f0,y\n0.5,1\n{_HUGE_CELL},1\n", 3),
+        (functools.partial(load_pu_csv, pi=0.5), f"f0,s\n{_HUGE_CELL},1\n", 2),
+        (load_results, _RESULTS_PREAMBLE + f"g,ss,nnpu_ss,0.5,1,1,1,1,1,{_HUGE_CELL}\n", 3),
+        (load_trace, _TRACE_HEADER + f"0,0.1,0.2,0.3,0.05,0.25,{_HUGE_CELL}\n", 2),
+        (load_csv, f"f0,{_HUGE_CELL}\n0.5,1\n", 1),
     ],
-    ids=["csv", "pu-csv", "results", "trace"],
+    ids=["csv", "pu-csv", "results", "trace", "csv-header"],
 )
 def test_a_cell_over_the_csv_field_limit_is_a_format_error_naming_the_file(
-    tmp_path, loader, text
+    tmp_path, loader, text, line
 ):
     p = tmp_path / "file.csv"
     p.write_text(text)
-    with pytest.raises(FormatError, match=re.escape(f"{p}: malformed CSV: field larger")):
+    with pytest.raises(
+        FormatError, match=re.escape(f"{p}: line {line}: malformed CSV: field larger")
+    ):
         loader(p)
 
 
@@ -1200,13 +1237,15 @@ def test_a_csv_source_over_the_field_limit_fails_each_cell_alike_on_any_cpus(
     assert runs[1] == runs[0]
     rows = runs[0].decode().splitlines()[2:]
     assert len(rows) == 4
-    assert all(f"error: {source}: malformed CSV: field larger" in row for row in rows)
+    assert all(f"error: {source}: line 2: malformed CSV: field larger" in row for row in rows)
     assert cli_dispatch(["report", "--results", str(tmp_path / "r1.csv")]) == 0
     assert capsys.readouterr().err == "warning: 4 error rows skipped\nwarning: no results\n"
     big = tmp_path / "big_results.csv"
     big.write_text(_RESULTS_PREAMBLE + f"g,ss,nnpu_ss,0.5,1,1,1,1,1,{_HUGE_CELL}\n")
     assert cli_dispatch(["report", "--results", str(big)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {big}: malformed CSV: field larger")
+    assert capsys.readouterr().err.startswith(
+        f"error: {big}: line 3: malformed CSV: field larger"
+    )
 
 
 def test_report_and_grid_refuse_a_results_file_that_is_not_utf8(tmp_path, capsys):
@@ -1627,13 +1666,44 @@ def test_self_checks_all_pass():
         assert ok, f"self check failed: {name}: {detail}"
 
 
+def test_self_checks_are_the_same_on_any_cpus(monkeypatch):
+    runs = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        runs.append(run_self_checks())
+        assert _no_child_process()
+    assert len(runs[0]) == 10
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_a_worker_that_dies_during_check_is_an_error(monkeypatch, capsys):
+    _use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return corrupt(*args)
+
+    monkeypatch.setattr(harness, "corrupt", dies_in_a_worker)
+    # the worker runs the even-numbered checks; the sixth is its first draw
+    died = "a worker process died before self-check 6 of 10 finished"
+    with pytest.raises(PuermError, match=f"^{died}$"):
+        run_self_checks()
+    assert _no_child_process()
+    assert cli_dispatch(["check"]) == 1
+    assert capsys.readouterr() == ("", f"error: {died}\n")
+    assert _no_child_process()
+
+
 def test_self_checks_hold_at_most_17_mib():
     # the 400,000-row pool, then one 200,000-row PU draw at a time
     _, peak = peak_traced_bytes(run_self_checks)
     assert peak <= 17 * 2**20
 
 
-def test_self_checks_draw_no_features_for_the_sampler_pool(monkeypatch):
+def test_self_checks_draw_no_features_for_the_sampler_pool(monkeypatch, one_cpu):
     # the proportions read only labels, so the 400,000-row pool draws no
     # Gaussian features; the other checks draw 26,275 normals in all
     drawn = []
@@ -1662,7 +1732,7 @@ def test_self_check_sampler_lines_are_pinned():
     ]
 
 
-def test_self_check_gradient_sweep_equals_the_single_branch_sweeps(monkeypatch):
+def test_self_check_gradient_sweep_equals_the_single_branch_sweeps(monkeypatch, one_cpu):
     built, compared = [], []
 
     def recording_objective(*args):
