@@ -34,6 +34,7 @@ import math
 import os
 import pickle
 import sys
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -79,8 +80,7 @@ class DatasetSource:
 
     def __post_init__(self):
         check_field_types(self)
-        # the cell key owns the name rule; any valid other coordinates do here
-        _result_key(Cell(self, SCENARIO_SS, "nnpu_ss", 0.5, 0))
+        _check_dataset_name(self.name)
         try:
             if self.kind not in ("synthetic", "csv"):
                 raise ParameterError(f"kind must be synthetic or csv, got {self.kind!r}")
@@ -198,19 +198,21 @@ class Cell(NamedTuple):
         return self.source.name
 
 
+def _check_dataset_name(name: str) -> None:
+    """A dataset name is part of each of its cells' trace file names."""
+    if name in ("", ".", "..") or any(ch in name for ch in ("/", "\0", os.sep, os.altsep) if ch):
+        raise ParameterError(
+            f"dataset name {name!r} must not be empty, '.' or '..', "
+            "or hold a path separator or NUL"
+        )
+
+
 def _result_key(x: Cell | ExperimentResult) -> tuple[str, str, str, str, str]:
     """The key of a cell or result: (dataset, scenario, method, c, seed) as
     the results file writes them, c in shortest round-trip decimal form. The
-    one check of these coordinates, for a grid's sources and cells and a
-    results file's rows."""
-    # the dataset name is part of each cell's trace file name
-    if x.dataset in ("", ".", "..") or any(
-        ch in x.dataset for ch in ("/", "\0", os.sep, os.altsep) if ch
-    ):
-        raise ParameterError(
-            f"dataset name {x.dataset!r} must not be empty, '.' or '..', "
-            "or hold a path separator or NUL"
-        )
+    one check of these coordinates, for a grid's cells and a results
+    file's rows; a source checks its name alone with ``_check_dataset_name``."""
+    _check_dataset_name(x.dataset)
     scenario, c = _check_scenario(x.scenario), x.c
     TrainerConfig(method=x.method)  # the owner of the method rule
     # c = 1 leaves a case-control cell no unlabeled rows, whatever its pi
@@ -362,12 +364,30 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(_usable_cpus(), n_tasks)) if hasattr(os, "fork") else 1
 
 
-def _outcome(task):
-    """(False, what ``task()`` returns) or (True, the Exception it raised)."""
+def _outcome(task, forked=False):
+    """(False, what ``task()`` returns) or (True, the Exception it raised).
+
+    A ``forked`` one carries its traceback in a note (Python 3.11 on), which
+    pickling keeps and ``str`` leaves out."""
     try:
         return False, task()
     except Exception as exc:
+        if forked and hasattr(exc, "add_note"):
+            exc.add_note("raised in a worker process:\n" + traceback.format_exc())
         return True, exc
+
+
+def _send(out, name: str, task) -> None:
+    """Pickle the outcome of ``task`` down the pipe ``out``; an outcome that
+    cannot be pickled is sent as the exception that says so."""
+    try:
+        data = pickle.dumps(_outcome(task, forked=True))
+    except Exception as exc:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"while sending the outcome of {name} from a worker process")
+        data = pickle.dumps((True, exc))
+    out.write(data)
+    out.flush()
 
 
 def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
@@ -377,7 +397,8 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
 
     With w = ``_worker_count(len(tasks))``, this process runs task i when
     i % w == 0. Forked worker k runs the tasks i with i % w == k, in order,
-    and pickles each outcome down its own pipe; it leaves only through
+    and pickles each outcome down its own pipe, an exception with its
+    traceback as a note (``_outcome``); it leaves only through
     ``os._exit``, so it runs no caller's cleanup. A worker that dies before
     sending an outcome raises ``PuermError`` naming that task. The workers
     start at the first read; closing the generator closes the pipes, which
@@ -395,9 +416,8 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
                         pipe.close()
                     os.close(fd_in)
                     with open(fd_out, "wb") as out:
-                        for _, task in tasks[k::workers]:
-                            out.write(pickle.dumps(_outcome(task)))
-                            out.flush()
+                        for name, task in tasks[k::workers]:
+                            _send(out, name, task)
                     status = 0
                 finally:
                     os._exit(status)

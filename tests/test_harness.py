@@ -4,7 +4,6 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -946,7 +945,7 @@ def test_run_grid_leaves_no_process_and_the_parent_removes_the_lock(
     monkeypatch.setattr(os, "unlink", recording_unlink)
     spec = _tiny_spec(tmp_path)
     assert len(run_grid(spec)) == 16
-    assert multiprocessing.active_children() == []
+    assert _no_child_process()
     assert not os.path.exists(f"{spec.out}.lock")
     assert unlinks.read_text() == f"{os.getpid()}\n"
 
@@ -968,7 +967,7 @@ def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys):
     died = f"a worker process died before cell {harness._result_key(cells[1])} finished"
     with pytest.raises(PuermError, match=re.escape(died)):
         run_grid(spec)
-    assert multiprocessing.active_children() == []
+    assert _no_child_process()
     assert not os.path.exists(f"{spec.out}.lock")
     assert [harness._result_key(r) for r in load_results(spec.out)[0]] == [
         harness._result_key(cells[0])
@@ -977,7 +976,7 @@ def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys):
             "--out", str(tmp_path / "cli.csv"), "--quiet"]
     assert cli_dispatch(argv) == 1
     assert capsys.readouterr().err.startswith("error: a worker process died before cell ")
-    assert multiprocessing.active_children() == []
+    assert _no_child_process()
 
     # a rerun resumes from the dead worker's cell and ends as a serial run does
     monkeypatch.setattr(harness, "run_cell", run_cell)
@@ -1030,6 +1029,28 @@ def test_spread_yields_outcomes_in_task_order_and_raises_what_it_does_not_catch(
     outcomes = harness._spread(tasks, catch=(OSError,))
     assert next(outcomes) == 0
     outcomes.close()
+    assert _no_child_process()
+
+
+def test_a_worker_sends_its_traceback_and_says_which_outcome_it_could_not_send(three_cpus):
+    def fails():
+        raise ValueError("bad")
+
+    tasks = [(f"task {i}", functools.partial(pow, i, 2)) for i in range(7)]
+    tasks[4] = ("task 4", fails)  # run by a worker
+    with pytest.raises(ValueError) as info:
+        list(harness._spread(tasks))
+    assert str(info.value) == "bad"  # the note, which names the line, is no part of it
+    if sys.version_info >= (3, 11):
+        assert "in fails" in "".join(info.value.__notes__)
+    assert _no_child_process()
+    # a local function cannot be pickled; the worker sends the error that says so
+    tasks[4] = ("task 4", lambda: fails)
+    with pytest.raises(Exception) as info:
+        list(harness._spread(tasks))
+    assert not isinstance(info.value, PuermError)
+    if sys.version_info >= (3, 11):
+        assert "while sending the outcome of task 4" in "".join(info.value.__notes__)
     assert _no_child_process()
 
 
@@ -1697,7 +1718,7 @@ def test_a_worker_that_dies_during_check_is_an_error(monkeypatch, capsys):
     assert _no_child_process()
 
 
-def test_self_checks_hold_at_most_17_mib():
+def test_self_checks_hold_at_most_17_mib(one_cpu):
     # the 400,000-row pool, then one 200,000-row PU draw at a time
     _, peak = peak_traced_bytes(run_self_checks)
     assert peak <= 17 * 2**20
