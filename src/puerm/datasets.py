@@ -16,7 +16,10 @@ A file in the plain form ``save_csv`` writes is read by numpy's C parser
 with no ``"`` and no CR, then a non-empty body of only the bytes
 ``0-9 + - . e E , LF`` with no blank line. Any other file, and any file
 that parser refuses or reads to a non-finite feature, goes to the
-``csv.reader`` path. Both paths parse a float with the same C routine
+``csv.reader`` path.
+Row blocks are formatted, and ``_PLAIN_CHUNK``-byte ranges of a plain
+body parsed, on every usable CPU (``spread._spread``); the ``csv.reader``
+path runs in one process. Both paths parse a float with the same C routine
 CPython's ``float`` uses, so the arrays and errors never depend on the
 path. The ``csv.reader`` path is one loop over the rows: it checks each
 row's cell count, parses each feature with ``float``, looks up each label
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import itertools
 import math
 import os
@@ -51,6 +56,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
 from .numerics import Rng, _check_count, _check_finite, _check_pi, _check_sd, as_matrix
+from .spread import _spread
 
 # The two ways a PU sample can be drawn: single-sample and case-control.
 SCENARIO_SS = "ss"
@@ -288,6 +294,9 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
 
     LabeledDataset emits feature columns plus ``y``; PUDataset emits
     features, ``y`` when ground truth is present, and ``s``.
+
+    Each block is one task of ``_spread``, written here in order as the
+    blocks come back; a file of one block forks nothing.
     """
     if isinstance(dataset, PUDataset):
         labels = {"y": dataset.y_true, "s": dataset.s}
@@ -301,13 +310,16 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     row = ",".join([_FLOAT_FMT] * d + ["{:d}"] * len(labels)) + "\n"
     columns = [*dataset.x.T, *labels.values()]
 
-    def blocks():
-        yield header
-        for i in range(0, dataset.n, _SAVE_BLOCK):
-            cells = [col[i:i + _SAVE_BLOCK].tolist() for col in columns]
-            yield "".join(itertools.starmap(row.format, zip(*cells)))
+    def block(i):
+        cells = [col[i:i + _SAVE_BLOCK].tolist() for col in columns]
+        return "".join(itertools.starmap(row.format, zip(*cells)))
 
-    _write_atomically(path, blocks())
+    n = dataset.n
+    tasks = [(f"rows {i + 1}-{min(i + _SAVE_BLOCK, n)} of {path}", functools.partial(block, i))
+             for i in range(0, n, _SAVE_BLOCK)]
+    # closing: a write that fails stops the workers before it raises
+    with contextlib.closing(_spread(tasks)) as blocks:
+        _write_atomically(path, itertools.chain([header], blocks))
 
 
 def _read_plain(path, n_cols, feat_cols, label_cols):
@@ -316,39 +328,62 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
     refuses it, it does not read to one row of ``n_cols`` columns per
     line or a feature reads as non-finite. ``feat_cols`` lists the
     feature columns in order and ``label_cols`` maps each label name to
-    its column."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        # no body, or one that starts with a blank line: np.loadtxt warns
-        # on a body of blank lines
-        if b'"' in head or b"\r" in head or fh.peek(1)[:1] in (b"", b"\n"):
+    its column.
+
+    Each range of about ``_PLAIN_CHUNK`` bytes of the body, ending at a
+    line end, is one task of ``_spread``; the parts are joined in order,
+    and a refused range refuses the file. One range forks nothing."""
+    converters = {j: _LABEL_CELLS.__getitem__ for j in label_cols.values()}
+
+    def part(fh, start, end):
+        """(x, [labels per label column]) of the body bytes [start, end), or None."""
+        if hasattr(os, "pread"):  # the workers share the file offset of fh
+            data = os.pread(fh.fileno(), end - start, start)
+        else:  # no fork either, so this process reads every range
+            fh.seek(start)
+            data = fh.read(end - start)
+        # a range that starts with a blank line may hold no row, and
+        # np.loadtxt warns on that
+        if data.startswith(b"\n") or data.translate(None, _PLAIN_BYTES):
             return None
-        body_start = fh.tell()
-        lines, last = 0, b""
-        while chunk := fh.read(_PLAIN_CHUNK):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
-            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            last = chunk
-        lines += not last.endswith(b"\n")
-        fh.seek(body_start)
-        # A file handle, not the path, which np.loadtxt would open by its
-        # suffix (.gz, a URL); an explicit encoding hands the converters str
-        # on every numpy >= 1.24.
-        converters = {j: _LABEL_CELLS.__getitem__ for j in label_cols.values()}
+        lines = data.count(b"\n") + (not data.endswith(b"\n"))
         try:
+            # an explicit encoding hands the converters str on every numpy >= 1.24
             a = np.loadtxt(
-                fh, delimiter=",", comments=None, converters=converters,
+                io.BytesIO(data), delimiter=",", comments=None, converters=converters,
                 ndmin=2, encoding="utf-8",
             )
         except (ValueError, KeyError):
             return None
-    if a.shape != (lines, n_cols):  # np.loadtxt skips blank lines
+        if a.shape != (lines, n_cols):  # np.loadtxt skips blank lines
+            return None
+        x = a[:, feat_cols]
+        if not np.isfinite(x).all():
+            return None
+        return x, [a[:, j].astype(np.int64) for j in label_cols.values()]
+
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if b'"' in head or b"\r" in head:
+            return None
+        ranges = []
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        while start < size:
+            fh.seek(min(start + _PLAIN_CHUNK, size) - 1)
+            fh.readline()  # on to the end of the line that holds that byte
+            ranges.append((start, fh.tell()))
+            start = fh.tell()
+        tasks = [(f"bytes {a}-{b} of {path}", functools.partial(part, fh, a, b)) for a, b in ranges]
+        parts = []
+        with contextlib.closing(_spread(tasks)) as outcomes:
+            for p in outcomes:
+                if p is None:
+                    return None
+                parts.append(p)
+    if not parts:  # no body
         return None
-    x = a[:, feat_cols]
-    if not np.isfinite(x).all():
-        return None
-    return x, {name: a[:, j].astype(np.int64) for name, j in label_cols.items()}
+    labels = zip(label_cols, zip(*(ls for _, ls in parts)))
+    return np.concatenate([x for x, _ in parts]), {n: np.concatenate(ls) for n, ls in labels}
 
 
 def _read_columns(path, want_y: bool, want_s: bool):

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _no_child_process, _use_cpus
 from oracles import peak_traced_bytes
-from puerm import datasets
+from puerm import datasets, spread
 from puerm.datasets import (
     SCENARIO_SS,
     LabeledDataset,
@@ -325,25 +326,45 @@ def _one_shot_csv(dataset) -> bytes:
     return (header + "".join(itertools.starmap(row.format, zip(*columns)))).encode()
 
 
-def test_save_csv_in_blocks_writes_the_one_shot_bytes(tmp_path):
+def test_save_csv_in_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch):
     b = datasets._SAVE_BLOCK
     path = tmp_path / "d.csv"
-    for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
-        ds = gaussian_mixture(n, 0.5, dim=2, rng=Rng(n))
-        pu = PUDataset(x=ds.x, s=np.where(np.arange(n) % 3 == 0, ds.y, -1), y_true=ds.y,
-                       pi=0.5, scenario=SCENARIO_SS, c=0.5)
-        bare = PUDataset(x=ds.x, s=pu.s, y_true=None, pi=0.5, scenario=SCENARIO_SS, c=0.5)
-        for dataset in (ds, pu, bare):
-            save_csv(dataset, path)
-            assert path.read_bytes() == _one_shot_csv(dataset)
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 3, 4 * b + 1):
+            ds = gaussian_mixture(n, 0.5, dim=2, rng=Rng(n))
+            pu = PUDataset(x=ds.x, s=np.where(np.arange(n) % 3 == 0, ds.y, -1), y_true=ds.y,
+                           pi=0.5, scenario=SCENARIO_SS, c=0.5)
+            bare = PUDataset(x=ds.x, s=pu.s, y_true=None, pi=0.5, scenario=SCENARIO_SS, c=0.5)
+            for dataset in (ds, pu, bare):
+                save_csv(dataset, path)
+                assert path.read_bytes() == _one_shot_csv(dataset)
+        assert _no_child_process()
 
 
 @pytest.mark.parametrize("n", [20_000, 60_000])
-def test_save_csv_holds_a_bounded_amount_of_text(tmp_path, n):
-    # one block of text at a time, whatever the size of the file
+def test_save_csv_holds_a_bounded_amount_of_text(tmp_path, monkeypatch, n):
+    # about two blocks of text at a time, whatever the size of the file and
+    # however many processes format them
     ds = gaussian_mixture(n, 0.5, dim=10, rng=Rng(1))
-    _, peak = peak_traced_bytes(lambda: save_csv(ds, tmp_path / "d.csv"))
-    assert peak <= 3 * 2**20
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        _, peak = peak_traced_bytes(lambda: save_csv(ds, tmp_path / "d.csv"))
+        assert peak <= 3 * 2**20
+
+
+def test_small_csv_and_trace_files_fork_nothing(tmp_path, monkeypatch, three_cpus):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = tmp_path / "d.csv"
+    ds = gaussian_mixture(datasets._SAVE_BLOCK, 0.5, dim=2, rng=Rng(5))  # one block
+    save_csv(ds, path)
+    assert path.stat().st_size <= datasets._PLAIN_CHUNK  # one read range
+    assert load_csv(path).x.tobytes() == ds.x.tobytes()
+    save_trace([EpochTrace(e, 0.1, 0.2, 0.3, 0.05, 0.25, 0.5) for e in range(20)],
+               tmp_path / "trace.csv")
 
 
 def test_pu_csv_empirical_prior_fallback(tmp_path):
@@ -603,7 +624,9 @@ def test_save_csv_files_take_the_numpy_path(tmp_path, monkeypatch):
 
 # The characters of a plain-form cell, and text that may throw a reader off.
 _PLAIN_CELL_CHARS = "0123456789+-.eE"
-_AWKWARD_TEXT = ['"', "\r", "\r\n", " ", "\t", "_", "nan", "inf", "#", "x", "\u00e9", ",", "\n", "\n\n"]
+# "\udce9" is written as the byte 0xe9, which is not UTF-8 (surrogateescape).
+_AWKWARD_TEXT = ['"', "\r", "\r\n", " ", "\t", "_", "nan", "inf", "#", "x", "\u00e9", "\udce9", ",",
+                 "\n", "\n\n"]
 
 
 def _cells(column):
@@ -648,17 +671,29 @@ def _load_outcomes(path):
 
 @pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
 @settings(max_examples=300, deadline=None)
-@given(_csv_texts(), st.sampled_from([1, 2, 5, datasets._PLAIN_CHUNK]))
-@example("f0,y\n1.5,1\n\n-2,-1\n", 1)
-@example("f0,y\n1.5,1\n\n-2,-1\n", 5)
-def test_both_readers_give_the_same_arrays_or_errors(text, chunk):
-    with tempfile.TemporaryDirectory() as where, mock.patch.object(datasets, "_PLAIN_CHUNK", chunk):
+@given(_csv_texts(), st.sampled_from([1, 2, 5, datasets._PLAIN_CHUNK]), st.sampled_from([1, 3]))
+@example("f0,y\n1.5,1\n\n-2,-1\n", 1, 1)
+@example("f0,y\n1.5,1\n\n-2,-1\n", 5, 3)
+@example("f0,y\n1.5,1\n-2,-1\n\n", 2, 3)  # a last range of one blank line
+@example("f0,y\n1.5,1\n-2,-1\n-2,-1", 1, 3)  # no line end after the last row
+@example("f0,y\n1.5,1\n-2,-1\n\udce9,1\n", 1, 3)  # not UTF-8 in the last range
+@example("f0,y\n1.5,1\n-2,-1\n-2,\"1\"\n", 1, 3)
+@example("f0,y\n1.5,1\r\n-2,-1\n", 5, 3)
+def test_both_readers_give_the_same_arrays_or_errors(text, chunk, cpus):
+    # with a range of a few bytes, on up to 3 processes, awkward text falls at
+    # or next to a cut between two ranges
+    with (
+        tempfile.TemporaryDirectory() as where,
+        mock.patch.object(datasets, "_PLAIN_CHUNK", chunk),
+        mock.patch.object(spread, "_usable_cpus", lambda: cpus),
+    ):
         path = os.path.join(where, "d.csv")
         with open(path, "wb") as fh:
-            fh.write(text.encode())
+            fh.write(text.encode("utf-8", "surrogateescape"))
         numpy_first = _load_outcomes(path)
         with mock.patch.object(datasets, "_read_plain", lambda *args: None):
             assert _load_outcomes(path) == numpy_first
+    assert _no_child_process()
 
 
 def test_csv_spanning_several_blocks(tmp_path):
@@ -753,6 +788,29 @@ def test_save_csv_failing_midway_leaves_the_old_file(tmp_path, monkeypatch):
     )
     with pytest.raises(OSError):
         save_csv(gaussian_mixture(40, 0.5, rng=Rng(12)), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["d.csv"]
+
+
+@pytest.mark.parametrize("budget_blocks", [0, 2.5])
+def test_save_csv_failing_midway_on_several_processes_leaves_the_old_file(
+    tmp_path, monkeypatch, three_cpus, budget_blocks
+):
+    # the disk fills up in the first block, or in one a worker formatted
+    path = tmp_path / "d.csv"
+    n = 4 * datasets._SAVE_BLOCK + 5
+    save_csv(gaussian_mixture(n, 0.5, rng=Rng(11)), path)
+    before = path.read_bytes()
+    block_chars = len(before) * datasets._SAVE_BLOCK // n
+    monkeypatch.setattr(_DiskFillsUp, "BUDGET", 100 + int(budget_blocks * block_chars))
+    monkeypatch.setattr(
+        datasets, "open", lambda *a, **k: _DiskFillsUp(builtins.open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError) as err:
+        save_csv(gaussian_mixture(n, 0.5, rng=Rng(12)), path)
+    # the workers are gone while the error, which holds the frames, is alive
+    assert _no_child_process()
+    assert err.value.errno == errno.ENOSPC
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["d.csv"]
 

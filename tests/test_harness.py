@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import _no_child_process, _use_cpus
 from oracles import load_model, peak_traced_bytes
-from puerm import harness
+from puerm import datasets, harness, spread
 from puerm.cli import cli_dispatch
 from puerm.datasets import (
     SCENARIOS, PUDataset, gaussian_mixture, load_csv, load_pu_csv, save_csv,
@@ -817,31 +818,6 @@ def test_run_grid_removes_its_lock_when_a_cell_raises(tmp_path, monkeypatch):
 # cells on several processes
 
 
-def _use_cpus(monkeypatch, n):
-    """Let a run use up to ``n`` processes, however many CPUs the host has."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
-
-
-def _no_child_process() -> bool:
-    """Whether this process has no child process, running or unreaped."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """Run every cell in this process, where a monkeypatch sees its calls."""
-    _use_cpus(monkeypatch, 1)
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    _use_cpus(monkeypatch, 3)
-
-
 @pytest.fixture
 def cgroup_files(tmp_path, monkeypatch):
     """(usable, own, root): ``_usable_cpus`` on a faked 64-CPU affinity set,
@@ -850,7 +826,7 @@ def cgroup_files(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     own, root = tmp_path / "cgroup", tmp_path / "fs"
     root.mkdir()
-    return functools.partial(harness._usable_cpus, str(root), str(own)), own, root
+    return functools.partial(spread._usable_cpus, str(root), str(own)), own, root
 
 
 def test_usable_cpus_are_the_affinity_set_cut_to_the_cgroup_quota(cgroup_files):
@@ -889,7 +865,7 @@ def test_usable_cpus_take_the_smallest_quota_of_the_process_cgroups(cgroup_files
 
 
 def test_worker_count_is_capped_at_the_usable_cpus_and_the_cells(monkeypatch, three_cpus):
-    count = harness._worker_count
+    count = spread._worker_count
     assert count(100) == 3  # every usable CPU
     assert count(2) == 2
     assert count(0) == count(1) == 1
@@ -1016,20 +992,59 @@ def test_spread_yields_outcomes_in_task_order_and_raises_what_it_does_not_catch(
     tasks = [(f"task {i}", functools.partial(pow, i, 2)) for i in range(7)]
     # task 4 runs in a worker, whose exception comes back through its pipe
     tasks[4] = ("task 4", functools.partial(fails, OSError(2, "gone", "f.csv")))
-    out = list(harness._spread(tasks, catch=(OSError,)))
+    out = list(spread._spread(tasks, catch=(OSError,)))
     assert out[:4] == [0, 1, 4, 9]
     assert out[5:] == [25, 36]
     assert type(out[4]) is FileNotFoundError
     assert str(out[4]) == "[Errno 2] gone: 'f.csv'"
     assert _no_child_process()
     with pytest.raises(FileNotFoundError, match="gone"):
-        list(harness._spread(tasks))
+        list(spread._spread(tasks))
     assert _no_child_process()
     # a caller that stops early leaves no worker behind
-    outcomes = harness._spread(tasks, catch=(OSError,))
+    outcomes = spread._spread(tasks, catch=(OSError,))
     assert next(outcomes) == 0
     outcomes.close()
     assert _no_child_process()
+
+
+def test_a_process_running_tasks_of_spread_forks_no_more_workers(three_cpus):
+    # the parent runs tasks 0 and 3, the workers the others
+    tasks = [(f"task {i}", functools.partial(spread._worker_count, 100)) for i in range(6)]
+    assert list(spread._spread(tasks)) == [1] * 6
+    assert spread._worker_count(100) == 3  # and again once the run is over
+    assert _no_child_process()
+
+
+def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    # several ranges, which a grid's process reads itself: no worker forks
+    monkeypatch.setattr(datasets, "_PLAIN_CHUNK", 512)
+    assert path.stat().st_size > 4 * 512
+    fork, forks = os.fork, tmp_path / "forks"
+
+    def recording_fork():
+        with open(forks, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    runs = []
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        where = tmp_path / f"w{cpus}"
+        where.mkdir()
+        monkeypatch.chdir(where)  # relative paths: the same row text
+        run_grid(_csv_grid(where, path, out="results.csv", trace_dir="traces"))
+        assert _no_child_process()
+        traces = {p.name: p.read_bytes() for p in (where / "traces").iterdir()}
+        runs.append(((where / "results.csv").read_bytes(), traces))
+    assert runs[1] == runs[0]
+    assert len(runs[0][1]) == 4
+    assert forks.read_text() == f"{os.getpid()}\n" * 2  # the 3-CPU grid's two workers
 
 
 def test_a_worker_sends_its_traceback_and_says_which_outcome_it_could_not_send(three_cpus):
@@ -1039,7 +1054,7 @@ def test_a_worker_sends_its_traceback_and_says_which_outcome_it_could_not_send(t
     tasks = [(f"task {i}", functools.partial(pow, i, 2)) for i in range(7)]
     tasks[4] = ("task 4", fails)  # run by a worker
     with pytest.raises(ValueError) as info:
-        list(harness._spread(tasks))
+        list(spread._spread(tasks))
     assert str(info.value) == "bad"  # the note, which names the line, is no part of it
     if sys.version_info >= (3, 11):
         assert "in fails" in "".join(info.value.__notes__)
@@ -1047,7 +1062,7 @@ def test_a_worker_sends_its_traceback_and_says_which_outcome_it_could_not_send(t
     # a local function cannot be pickled; the worker sends the error that says so
     tasks[4] = ("task 4", lambda: fails)
     with pytest.raises(Exception) as info:
-        list(harness._spread(tasks))
+        list(spread._spread(tasks))
     assert not isinstance(info.value, PuermError)
     if sys.version_info >= (3, 11):
         assert "while sending the outcome of task 4" in "".join(info.value.__notes__)
