@@ -18,8 +18,9 @@ with no ``"`` and no CR, then a non-empty body of only the bytes
 that parser refuses or reads to a non-finite feature, goes to the
 ``csv.reader`` path.
 Row blocks are formatted, and ``_PLAIN_CHUNK``-byte ranges of a plain
-body parsed, on every usable CPU (``spread._spread``); the ``csv.reader``
-path runs in one process. Both paths parse a float with the same C routine
+body parsed, on every usable CPU (``spread._spread``), about
+``_SPREAD_BYTES`` of text or more to a process; the ``csv.reader`` path
+runs in one process. Both paths parse a float with the same C routine
 CPython's ``float`` uses, so the arrays and errors never depend on the
 path. The ``csv.reader`` path is one loop over the rows: it checks each
 row's cell count, parses each feature with ``float``, looks up each label
@@ -70,6 +71,10 @@ _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
 # The bytes a plain-form body may hold, and how many are checked at a time.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _PLAIN_CHUNK = 1 << 18
+# About the least CSV text a process of a save or read gets: below about
+# 1 MiB a process, a fork cost as much time as it saved, or more
+# (save_csv and load_csv at 1 and 10 features on 2 CPUs).
+_SPREAD_BYTES = 1 << 20
 
 
 def _check_scenario(scenario, name: str = "scenario") -> str:
@@ -296,7 +301,8 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     features, ``y`` when ground truth is present, and ``s``.
 
     Each block is one task of ``_spread``, written here in order as the
-    blocks come back; a file of one block forks nothing.
+    blocks come back. Each process gets about ``_SPREAD_BYTES`` of text or
+    more, so a file of less than about 1.5 MiB forks nothing.
     """
     if isinstance(dataset, PUDataset):
         labels = {"y": dataset.y_true, "s": dataset.s}
@@ -317,8 +323,10 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     n = dataset.n
     tasks = [(f"rows {i + 1}-{min(i + _SAVE_BLOCK, n)} of {path}", functools.partial(block, i))
              for i in range(0, n, _SAVE_BLOCK)]
+    # about 20 characters a feature cell and 3 a label cell
+    share = max(1, _SPREAD_BYTES // (_SAVE_BLOCK * (20 * d + 3 * len(labels))))
     # closing: a write that fails stops the workers before it raises
-    with contextlib.closing(_spread(tasks)) as blocks:
+    with contextlib.closing(_spread(tasks, share=share)) as blocks:
         _write_atomically(path, itertools.chain([header], blocks))
 
 
@@ -331,8 +339,10 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
     its column.
 
     Each range of about ``_PLAIN_CHUNK`` bytes of the body, ending at a
-    line end, is one task of ``_spread``; the parts are joined in order,
-    and a refused range refuses the file. One range forks nothing."""
+    line end, is one task of ``_spread``; the parts are copied into the
+    result in order, and a refused range refuses the file. Each process
+    gets ``_SPREAD_BYTES`` or more, so a body under about twice that forks
+    nothing."""
     converters = {j: _LABEL_CELLS.__getitem__ for j in label_cols.values()}
 
     def part(fh, start, end):
@@ -367,23 +377,40 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
         if b'"' in head or b"\r" in head:
             return None
         ranges = []
-        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        start = body
         while start < size:
             fh.seek(min(start + _PLAIN_CHUNK, size) - 1)
             fh.readline()  # on to the end of the line that holds that byte
             ranges.append((start, fh.tell()))
             start = fh.tell()
         tasks = [(f"bytes {a}-{b} of {path}", functools.partial(part, fh, a, b)) for a, b in ranges]
-        parts = []
-        with contextlib.closing(_spread(tasks)) as outcomes:
-            for p in outcomes:
+        # Each part is copied into place as it comes, so the parts and the
+        # whole are never held at once.
+        x = np.empty((0, len(feat_cols)))
+        labels = {name: np.empty(0, np.int64) for name in label_cols}
+        n = 0
+        share = max(1, _SPREAD_BYTES // _PLAIN_CHUNK)
+        with contextlib.closing(_spread(tasks, share=share)) as outcomes:
+            for (_, end), p in zip(ranges, outcomes):
                 if p is None:
                     return None
-                parts.append(p)
-    if not parts:  # no body
+                rows = len(p[0])
+                if n + rows > len(x):
+                    # room for the body at the rows per byte read so far, and
+                    # a range more
+                    room = (n + rows) * (size - body) // (end - body) + rows
+                    for whole in (x, *labels.values()):
+                        whole.resize((room, *whole.shape[1:]), refcheck=False)
+                x[n:n + rows] = p[0]
+                for whole, part_labels in zip(labels.values(), p[1]):
+                    whole[n:n + rows] = part_labels
+                n += rows
+    if n == 0:  # no body
         return None
-    labels = zip(label_cols, zip(*(ls for _, ls in parts)))
-    return np.concatenate([x for x, _ in parts]), {n: np.concatenate(ls) for n, ls in labels}
+    for whole in (x, *labels.values()):
+        whole.resize((n, *whole.shape[1:]), refcheck=False)
+    return x, labels
 
 
 def _read_columns(path, want_y: bool, want_s: bool):

@@ -50,12 +50,13 @@ def _usable_cpus(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> int:
     return cpus
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Processes a run of ``n_tasks`` tasks uses: every usable CPU, capped at
-    ``n_tasks``; 1 without fork or inside a ``_spread``."""
+def _worker_count(n_tasks: int, share: int = 1) -> int:
+    """Processes a run of ``n_tasks`` tasks uses: every usable CPU, capped so
+    that each process gets at least ``share`` tasks; 1 without fork or inside
+    a ``_spread``."""
     if _inside or not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cpus(), n_tasks))
+    return max(1, min(_usable_cpus(), n_tasks // share))
 
 
 def _outcome(task, forked=False):
@@ -84,15 +85,15 @@ def _send(out, name: str, task) -> None:
     out.flush()
 
 
-def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
+def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = (), share: int = 1):
     """Yield the outcome of each (name, task) of ``tasks``, in order: what
     ``task()`` returns, or the exception it raised if that is one of
     ``catch``; any other exception is raised here.
 
-    With w = ``_worker_count(len(tasks))``, this process runs task i when
-    i % w == 0. Forked worker k runs the tasks i with i % w == k, in order,
-    and pickles each outcome down its own pipe, an exception with its
-    traceback as a note (``_outcome``); it leaves only through
+    With w = ``_worker_count(len(tasks), share)``, this process runs task
+    i when i % w == 0. Forked worker k runs the tasks i with i % w == k, in
+    order, and pickles each outcome down its own pipe, an exception with
+    its traceback as a note (``_outcome``); it leaves only through
     ``os._exit``, so it runs no caller's cleanup. A worker that dies before
     sending an outcome raises ``PuermError`` naming that task. The workers
     start at the first read; closing the generator closes the pipes, which
@@ -102,7 +103,7 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = ()):
     tasks, sees w = 1 in any ``_spread`` a task starts, which then runs
     every task in that process."""
     global _inside
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(len(tasks), share)
     pids, pipes = [], []
     try:
         for k in range(1, workers):

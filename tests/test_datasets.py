@@ -329,6 +329,7 @@ def _one_shot_csv(dataset) -> bytes:
 def test_save_csv_in_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch):
     b = datasets._SAVE_BLOCK
     path = tmp_path / "d.csv"
+    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)  # a block a process
     for cpus in (1, 3):
         _use_cpus(monkeypatch, cpus)
         for n in (0, 1, b - 1, b, b + 1, 2 * b + 3, 4 * b + 1):
@@ -353,18 +354,31 @@ def test_save_csv_holds_a_bounded_amount_of_text(tmp_path, monkeypatch, n):
         assert peak <= 3 * 2**20
 
 
-def test_small_csv_and_trace_files_fork_nothing(tmp_path, monkeypatch, three_cpus):
-    def no_fork():
-        raise AssertionError("forked")
+def test_csv_files_fork_a_process_only_for_each_spread_size_of_text(
+    tmp_path, monkeypatch, three_cpus
+):
+    fork, forks = os.fork, []
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     path = tmp_path / "d.csv"
-    ds = gaussian_mixture(datasets._SAVE_BLOCK, 0.5, dim=2, rng=Rng(5))  # one block
-    save_csv(ds, path)
-    assert path.stat().st_size <= datasets._PLAIN_CHUNK  # one read range
-    assert load_csv(path).x.tobytes() == ds.x.tobytes()
-    save_trace([EpochTrace(e, 0.1, 0.2, 0.3, 0.05, 0.25, 0.5) for e in range(20)],
-               tmp_path / "trace.csv")
+    # several blocks and ranges, but under twice _SPREAD_BYTES: one process
+    small = gaussian_mixture(3 * datasets._SAVE_BLOCK, 0.5, dim=10, rng=Rng(5))
+    save_csv(small, path)
+    assert datasets._PLAIN_CHUNK < path.stat().st_size < 2 * datasets._SPREAD_BYTES
+    assert load_csv(path).x.tobytes() == small.x.tobytes()
+    assert forks == []
+    # over three times _SPREAD_BYTES: every usable CPU, to save and to read
+    large = gaussian_mixture(20_000, 0.5, dim=10, rng=Rng(6))
+    save_csv(large, path)
+    assert path.stat().st_size > 3 * datasets._SPREAD_BYTES
+    assert len(forks) == 2
+    assert load_csv(path).x.tobytes() == large.x.tobytes()
+    assert len(forks) == 4
+    assert _no_child_process()
 
 
 def test_pu_csv_empirical_prior_fallback(tmp_path):
@@ -685,6 +699,7 @@ def test_both_readers_give_the_same_arrays_or_errors(text, chunk, cpus):
     with (
         tempfile.TemporaryDirectory() as where,
         mock.patch.object(datasets, "_PLAIN_CHUNK", chunk),
+        mock.patch.object(datasets, "_SPREAD_BYTES", 0),  # a range a process
         mock.patch.object(spread, "_usable_cpus", lambda: cpus),
     ):
         path = os.path.join(where, "d.csv")
@@ -797,6 +812,7 @@ def test_save_csv_failing_midway_on_several_processes_leaves_the_old_file(
     tmp_path, monkeypatch, three_cpus, budget_blocks
 ):
     # the disk fills up in the first block, or in one a worker formatted
+    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)  # a block a process
     path = tmp_path / "d.csv"
     n = 4 * datasets._SAVE_BLOCK + 5
     save_csv(gaussian_mixture(n, 0.5, rng=Rng(11)), path)

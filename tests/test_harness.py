@@ -869,6 +869,10 @@ def test_worker_count_is_capped_at_the_usable_cpus_and_the_cells(monkeypatch, th
     assert count(100) == 3  # every usable CPU
     assert count(2) == 2
     assert count(0) == count(1) == 1
+    # at least `share` tasks a process
+    assert count(100, share=30) == 3
+    assert count(8, share=4) == 2
+    assert count(7, share=4) == count(3, share=4) == 1
     _use_cpus(monkeypatch, 10**6)
     assert count(100) == 100  # a count, not processes: nothing starts here
     monkeypatch.delattr(os, "fork")
@@ -1021,8 +1025,10 @@ def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
 ):
     path = tmp_path / "rows.csv"
     save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
-    # several ranges, which a grid's process reads itself: no worker forks
+    # several ranges, one a process, which a grid's process reads itself:
+    # no worker forks
     monkeypatch.setattr(datasets, "_PLAIN_CHUNK", 512)
+    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)
     assert path.stat().st_size > 4 * 512
     fork, forks = os.fork, tmp_path / "forks"
 
