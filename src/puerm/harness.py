@@ -16,14 +16,15 @@ A grid's cells and the self-checks run on every usable CPU through
 process count changes no output byte.
 
 Per-cell protocol: build the source data (synthetic draw, or CSV rows
-read once per process of a grid run), carve out a held-out labeled test
-set, corrupt the training side under the cell's scenario, train the
+that a grid run reads once, before the fork), carve out a held-out labeled
+test set, corrupt the training side under the cell's scenario, train the
 cell's method, then score hard predictions on the test set.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import functools
 import hashlib
@@ -54,7 +55,7 @@ from .datasets import (
 from .errors import FormatError, ParameterError, PuermError
 from .model import _check_network, grad_check, init
 from .numerics import Rng, _check_count, _check_pi, _check_sd, check_field_types, is_real
-from .sampling import CaseControlConfig, ScarConfig, corrupt, unlabeled_positive_fraction_ss
+from .sampling import CaseControlConfig, corrupt, unlabeled_positive_fraction_ss
 from .spread import _spread
 from .trainer import TrainerConfig, batch_objective, evaluate, save_trace, train
 
@@ -132,11 +133,9 @@ class GridSpec:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError("test_fraction must be in (0, 1)")
-        # each cell's sampler config, a case-control one where its source's pi is known
+        # each case-control cell's budget, where its source's pi is known
         for source, scenario, c in itertools.product(self.datasets, self.scenarios, self.c_values):
-            if scenario == SCENARIO_SS:
-                ScarConfig(c=c, n=self.n)
-            elif source.pi is not None:
+            if scenario == SCENARIO_CC and source.pi is not None:
                 CaseControlConfig(c=c, pi=source.pi, n=self.n)
         # an empty axis would run no cells, a repeated value the same cells
         # twice; a dataset counts by its name, which is part of its cells' keys
@@ -231,26 +230,29 @@ def cell_seed(cell: Cell) -> int:
 
 
 def _build_source_data(
-    source: DatasetSource, spec: GridSpec, rng: Rng, load
+    source: DatasetSource, spec: GridSpec, rng: Rng, rows
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """(training pool, held-out test set) for one cell; ``load`` as in ``run_cell``."""
+    """(training pool, held-out test set) for one cell; ``rows`` as in ``run_cell``."""
     if source.kind == "synthetic":
         test_n = max(1, round(spec.n * spec.test_fraction / (1.0 - spec.test_fraction)))
         args = (source.pi, source.mu_pos, source.mu_neg, source.sd, source.dim, rng)
         return gaussian_mixture(2 * spec.n, *args), gaussian_mixture(test_n, *args)
-    return train_test_split(load(source.path, source.pi), 1.0 - spec.test_fraction, rng)
+    if isinstance(rows, Exception):
+        raise copy.deepcopy(rows)  # a copy: a worker notes its traceback on each error it sends
+    rows = load_csv(source.path, source.pi) if rows is None else rows
+    return train_test_split(rows, 1.0 - spec.test_fraction, rng)
 
 
-def run_cell(cell: Cell, spec: GridSpec, load=load_csv) -> ExperimentResult:
+def run_cell(cell: Cell, spec: GridSpec, rows=None) -> ExperimentResult:
     """Execute one grid cell end to end and return its scores.
 
-    ``load(path, pi)`` reads the rows of a ``csv`` source; ``run_grid``
-    passes a cached ``load_csv``, so each process of a run reads a file once.
+    ``rows`` is a ``csv`` source's data as ``run_grid`` read it, or the
+    error the read raised, which is raised here; with None, the cell reads it.
     """
     source, scenario, method, c, seed = cell
     base = cell_seed(cell)
     root = Rng(base)
-    pool, test = _build_source_data(source, spec, root.child(0), load)
+    pool, test = _build_source_data(source, spec, root.child(0), rows)
     # a single-sample draw is without replacement, so it cannot exceed the pool
     budget = min(spec.n, pool.n) if scenario == SCENARIO_SS else spec.n
     pu = corrupt(pool, scenario, c, budget, root.child(1))
@@ -338,7 +340,8 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
 
     The cells to run are spread over one process per usable CPU, this one
     included, and never more processes than cells (``_spread``); one
-    process forks none. Each process reads a csv source once. Rows and
+    process forks none. Each csv source is read once, before the fork; a
+    read that fails fails each of its cells, and is not retried. Rows and
     ``log`` lines are written here in cell order, so every output byte is
     the same for any number of processes. A worker process that dies
     raises ``PuermError``; the rows before the cell it left unfinished
@@ -365,9 +368,15 @@ def run_grid(spec: GridSpec, log=None) -> list[ExperimentResult]:
         fresh = not os.path.exists(spec.out) or os.path.getsize(spec.out) == 0
         done = set() if fresh else {_result_key(r) for r in load_results(spec.out)[0]}
         cells = [cell for cell in iter_cells(spec) if _result_key(cell) not in done]
-        load = functools.cache(load_csv)  # a failed read is not cached, so each cell retries
-        tasks = [(f"cell {_result_key(cell)}", functools.partial(run_cell, cell, spec, load))
-                 for cell in cells]
+        rows = {}  # each csv source's data, or the error its read raised, read before the fork
+        for path, pi in dict.fromkeys((c.source.path, c.source.pi) for c in cells
+                                      if c.source.kind == "csv"):
+            try:
+                rows[path, pi] = load_csv(path, pi)
+            except (PuermError, OSError) as exc:
+                rows[path, pi] = exc
+        tasks = [(f"cell {_result_key(c)}", functools.partial(
+                     run_cell, c, spec, rows.get((c.source.path, c.source.pi)))) for c in cells]
         results: list[ExperimentResult] = []
         outcomes = _spread(tasks, catch=(PuermError, OSError))  # forks at the first read
         with open(spec.out, "a", encoding="utf-8", newline="") as fh, contextlib.closing(outcomes):

@@ -1,7 +1,8 @@
 """The one runner of the package: a grid's cells, the self-checks and the
 row blocks and byte ranges of a large CSV file run as tasks of ``_spread``
 on this process and forked workers, one process per usable CPU, and come
-back in task order, so the process count changes no output byte."""
+back in task order, so the process count changes no output byte. No task
+starts another ``_spread``, so the runner keeps no state."""
 
 from __future__ import annotations
 
@@ -13,9 +14,6 @@ import traceback
 from collections.abc import Callable
 
 from .errors import PuermError
-
-# True while this process runs tasks of a _spread: it then forks no workers.
-_inside = False
 
 
 def _read_text(path) -> str:
@@ -52,31 +50,29 @@ def _usable_cpus(root="/sys/fs/cgroup", own="/proc/self/cgroup") -> int:
 
 def _worker_count(n_tasks: int, share: int = 1) -> int:
     """Processes a run of ``n_tasks`` tasks uses: every usable CPU, capped so
-    that each process gets at least ``share`` tasks; 1 without fork or inside
-    a ``_spread``."""
-    if _inside or not hasattr(os, "fork"):
+    that each process gets at least ``share`` tasks; 1 without fork."""
+    if not hasattr(os, "fork"):
         return 1
     return max(1, min(_usable_cpus(), n_tasks // share))
 
 
-def _outcome(task, forked=False):
-    """(False, what ``task()`` returns) or (True, the Exception it raised).
-
-    A ``forked`` one carries its traceback in a note (Python 3.11 on), which
-    pickling keeps and ``str`` leaves out."""
+def _outcome(task):
+    """(False, what ``task()`` returns) or (True, the Exception it raised)."""
     try:
         return False, task()
     except Exception as exc:
-        if forked and hasattr(exc, "add_note"):
-            exc.add_note("raised in a worker process:\n" + traceback.format_exc())
         return True, exc
 
 
 def _send(out, name: str, task) -> None:
-    """Pickle the outcome of ``task`` down the pipe ``out``; an outcome that
-    cannot be pickled is sent as the exception that says so."""
+    """Pickle the outcome of ``task`` down the pipe ``out``, an exception
+    with its traceback as a note (Python 3.11 on), which ``str`` leaves out;
+    one that cannot be pickled goes as the exception that says so."""
+    raised, value = _outcome(task)
+    if raised and hasattr(value, "add_note"):
+        value.add_note("raised in a worker process:\n" + "".join(traceback.format_exception(value)))
     try:
-        data = pickle.dumps(_outcome(task, forked=True))
+        data = pickle.dumps((raised, value))
     except Exception as exc:
         if hasattr(exc, "add_note"):
             exc.add_note(f"while sending the outcome of {name} from a worker process")
@@ -93,16 +89,14 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = (), sha
     With w = ``_worker_count(len(tasks), share)``, this process runs task
     i when i % w == 0. Forked worker k runs the tasks i with i % w == k, in
     order, and pickles each outcome down its own pipe, an exception with
-    its traceback as a note (``_outcome``); it leaves only through
+    its traceback as a note (``_send``); it leaves only through
     ``os._exit``, so it runs no caller's cleanup. A worker that dies before
     sending an outcome raises ``PuermError`` naming that task. The workers
     start at the first read; closing the generator closes the pipes, which
     stops each worker at its next send, and waits for every worker.
 
-    Runs do not nest: a worker, and this process while it runs one of its
-    tasks, sees w = 1 in any ``_spread`` a task starts, which then runs
-    every task in that process."""
-    global _inside
+    A task must not start another ``_spread``: in a worker, that would fork
+    up to w - 1 more workers from each of the w processes."""
     workers = _worker_count(len(tasks), share)
     pids, pipes = [], []
     try:
@@ -110,7 +104,6 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = (), sha
             fd_in, fd_out = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _inside = True
                 status = 1
                 try:
                     for pipe in pipes:  # a worker holds no other worker's pipe open
@@ -127,11 +120,7 @@ def _spread(tasks: list[tuple[str, Callable]], catch: tuple[type, ...] = (), sha
             pipes.append(open(fd_in, "rb"))
         for i, (name, task) in enumerate(tasks):
             if i % workers == 0:
-                inside, _inside = _inside, True
-                try:
-                    raised, value = _outcome(task)
-                finally:
-                    _inside = inside
+                raised, value = _outcome(task)
             else:
                 try:
                     raised, value = pickle.load(pipes[i % workers - 1])

@@ -524,6 +524,14 @@ def test_run_grid_loads_a_csv_source_once(tmp_path, monkeypatch, one_cpu):
     assert Path(per_cell).read_bytes() == Path(spec.out).read_bytes()
 
 
+def test_run_cell_raises_a_copy_of_the_error_a_read_raised(tmp_path):
+    spec = _csv_grid(tmp_path, tmp_path / "rows.csv")
+    error = FormatError("rows.csv: line 3: bad")
+    with pytest.raises(FormatError, match="^rows.csv: line 3: bad$") as info:
+        run_cell(next(iter_cells(spec)), spec, error)
+    assert info.value is not error  # a worker notes its traceback on each error it sends
+
+
 def test_run_grid_unreadable_csv_source_fails_every_cell(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("f0,y\n0.5,1\noops,1\n")
@@ -966,24 +974,25 @@ def test_a_dead_worker_stops_the_run_at_its_cell(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_each_process_loads_a_csv_source_once(tmp_path, monkeypatch, three_cpus):
-    path = tmp_path / "rows.csv"
-    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
-    loads = tmp_path / "loads"
-
+def _logging_load_csv(monkeypatch, loads):
+    """Make a grid's reads of a csv source append their pid to ``loads``."""
     def logging_load_csv(p, pi):
         with open(loads, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return load_csv(p, pi)
 
     monkeypatch.setattr(harness, "load_csv", logging_load_csv)
+
+
+def test_a_run_reads_each_csv_source_once(tmp_path, monkeypatch, three_cpus):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    loads = tmp_path / "loads"
+    _logging_load_csv(monkeypatch, loads)
     # 8 cells: the parent runs 3 of them, two workers the other 5
     spec = replace(_csv_grid(tmp_path, path), seeds=[0, 1])
     assert len(run_grid(spec)) == 8
-    pids = loads.read_text().split()
-    assert len(set(pids)) == len(pids)  # one load per process
-    assert str(os.getpid()) in pids
-    assert 2 <= len(pids) <= 3
+    assert loads.read_text() == f"{os.getpid()}\n"  # one read, before the fork
     _use_cpus(monkeypatch, 1)
     run_grid(replace(spec, out=str(tmp_path / "serial.csv")))
     assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -1012,25 +1021,9 @@ def test_spread_yields_outcomes_in_task_order_and_raises_what_it_does_not_catch(
     assert _no_child_process()
 
 
-def test_a_process_running_tasks_of_spread_forks_no_more_workers(three_cpus):
-    # the parent runs tasks 0 and 3, the workers the others
-    tasks = [(f"task {i}", functools.partial(spread._worker_count, 100)) for i in range(6)]
-    assert list(spread._spread(tasks)) == [1] * 6
-    assert spread._worker_count(100) == 3  # and again once the run is over
-    assert _no_child_process()
-
-
-def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
-    tmp_path, monkeypatch
-):
-    path = tmp_path / "rows.csv"
-    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
-    # several ranges, one a process, which a grid's process reads itself:
-    # no worker forks
-    monkeypatch.setattr(datasets, "_PLAIN_CHUNK", 512)
-    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)
-    assert path.stat().st_size > 4 * 512
-    fork, forks = os.fork, tmp_path / "forks"
+def _recording_fork(monkeypatch, forks):
+    """Make each fork append the pid of the forking process to ``forks``."""
+    fork = os.fork
 
     def recording_fork():
         with open(forks, "a") as fh:
@@ -1038,6 +1031,20 @@ def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
+
+
+def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    # several ranges, one a process: the grid reads them on every usable CPU
+    # before its cells start, and no cell forks
+    monkeypatch.setattr(datasets, "_PLAIN_CHUNK", 512)
+    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)
+    assert path.stat().st_size > 4 * 512
+    forks = tmp_path / "forks"
+    _recording_fork(monkeypatch, forks)
     runs = []
     for cpus in (1, 3):
         _use_cpus(monkeypatch, cpus)
@@ -1050,7 +1057,36 @@ def test_a_grid_over_a_csv_source_of_several_read_ranges_forks_only_its_workers(
         runs.append(((where / "results.csv").read_bytes(), traces))
     assert runs[1] == runs[0]
     assert len(runs[0][1]) == 4
-    assert forks.read_text() == f"{os.getpid()}\n" * 2  # the 3-CPU grid's two workers
+    # the 3-CPU grid's two read workers, then its two cell workers
+    assert forks.read_text() == f"{os.getpid()}\n" * 4
+
+
+def test_a_grid_reads_a_bad_csv_source_of_several_read_ranges_once(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    save_csv(gaussian_mixture(200, 0.5, rng=Rng(3)), path)
+    with open(path, "a") as fh:
+        fh.write("oops,1\n")
+    monkeypatch.setattr(datasets, "_PLAIN_CHUNK", 512)
+    monkeypatch.setattr(datasets, "_SPREAD_BYTES", 0)
+    assert path.stat().st_size > 4 * 512
+    forks, loads = tmp_path / "forks", tmp_path / "loads"
+    _recording_fork(monkeypatch, forks)
+    _logging_load_csv(monkeypatch, loads)
+    runs = []
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}.csv"
+        assert run_grid(_csv_grid(tmp_path, path, out=str(out))) == []
+        assert _no_child_process()
+        assert loads.read_text() == f"{os.getpid()}\n"  # the one failed read is not retried
+        loads.unlink()
+        runs.append(out.read_bytes())
+    assert runs[1] == runs[0]
+    error = f",error: {path}: line 202: non-numeric value 'oops' in column f0\n"
+    assert runs[0].decode().count(error) == 4
+    assert load_results(tmp_path / "cpus1.csv") == ([], 4)
+    # the 3-CPU grid's two read workers, then its two cell workers
+    assert forks.read_text() == f"{os.getpid()}\n" * 4
 
 
 def test_a_worker_sends_its_traceback_and_says_which_outcome_it_could_not_send(three_cpus):
