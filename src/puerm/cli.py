@@ -14,8 +14,8 @@ import argparse
 import sys
 from dataclasses import asdict, fields, replace
 
-from .datasets import SCENARIOS, gaussian_mixture, load_csv, load_pu_csv, save_csv
-from .errors import PuermError
+from .datasets import SCENARIO_CC, SCENARIOS, gaussian_mixture, load_csv, load_pu_csv, save_csv
+from .errors import FormatError, PuermError
 from .harness import (
     REPORT_METRICS,
     GridSpec,
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pi",
         type=float,
         default=None,
-        help="known class prior (default: empirical from the y column)",
+        help="known class prior (default: the y=+1 fraction, of the unlabeled rows for cc)",
     )
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, help="clamped to the number of rows")
@@ -152,8 +152,11 @@ def _cmd_sample(args) -> int:
 def _cmd_train(args) -> int:
     cfg = TrainerConfig(**{f.name: getattr(args, f.name) for f in fields(TrainerConfig)})
     pu = load_pu_csv(args.inp, args.pi, cfg.mode)
+    if pu.n == 0:  # before the batch size is clamped to no rows
+        raise FormatError(f"{args.inp}: no rows to train on")
     if pu.pi_is_empirical:
-        print(f"note: using empirical prior pi={pu.pi:.6g} from the y column")
+        rows = "unlabeled rows" if cfg.mode == SCENARIO_CC else "rows"
+        print(f"note: using empirical prior pi={pu.pi:.6g} from the y column of the {rows}")
     test = load_csv(args.test) if args.test else None
     cfg = replace(cfg, batch_size=min(cfg.batch_size, pu.n))
     # child stream 2, as in a grid cell: train shuffles with the seed's own stream

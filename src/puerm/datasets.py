@@ -7,16 +7,19 @@ each column named once.
 Floats are written with 17 significant digits so a save/load round trip
 reproduces every value bit for bit.
 
-``save_csv`` formats every row from one template and writes the file
-atomically (a temporary file beside the target, then ``os.replace``), in
-blocks of ``_SAVE_BLOCK`` rows, so the text it holds at once does not grow
-with the file.
+``save_csv`` formats every row with one printf-style template, its float
+conversion taken from ``_FLOAT_FMT`` and ``%d`` for labels, and writes the
+file atomically (a temporary file beside the target, then ``os.replace``),
+in blocks of ``_SAVE_BLOCK`` rows, so the text it holds at once does not
+grow with the file.
 A file in the plain form ``save_csv`` writes is read by numpy's C parser
-(``np.loadtxt``, with the label lookup as converters): a header line
-with no ``"`` and no CR, then a non-empty body of only the bytes
-``0-9 + - . e E , LF`` with no blank line. Any other file, and any file
-that parser refuses or reads to a non-finite feature, goes to the
-``csv.reader`` path.
+(``np.loadtxt``, with one structured row dtype: float64 for a feature
+cell, a 3-byte text field for a label cell): a header line with no ``"``
+and no CR, then a non-empty body of only the bytes ``0-9 + - . e E , LF``
+with no blank line. A label column passes only when every one of its
+cells is exactly ``1``, ``+1`` or ``-1``. Any other file, and any file
+that parser refuses or reads to a non-finite feature or another label
+cell, goes to the ``csv.reader`` path.
 Row blocks are formatted, and ``_PLAIN_CHUNK``-byte ranges of a plain
 body parsed, on every usable CPU (``spread._spread``), about
 ``_SPREAD_BYTES`` of text or more to a process; the ``csv.reader`` path
@@ -65,12 +68,15 @@ SCENARIO_CC = "cc"
 SCENARIOS = (SCENARIO_SS, SCENARIO_CC)
 
 _FLOAT_FMT = "{:.17g}"
-_SAVE_BLOCK = 2048  # rows save_csv formats and writes at a time
-# Accepted label cells and the label each one stands for.
+# Rows save_csv formats and writes at a time. This and _PLAIN_CHUNK are
+# small, so that a large file's tasks split about evenly over the processes.
+_SAVE_BLOCK = 512
+# Accepted label cells and the label each one stands for; _read_plain
+# compares its label fields with the same three.
 _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
 # The bytes a plain-form body may hold, and how many are checked at a time.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
-_PLAIN_CHUNK = 1 << 18
+_PLAIN_CHUNK = 1 << 17
 # About the least CSV text a process of a save or read gets: below about
 # 1 MiB a process, a fork cost as much time as it saved, or more
 # (save_csv and load_csv at 1 and 10 features on 2 CPUs).
@@ -300,9 +306,11 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     LabeledDataset emits feature columns plus ``y``; PUDataset emits
     features, ``y`` when ground truth is present, and ``s``.
 
-    Each block is one task of ``_spread``, written here in order as the
-    blocks come back. Each process gets about ``_SPREAD_BYTES`` of text or
-    more, so a file of less than about 1.5 MiB forks nothing.
+    Each row is one ``%`` of a template: ``_FLOAT_FMT``'s conversion for
+    each feature, ``%d`` for each label. Each block is one task of
+    ``_spread``, written here in order as the blocks come back. Each
+    process gets about ``_SPREAD_BYTES`` of text or more, so a 10-feature
+    file of less than about 1.8 MiB forks nothing.
     """
     if isinstance(dataset, PUDataset):
         labels = {"y": dataset.y_true, "s": dataset.s}
@@ -313,12 +321,12 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     labels = {name: col for name, col in labels.items() if col is not None}
     d = dataset.x.shape[1]
     header = ",".join(_feature_header(d) + list(labels)) + "\n"
-    row = ",".join([_FLOAT_FMT] * d + ["{:d}"] * len(labels)) + "\n"
+    row = ",".join(["%" + _FLOAT_FMT[2:-1]] * d + ["%d"] * len(labels)) + "\n"
     columns = [*dataset.x.T, *labels.values()]
 
     def block(i):
         cells = [col[i:i + _SAVE_BLOCK].tolist() for col in columns]
-        return "".join(itertools.starmap(row.format, zip(*cells)))
+        return "".join(map(row.__mod__, zip(*cells)))
 
     n = dataset.n
     tasks = [(f"rows {i + 1}-{min(i + _SAVE_BLOCK, n)} of {path}", functools.partial(block, i))
@@ -334,16 +342,22 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
     """(x, {label name: labels}) read by ``np.loadtxt`` from a file in the
     plain form, or None when the file is not in that form, the parser
     refuses it, it does not read to one row of ``n_cols`` columns per
-    line or a feature reads as non-finite. ``feat_cols`` lists the
-    feature columns in order and ``label_cols`` maps each label name to
-    its column.
+    line, a feature reads as non-finite or a label cell is not exactly
+    ``1``, ``+1`` or ``-1``. ``feat_cols`` lists the feature columns in
+    order and ``label_cols`` maps each label name to its column.
+
+    Each row is one record of a structured dtype: float64 for a feature
+    cell, 3 bytes of text for a label cell, which array comparisons then
+    check and turn into labels. A longer label cell is cut to 3 bytes,
+    which no accepted cell fills, so it is refused too.
 
     Each range of about ``_PLAIN_CHUNK`` bytes of the body, ending at a
     line end, is one task of ``_spread``; the parts are copied into the
     result in order, and a refused range refuses the file. Each process
     gets ``_SPREAD_BYTES`` or more, so a body under about twice that forks
     nothing."""
-    converters = {j: _LABEL_CELLS.__getitem__ for j in label_cols.values()}
+    record = np.dtype([(str(j), "S3" if j in label_cols.values() else "f8")
+                       for j in range(n_cols)])
 
     def part(fh, start, end):
         """(x, [labels per label column]) of the body bytes [start, end), or None."""
@@ -358,19 +372,20 @@ def _read_plain(path, n_cols, feat_cols, label_cols):
             return None
         lines = data.count(b"\n") + (not data.endswith(b"\n"))
         try:
-            # an explicit encoding hands the converters str on every numpy >= 1.24
-            a = np.loadtxt(
-                io.BytesIO(data), delimiter=",", comments=None, converters=converters,
-                ndmin=2, encoding="utf-8",
-            )
-        except (ValueError, KeyError):
+            a = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, dtype=record, ndmin=1)
+        except ValueError:  # a bad float or a row of another width
             return None
-        if a.shape != (lines, n_cols):  # np.loadtxt skips blank lines
+        if len(a) != lines:  # np.loadtxt skips blank lines
             return None
-        x = a[:, feat_cols]
+        x = np.empty((lines, len(feat_cols)))
+        for k, j in enumerate(feat_cols):
+            x[:, k] = a[str(j)]
         if not np.isfinite(x).all():
             return None
-        return x, [a[:, j].astype(np.int64) for j in label_cols.values()]
+        cells = [a[str(j)] for j in label_cols.values()]
+        if not all(((c == b"1") | (c == b"+1") | (c == b"-1")).all() for c in cells):
+            return None
+        return x, [_signs(c != b"-1") for c in cells]
 
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -500,8 +515,10 @@ def load_pu_csv(
 
     The CSV schema carries no distribution metadata, so the class prior
     and scenario tag must be supplied; if ``pi`` is omitted it is estimated
-    from the ``y`` column, as ``LabeledDataset.prior`` does, when the file
-    has that column and rows.
+    from the ``y`` column, when the file has that column, as the fraction
+    of ``y = +1`` over the rows that are a draw from the marginal: every
+    row under ``ss``, the unlabeled rows (``s = -1``) under ``cc``, whose
+    labeled rows are all positive by construction.
     """
     x, y, s = _read_columns(path, want_y=False, want_s=True)
     empirical = False
@@ -510,9 +527,10 @@ def load_pu_csv(
             raise FormatError(
                 f"{path}: no 'y' column and no pi supplied; cannot set the prior"
             )
-        if len(y) == 0:
-            raise FormatError(f"{path}: no rows and no pi supplied; cannot set the prior")
-        pi, empirical = LabeledDataset(x=x, y=y).prior()
+        marginal, rows = (y[s == -1], "unlabeled rows") if scenario == SCENARIO_CC else (y, "rows")
+        if len(marginal) == 0:
+            raise FormatError(f"{path}: no {rows} and no pi supplied; cannot set the prior")
+        pi, empirical = float(np.mean(marginal == 1)), True
     return PUDataset(
         x=x, s=s, y_true=y, pi=pi, scenario=scenario, c=c, pi_is_empirical=empirical
     )

@@ -22,6 +22,7 @@ from conftest import _no_child_process, _use_cpus
 from oracles import peak_traced_bytes
 from puerm import datasets, spread
 from puerm.datasets import (
+    SCENARIO_CC,
     SCENARIO_SS,
     LabeledDataset,
     PUDataset,
@@ -34,6 +35,7 @@ from puerm.datasets import (
 from puerm.errors import DataError, FormatError, ParameterError, PuermError
 from puerm.model import init, save_model
 from puerm.numerics import Rng
+from puerm.sampling import corrupt
 from puerm.trainer import EpochTrace, save_trace
 
 
@@ -340,6 +342,13 @@ def test_save_csv_in_blocks_writes_the_one_shot_bytes(tmp_path, monkeypatch):
             for dataset in (ds, pu, bare):
                 save_csv(dataset, path)
                 assert path.read_bytes() == _one_shot_csv(dataset)
+        # a signed zero, the least and the largest double, the largest power
+        # of ten a double holds exactly and two inexact fractions, over two blocks
+        cells = [-0.0, 5e-324, 1.7976931348623157e308, 1e22, 1e-7, 0.1]
+        edge = LabeledDataset(x=np.tile([cells, [-v for v in cells]], (b // 2 + 1, 1)),
+                              y=np.tile([1, -1], b // 2 + 1))
+        save_csv(edge, path)
+        assert path.read_bytes() == _one_shot_csv(edge)
         assert _no_child_process()
 
 
@@ -395,6 +404,17 @@ def test_pu_csv_empirical_prior_fallback(tmp_path):
     back = load_pu_csv(path, scenario=SCENARIO_SS, c=0.5)
     assert back.pi_is_empirical
     assert back.pi == 0.5  # 2 of 4 true positives
+    # every labeled row of a case-control sample is positive, so only its
+    # unlabeled rows, a draw from the marginal, estimate pi
+    pi = 0.3
+    pu = corrupt(gaussian_mixture(40_000, pi, rng=Rng(21)), SCENARIO_CC, 0.5, 20_000, Rng(22))
+    save_csv(pu, path)
+    back = load_pu_csv(path, scenario=SCENARIO_CC)
+    unlabeled = pu.y_true[pu.s == -1]
+    assert back.pi_is_empirical
+    assert back.pi == np.mean(unlabeled == 1)
+    assert abs(back.pi - pi) < 3 * math.sqrt(pi * (1 - pi) / len(unlabeled))
+    assert load_pu_csv(path, scenario=SCENARIO_SS).pi == np.mean(pu.y_true == 1)
 
 
 def test_pu_csv_without_a_y_column_or_pi_is_a_format_error(tmp_path):
@@ -432,6 +452,13 @@ def test_pu_csv_without_rows_or_pi_is_a_format_error(tmp_path):
             load_pu_csv(path)
         assert str(err.value) == f"{path}: no rows and no pi supplied; cannot set the prior"
         assert load_pu_csv(path, pi=0.5).n == 0
+        # a case-control file whose every row is labeled
+        path.write_text("f0,y,s\n0.5,1,1\n")
+        with pytest.raises(FormatError) as err:
+            load_pu_csv(path, scenario=SCENARIO_CC)
+        assert str(err.value) == (
+            f"{path}: no unlabeled rows and no pi supplied; cannot set the prior"
+        )
 
 
 def test_load_csv_reports_offending_row(tmp_path):
@@ -683,6 +710,15 @@ def _load_outcomes(path):
     return out
 
 
+def _with_label_cell_examples(test):
+    """``test`` with an example for each of a few label cells at each range
+    size of 1-5 bytes on 3 CPUs: the numpy reader's check of its 3-byte
+    label fields takes or refuses each cell as the csv.reader loop does."""
+    for cell, chunk in itertools.product(["01", "-10", "1.0", "+1e0", "", "+1"], range(1, 6)):
+        test = example(f"f0,y,s\n1.5,1,{cell}\n-2,{cell},-1\n0.5,-1,-1\n", chunk, 3)(test)
+    return test
+
+
 @pytest.mark.filterwarnings("error::UserWarning")  # np.loadtxt warns on a file with no data
 @settings(max_examples=300, deadline=None)
 @given(_csv_texts(), st.sampled_from([1, 2, 5, datasets._PLAIN_CHUNK]), st.sampled_from([1, 3]))
@@ -693,6 +729,7 @@ def _load_outcomes(path):
 @example("f0,y\n1.5,1\n-2,-1\n\udce9,1\n", 1, 3)  # not UTF-8 in the last range
 @example("f0,y\n1.5,1\n-2,-1\n-2,\"1\"\n", 1, 3)
 @example("f0,y\n1.5,1\r\n-2,-1\n", 5, 3)
+@_with_label_cell_examples
 def test_both_readers_give_the_same_arrays_or_errors(text, chunk, cpus):
     # with a range of a few bytes, on up to 3 processes, awkward text falls at
     # or next to a cut between two ranges

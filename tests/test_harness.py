@@ -2140,6 +2140,13 @@ def test_cli_train_names_an_empty_pu_file_without_pi(tmp_path, capsys):
     assert f"error: {path}: no rows and no pi supplied" in capsys.readouterr().err
 
 
+def test_cli_train_refuses_a_pu_file_with_no_rows(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    path.write_text("f0,y,s\n")
+    assert cli_dispatch(["train", "--in", str(path), "--pi", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: no rows to train on\n"
+
+
 def test_cli_check_passes(capsys):
     assert cli_dispatch(["check"]) == 0
     out = capsys.readouterr().out
