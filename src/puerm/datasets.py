@@ -7,11 +7,14 @@ each column named once.
 Floats are written with 17 significant digits so a save/load round trip
 reproduces every value bit for bit.
 
-``save_csv`` formats every row with one printf-style template, its float
-conversion taken from ``_FLOAT_FMT`` and ``%d`` for labels, and writes the
-file atomically (a temporary file beside the target, then ``os.replace``),
-in blocks of ``_SAVE_BLOCK`` rows, so the text it holds at once does not
-grow with the file.
+``save_csv`` writes the file atomically (a temporary file beside the
+target, then ``os.replace``), in blocks of ``_SAVE_BLOCK`` rows, so the
+text it holds at once does not grow with the file. A block holds the
+bytes of one printf-style template per row, its float conversion taken
+from ``_FLOAT_FMT`` (``%.17g``) and ``%d`` for labels, built with numpy
+arithmetic and no Python call per cell or row (``csvtext.csv_rows``): a
+value ``%.17g`` writes in fixed notation gets its digits from an exact
+product with a power of ten, any other cell its ``%`` text.
 A file in the plain form ``save_csv`` writes is read by numpy's C parser
 (``np.loadtxt``, with one structured row dtype: float64 for a feature
 cell, a 3-byte text field for a label cell): a header line with no ``"``
@@ -71,6 +74,9 @@ _FLOAT_FMT = "{:.17g}"
 # Rows save_csv formats and writes at a time. This and _PLAIN_CHUNK are
 # small, so that a large file's tasks split about evenly over the processes.
 _SAVE_BLOCK = 512
+# The most feature cells one csvtext.csv_rows call turns into text, so
+# that its arrays stay small however wide the file.
+_TEXT_CELLS = 1 << 13
 # Accepted label cells and the label each one stands for; _read_plain
 # compares its label fields with the same three.
 _LABEL_CELLS = {"-1": -1, "1": 1, "+1": 1}
@@ -306,12 +312,18 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     LabeledDataset emits feature columns plus ``y``; PUDataset emits
     features, ``y`` when ground truth is present, and ``s``.
 
-    Each row is one ``%`` of a template: ``_FLOAT_FMT``'s conversion for
-    each feature, ``%d`` for each label. Each block is one task of
-    ``_spread``, written here in order as the blocks come back. Each
-    process gets about ``_SPREAD_BYTES`` of text or more, so a 10-feature
-    file of less than about 1.8 MiB forks nothing.
+    Each block of ``_SAVE_BLOCK`` rows is turned into text by
+    ``csvtext.csv_rows``, ``_TEXT_CELLS`` feature cells a call: the bytes
+    one ``%`` per row of ``_FLOAT_FMT``'s conversion for each feature and
+    ``%d`` for each label would write, made with numpy arithmetic. Each
+    block is one task of ``_spread``, written here in order as the blocks
+    come back. Each process gets about ``_SPREAD_BYTES`` of text or more,
+    so a 10-feature file of less than about 1.8 MiB forks nothing.
     """
+    # Imported here: only synth and sample write a dataset, so no other
+    # command compiles or loads the formatter.
+    from .csvtext import csv_rows
+
     if isinstance(dataset, PUDataset):
         labels = {"y": dataset.y_true, "s": dataset.s}
     elif isinstance(dataset, LabeledDataset):
@@ -321,12 +333,13 @@ def save_csv(dataset: LabeledDataset | PUDataset, path) -> None:
     labels = {name: col for name, col in labels.items() if col is not None}
     d = dataset.x.shape[1]
     header = ",".join(_feature_header(d) + list(labels)) + "\n"
-    row = ",".join(["%" + _FLOAT_FMT[2:-1]] * d + ["%d"] * len(labels)) + "\n"
-    columns = [*dataset.x.T, *labels.values()]
+    step = max(1, _TEXT_CELLS // d)
 
     def block(i):
-        cells = [col[i:i + _SAVE_BLOCK].tolist() for col in columns]
-        return "".join(map(row.__mod__, zip(*cells)))
+        x = dataset.x[i:i + _SAVE_BLOCK]
+        columns = [col[i:i + _SAVE_BLOCK] for col in labels.values()]
+        return b"".join(csv_rows(x[j:j + step], [col[j:j + step] for col in columns], _FLOAT_FMT)
+                        for j in range(0, len(x), step)).decode("ascii")
 
     n = dataset.n
     tasks = [(f"rows {i + 1}-{min(i + _SAVE_BLOCK, n)} of {path}", functools.partial(block, i))

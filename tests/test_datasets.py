@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import _no_child_process, _use_cpus
 from oracles import peak_traced_bytes
-from puerm import datasets, spread
+from puerm import csvtext, datasets, spread
 from puerm.datasets import (
     SCENARIO_CC,
     SCENARIO_SS,
@@ -363,6 +363,52 @@ def test_save_csv_holds_a_bounded_amount_of_text(tmp_path, monkeypatch, n):
         assert peak <= 3 * 2**20
 
 
+def _formatting_probes() -> np.ndarray:
+    """Values chosen to break an exact %.17g: each power of ten from 1e-6 to
+    1e18 and its two nearest doubles on each side; ties whose 18th digit is
+    5; integers around 2^53, 1e16 and 1e17; random bit patterns and values
+    spread over the fixed-notation range; subnormals, the largest double
+    and the values next to 1e-4 and 1e17."""
+    rng = np.random.default_rng(32)
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    near = [powers]
+    for toward in (0.0, np.inf):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    k = np.arange(2**17)
+    ties = [1 + k / 2**17, 4 + k / 2**15]
+    integers = [np.arange(-300.0, 301.0) + c for c in (2.0**53, 1e16, 1e17)]
+    bits = rng.integers(0, 2**64 - 1, 50_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    spread_out = 10.0 ** rng.uniform(-5, 17, 50_000)
+    edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1),
+             np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf), 0.1, 1 / 3]
+    v = np.concatenate([*near, *ties, *integers, bits, spread_out, edges])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, -v])
+
+
+def test_csv_rows_write_the_bytes_of_percent_17g():
+    v = _formatting_probes()
+    texts = ["%.17g" % f for f in v.tolist()]
+    assert csvtext.csv_rows(v[:, None], [], "{:.17g}") == "".join(t + "\n" for t in texts).encode()
+    # every value written in fixed notation but 0 takes the numpy path, and
+    # only those: 0, -0.0 and the exponent form are formatted one at a time
+    _, _, fast = csvtext._decimal(v)
+    assert fast.tolist() == [f != 0 and "e" not in t for f, t in zip(v.tolist(), texts)]
+    assert 400_000 < fast.sum() < len(v)
+
+
+def test_csv_rows_write_every_cell_with_another_float_format():
+    # the numpy digits serve only %.17g: with another format every cell is
+    # written by that format, in cells as wide as its longest text
+    x = np.array([[0.1, -2.5e-300], [1e17, 3.0]])
+    assert csvtext.csv_rows(x, [np.array([1, -1])], "{:.30g}") == "".join(
+        "%.30g,%.30g,%d\n" % (*row, y) for row, y in zip(x.tolist(), (1, -1))).encode()
+
+
 def test_csv_files_fork_a_process_only_for_each_spread_size_of_text(
     tmp_path, monkeypatch, three_cpus
 ):
@@ -507,10 +553,11 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
-def _saved_sets(draw):
-    """(x, y, s) with n in 0..30 and dim in 1..4; ``s`` labels only true positives."""
-    n = draw(st.integers(0, 30))
-    dim = draw(st.integers(1, 4))
+def _saved_sets(draw, max_rows=30, max_dim=4):
+    """(x, y, s) with n in 0..max_rows and dim in 1..max_dim; ``s`` labels
+    only true positives."""
+    n = draw(st.integers(0, max_rows))
+    dim = draw(st.integers(1, max_dim))
     x = np.array(draw(st.lists(FINITE, min_size=n * dim, max_size=n * dim)), dtype=np.float64)
     y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)), dtype=np.int64)
     picked = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
@@ -661,6 +708,34 @@ def test_save_csv_files_take_the_numpy_path(tmp_path, monkeypatch):
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         load_pu_csv(path, pi=0.5)
     assert taken == [True] * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_saved_sets(max_rows=40, max_dim=3), st.sampled_from(["labeled", "pu", "bare"]),
+       st.sampled_from([1, 3]), st.sampled_from([1, 4, 512]), st.sampled_from([1, 5, 8192]))
+@example(
+    (np.array([[-0.0, 5e-324, -1.7976931348623157e308], [0.0, 1e-5, 1e17]]),
+     np.array([1, -1]), np.array([1, -1])),
+    "pu", 3, 1, 1,
+)
+def test_save_csv_writes_the_one_shot_bytes_for_any_finite_matrix(data, kind, cpus, block,
+                                                                  text_cells):
+    # with blocks and csv_rows calls of a few rows, on up to 3 processes
+    x, y, s = data
+    dataset = LabeledDataset(x=x, y=y) if kind == "labeled" else PUDataset(
+        x=x, s=s, y_true=y if kind == "pu" else None, pi=0.5, scenario=SCENARIO_SS, c=0.5)
+    with (
+        tempfile.TemporaryDirectory() as where,
+        mock.patch.object(datasets, "_SAVE_BLOCK", block),
+        mock.patch.object(datasets, "_TEXT_CELLS", text_cells),
+        mock.patch.object(datasets, "_SPREAD_BYTES", 0),  # a block a process
+        mock.patch.object(spread, "_usable_cpus", lambda: cpus),
+    ):
+        path = os.path.join(where, "d.csv")
+        save_csv(dataset, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _one_shot_csv(dataset)
+    assert _no_child_process()
 
 
 # The characters of a plain-form cell, and text that may throw a reader off.
